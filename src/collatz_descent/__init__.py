@@ -14,15 +14,12 @@ from .core import (
     total_stopping_time,
 )
 from .errors import (
-    CacheError,
     CollatzDescentError,
-    CorruptCache,
     CycleDetected,
     DepthTooLarge,
     NotADescent,
     StepCapExceeded,
     UnrealizablePattern,
-    VersionMismatch,
 )
 from .patterns import (
     DescentPattern,
@@ -44,8 +41,6 @@ from .scanner import (
     ClassificationReport,
     ScanReport,
     TwinRecord,
-    cache_load,
-    cache_store,
     classify_depth,
     record_search,
     sieve_scan,
@@ -57,10 +52,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_STEP_CAP",
     "MAX_DEPTH",
-    "CacheError",
     "ClassificationReport",
     "CollatzDescentError",
-    "CorruptCache",
     "CycleDetected",
     "DepthTooLarge",
     "DescentPattern",
@@ -73,10 +66,7 @@ __all__ = [
     "StepKind",
     "TwinRecord",
     "UnrealizablePattern",
-    "VersionMismatch",
     "alternating_family",
-    "cache_load",
-    "cache_store",
     "chain_descents",
     "classify_depth",
     "col_step",

@@ -26,7 +26,7 @@ from .reports import (
     scan_report_tables,
     trace_report,
 )
-from .scanner import cache_load, cache_store, classify_depth, record_search, sieve_scan
+from .scanner import classify_depth, record_search, sieve_scan
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify residues by descent depth")
     p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--cache", help="load the report from this file if present, else compute and store it")
     _add_format(p)
 
     p = sub.add_parser("scan", help="verify a range, sieving out class-certified numbers")
@@ -121,18 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(str(exc))
             tables = classes_report([residue_for_pattern(pattern)])
         elif args.command == "classify":
-            if args.cache and os.path.exists(args.cache):
-                report = cache_load(args.cache)
-                if report.depth != args.depth:
-                    print(
-                        f"note: cache holds depth {report.depth}, ignoring --depth {args.depth}",
-                        file=sys.stderr,
-                    )
-            else:
-                report = classify_depth(args.depth)
-                if args.cache:
-                    cache_store(report, args.cache)
-            tables = classify_report(report)
+            tables = classify_report(classify_depth(args.depth))
         elif args.command == "scan":
             report = sieve_scan(
                 args.lo, args.hi, args.depth, workers=args.workers, step_cap=step_cap

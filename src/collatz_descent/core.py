@@ -73,6 +73,30 @@ def descent_trace(n: int, step_cap: int = DEFAULT_STEP_CAP) -> DescentTrace:
     )
 
 
+def descent_length(n: int, step_cap: int = DEFAULT_STEP_CAP) -> int:
+    """Number of steps until the first value strictly below n, nothing recorded.
+
+    The scan kernel: same checks, order and messages as descent_trace, which
+    the tests keep as its independent reference.
+    """
+    if n < 2:
+        raise ValueError("descent is defined for n >= 2")
+    v = n
+    steps = 0
+    while True:
+        if v & 1:
+            v = 3 * v + 1
+        else:
+            v >>= 1
+        steps += 1
+        if v < n:
+            return steps
+        if v == n:
+            raise CycleDetected(f"trajectory of {n} returned to its start after {steps} steps")
+        if steps >= step_cap:
+            raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+
+
 def chain_descents(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[DescentTrace]:
     """Descend repeatedly, restarting from each first-lower value, until 1.
 

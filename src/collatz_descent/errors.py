@@ -31,15 +31,3 @@ class NotADescent(CollatzDescentError):
 
 class DepthTooLarge(CollatzDescentError):
     """Requested classification depth exceeds the configured maximum."""
-
-
-class CacheError(CollatzDescentError):
-    """Base class for class-table cache problems."""
-
-
-class CorruptCache(CacheError):
-    """Cache file failed to parse or a stored class violates its invariants."""
-
-
-class VersionMismatch(CacheError):
-    """Cache file was written by an incompatible format version."""

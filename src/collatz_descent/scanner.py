@@ -12,10 +12,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
-from .core import DEFAULT_STEP_CAP, descent_trace
-from .errors import CorruptCache, DepthTooLarge, VersionMismatch
+from .core import DEFAULT_STEP_CAP, descent_length, descent_trace
+from .errors import CycleDetected, DepthTooLarge, StepCapExceeded
 from .patterns import (
     DescentPattern,
     ResidueClass,
@@ -26,8 +25,6 @@ from .patterns import (
 # A depth-J residue table occupies 2^J slots; 24 keeps it in the
 # low-megabyte range.  Larger depths would need a sparser representation.
 MAX_DEPTH = 24
-
-CACHE_VERSION = 1
 
 DEFAULT_BLOCK_SIZE = 1 << 16
 
@@ -107,12 +104,6 @@ class TwinRecord:
     twin_first_lower: int
 
 
-def _classes_for_depth(depth: int) -> list[ResidueClass]:
-    classes = [residue_for_pattern(t) for t in iter_minimal_pattern_texts(max_j=depth)]
-    classes.sort(key=lambda c: (len(c.pattern), c.x))
-    return classes
-
-
 def _resolved_table(depth: int, classes: list[ResidueClass]) -> bytearray:
     """One byte per residue mod 2^depth: 1 if covered by a class.
 
@@ -125,13 +116,20 @@ def _resolved_table(depth: int, classes: list[ResidueClass]) -> bytearray:
         if c.modulus > size:
             raise ValueError(f"class {c.pattern.text!r} has modulus above 2^{depth}")
         if table[c.x]:
-            raise CorruptCache(f"classes overlap at residue {c.x} mod {c.modulus}")
+            raise AssertionError(f"classes overlap at residue {c.x} mod {c.modulus}")
         count = size // c.modulus
         table[c.x :: c.modulus] = b"\x01" * count
     return table
 
 
-def _build_report(depth: int, classes: list[ResidueClass]) -> ClassificationReport:
+def classify_depth(depth: int) -> ClassificationReport:
+    """Classify the naturals by descent depth: all classes with j <= depth."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if depth > MAX_DEPTH:
+        raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
+    classes = [residue_for_pattern(t) for t in iter_minimal_pattern_texts(max_j=depth)]
+    classes.sort(key=lambda c: (len(c.pattern), c.x))
     table = _resolved_table(depth, classes)
     size = 1 << depth
     unresolved = [r for r in range(1, size, 2) if not table[r]]
@@ -147,15 +145,6 @@ def _build_report(depth: int, classes: list[ResidueClass]) -> ClassificationRepo
     )
 
 
-def classify_depth(depth: int, max_depth: int = MAX_DEPTH) -> ClassificationReport:
-    """Classify the naturals by descent depth: all classes with j <= depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > max_depth:
-        raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {max_depth}")
-    return _build_report(depth, _classes_for_depth(depth))
-
-
 # ---------------------------------------------------------------------------
 # sieve scan
 
@@ -163,7 +152,7 @@ def classify_depth(depth: int, max_depth: int = MAX_DEPTH) -> ClassificationRepo
 def _scan_block(
     lo: int, hi: int, resolved: bytes, mask: int, step_cap: int
 ) -> tuple[int, int, list[tuple[int, str]], int, int | None]:
-    """Scan one contiguous block; the inner loop is kept branch-light on purpose."""
+    """Scan one contiguous block: count resolved residues, run the kernel on the rest."""
     verified = 0
     skipped = 0
     failures: list[tuple[int, str]] = []
@@ -173,26 +162,18 @@ def _scan_block(
         if resolved[n & mask]:
             skipped += 1
             continue
-        v = n
-        steps = 0
-        while True:
-            if v & 1:
-                v = 3 * v + 1
-            else:
-                v >>= 1
-            steps += 1
-            if v < n:
-                verified += 1
-                if steps > max_steps:
-                    max_steps = steps
-                    max_n = n
-                break
-            if v == n:
-                failures.append((n, "cycle detected"))
-                break
-            if steps >= step_cap:
-                failures.append((n, "step cap exceeded"))
-                break
+        try:
+            steps = descent_length(n, step_cap)
+        except CycleDetected:
+            failures.append((n, "cycle detected"))
+            continue
+        except StepCapExceeded:
+            failures.append((n, "step cap exceeded"))
+            continue
+        verified += 1
+        if steps > max_steps:
+            max_steps = steps
+            max_n = n
     return verified, skipped, failures, max_steps, max_n
 
 
@@ -237,8 +218,12 @@ def sieve_scan(
         resolved: bytes = b"\x00"
         mask = 0
     else:
-        report = classify_depth(depth)
-        resolved = bytes(_resolved_table(depth, list(report.classes)))
+        unresolved = classify_depth(depth).unresolved_residues
+        # every residue but the unresolved odd ones is covered by a class
+        table = bytearray(b"\x01") * (1 << depth)
+        for r in unresolved:
+            table[r] = 0
+        resolved = bytes(table)
         mask = (1 << depth) - 1
 
     blocks = [(a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size)]
@@ -290,7 +275,7 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     records: list[tuple[int, int]] = []
     best = 0
     for n in range(lo, hi + 1):
-        steps = len(descent_trace(n, step_cap=step_cap))
+        steps = descent_length(n, step_cap)
         if steps > best:
             best = steps
             records.append((n, steps))
@@ -336,78 +321,3 @@ def twin_check(n: int, step_cap: int = DEFAULT_STEP_CAP) -> TwinRecord:
         first_lower=tr.first_lower,
         twin_first_lower=v2,
     )
-
-
-# ---------------------------------------------------------------------------
-# class-table cache (text, one JSON object per line)
-
-
-def cache_store(report: ClassificationReport, path: str | Path) -> None:
-    """Write a classification to disk; cache_load(path) round-trips it."""
-    lines = [json.dumps({"version": CACHE_VERSION, "depth": report.depth})]
-    for c in report.classes:
-        lines.append(
-            json.dumps(
-                {
-                    "version": CACHE_VERSION,
-                    "pattern": c.pattern.text,
-                    "i": c.i,
-                    "j": c.j,
-                    "m": str(c.m),
-                    "x": str(c.x),
-                    "y0": str(c.y0),
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-_RECORD_KEYS = {"version", "pattern", "i", "j", "m", "x", "y0"}
-
-
-def cache_load(path: str | Path) -> ClassificationReport:
-    """Load a cached classification, re-validating every class invariant."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise CorruptCache(f"{path}: empty cache file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CorruptCache(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or set(header) != {"version", "depth"}:
-        raise CorruptCache(f"{path}: malformed header {lines[0]!r}")
-    if header["version"] != CACHE_VERSION:
-        raise VersionMismatch(f"{path}: cache version {header['version']} != {CACHE_VERSION}")
-    depth = header["depth"]
-    if not isinstance(depth, int) or not 1 <= depth <= MAX_DEPTH:
-        raise CorruptCache(f"{path}: bad depth {depth!r}")
-
-    classes: list[ResidueClass] = []
-    for ln in lines[1:]:
-        try:
-            rec = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise CorruptCache(f"{path}: unreadable record {ln!r}") from exc
-        if not isinstance(rec, dict) or set(rec) != _RECORD_KEYS:
-            raise CorruptCache(f"{path}: malformed record {ln!r}")
-        if rec["version"] != CACHE_VERSION:
-            raise VersionMismatch(f"{path}: record version {rec['version']} != {CACHE_VERSION}")
-        try:
-            rebuilt = residue_for_pattern(rec["pattern"])
-            stored = (rec["i"], rec["j"], int(rec["m"]), int(rec["x"]), int(rec["y0"]))
-        except Exception as exc:
-            raise CorruptCache(f"{path}: invalid record {ln!r}: {exc}") from exc
-        if stored != (rebuilt.i, rebuilt.j, rebuilt.m, rebuilt.x, rebuilt.y0):
-            raise CorruptCache(
-                f"{path}: record for {rec['pattern']!r} disagrees with recomputed class"
-            )
-        if rebuilt.j > depth:
-            raise CorruptCache(f"{path}: class {rec['pattern']!r} deeper than header depth {depth}")
-        classes.append(rebuilt)
-    try:
-        return _build_report(depth, classes)
-    except CorruptCache:
-        raise
-    except Exception as exc:
-        raise CorruptCache(f"{path}: stored classes are inconsistent: {exc}") from exc

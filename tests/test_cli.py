@@ -1,4 +1,4 @@
-"""CLI surface: exit codes, formats, env overrides, cache wiring."""
+"""CLI surface: exit codes, formats, env overrides."""
 
 from __future__ import annotations
 
@@ -92,24 +92,6 @@ def test_records_command(capsys):
     assert out.strip().split("\n")[-1] == "27,96"
 
 
-def test_classify_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "depth5.jsonl"
-    code, first, _ = run(capsys, "classify", "--depth", "5", "--cache", str(cache), "--format", "csv")
-    assert code == 0
-    assert cache.exists()
-    code, second, _ = run(capsys, "classify", "--depth", "5", "--cache", str(cache), "--format", "csv")
-    assert code == 0
-    assert first == second
-
-
-def test_classify_corrupt_cache_is_domain_error(tmp_path, capsys):
-    cache = tmp_path / "bad.jsonl"
-    cache.write_text("junk\n")
-    code, _, err = run(capsys, "classify", "--cache", str(cache))
-    assert code == 1
-    assert "error:" in err
-
-
 def test_report_names(capsys):
     for name in ("cycle-length", "length6", "length8", "seq27"):
         code, out, _ = run(capsys, "report", name, "--format", "csv")
@@ -128,6 +110,13 @@ def test_step_cap_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "trace", "27")
     assert code == 1
     assert "10 steps" in err
+
+
+def test_records_step_cap_env_override(capsys, monkeypatch):
+    monkeypatch.setenv("COLLATZ_STEP_CAP", "10")
+    code, out, err = run(capsys, "records", "2", "30")
+    assert code == 1
+    assert "10 steps" in err and out == ""
 
 
 def test_step_cap_env_rejects_garbage(capsys, monkeypatch):

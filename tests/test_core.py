@@ -15,6 +15,7 @@ from collatz_descent import (
     total_stopping_time,
 )
 from collatz_descent import core
+from collatz_descent.core import descent_length
 
 
 def test_col_step_examples():
@@ -70,11 +71,26 @@ def test_descent_rejects_small_n():
         descent_trace(1)
     with pytest.raises(ValueError):
         descent_trace(0)
+    with pytest.raises(ValueError):
+        descent_length(1)
 
 
 def test_step_cap_guards_the_loop():
     with pytest.raises(StepCapExceeded):
         descent_trace(27, step_cap=10)
+
+
+def test_descent_length_matches_trace_length():
+    for n in range(2, (1 << 16) + 1):
+        assert descent_length(n) == len(descent_trace(n))
+
+
+def test_descent_length_step_cap_message_matches_trace():
+    with pytest.raises(StepCapExceeded) as trace_exc:
+        descent_trace(27, step_cap=20)
+    with pytest.raises(StepCapExceeded) as kernel_exc:
+        descent_length(27, step_cap=20)
+    assert str(kernel_exc.value) == str(trace_exc.value)
 
 
 def test_cycle_detection_surfaces_loudly(monkeypatch):

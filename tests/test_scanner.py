@@ -1,18 +1,13 @@
-"""Depth classification, sieve scans, record search, twins and the cache."""
+"""Depth classification, sieve scans, record search and twins."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
 
 from collatz_descent import (
-    CorruptCache,
     DepthTooLarge,
-    VersionMismatch,
-    cache_load,
-    cache_store,
     classify_depth,
     descent_trace,
     record_search,
@@ -143,6 +138,16 @@ def test_record_search_examples():
     assert record_search(2, 30)[-1] == (27, 96)
 
 
+def test_record_search_matches_trace_maxima():
+    expected, best = [], 0
+    for n in range(2, 5001):
+        steps = len(descent_trace(n))
+        if steps > best:
+            best = steps
+            expected.append((n, steps))
+    assert record_search(2, 5000) == expected
+
+
 def test_twin_of_27():
     rec = twin_check(27)
     assert rec.twin == 576460752303423515
@@ -168,58 +173,3 @@ def test_twin_law_holds_up_to_10k():
     for n in range(3, 10_001, 2):
         rec = twin_check(n)
         assert rec.twin_first_lower == rec.first_lower + 3**rec.i
-
-
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "classes.jsonl"
-    report = classify_depth(5)
-    cache_store(report, path)
-    assert cache_load(path) == report
-
-
-def test_cache_rejects_tampered_offset(tmp_path):
-    path = tmp_path / "classes.jsonl"
-    cache_store(classify_depth(5), path)
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[2])
-    rec["x"] = str(int(rec["x"]) + 2)
-    lines[2] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorruptCache):
-        cache_load(path)
-
-
-def test_cache_rejects_empty_file(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    path.write_text("")
-    with pytest.raises(CorruptCache):
-        cache_load(path)
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "garbage.jsonl"
-    path.write_text("not json at all\n")
-    with pytest.raises(CorruptCache):
-        cache_load(path)
-
-
-def test_cache_rejects_other_versions(tmp_path):
-    path = tmp_path / "future.jsonl"
-    cache_store(classify_depth(2), path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = 99
-    lines[0] = json.dumps(header)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(VersionMismatch):
-        cache_load(path)
-
-
-def test_cache_rejects_duplicate_classes(tmp_path):
-    path = tmp_path / "dup.jsonl"
-    cache_store(classify_depth(2), path)
-    lines = path.read_text().splitlines()
-    lines.append(lines[-1])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorruptCache):
-        cache_load(path)
