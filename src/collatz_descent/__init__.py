@@ -26,6 +26,7 @@ from .patterns import (
     FeasibilityRow,
     ResidueClass,
     StepKind,
+    UnresolvedLeaves,
     alternating_family,
     enumerate_minimal_patterns,
     feasibility_margin,
@@ -35,6 +36,7 @@ from .patterns import (
     pattern_constants,
     residue_for_pattern,
     subsequent_lower_value,
+    unresolved_leaves,
 )
 from .scanner import (
     MAX_DEPTH,
@@ -66,6 +68,7 @@ __all__ = [
     "StepKind",
     "TwinRecord",
     "UnrealizablePattern",
+    "UnresolvedLeaves",
     "alternating_family",
     "chain_descents",
     "classify_depth",
@@ -83,4 +86,5 @@ __all__ = [
     "subsequent_lower_value",
     "total_stopping_time",
     "twin_check",
+    "unresolved_leaves",
 ]

@@ -73,16 +73,24 @@ def descent_trace(n: int, step_cap: int = DEFAULT_STEP_CAP) -> DescentTrace:
     )
 
 
-def descent_length(n: int, step_cap: int = DEFAULT_STEP_CAP) -> int:
+def descent_length(
+    n: int, step_cap: int = DEFAULT_STEP_CAP, v: int = 0, steps: int = 0
+) -> int:
     """Number of steps until the first value strictly below n, nothing recorded.
 
     The scan kernel: same checks, order and messages as descent_trace, which
-    the tests keep as its independent reference.
+    the tests keep as its independent reference.  A caller that knows the
+    first `steps` values of n's trajectory all lie strictly above n may
+    resume from v, the value after them; with steps = 0, v is ignored and
+    the walk starts at n.
     """
     if n < 2:
         raise ValueError("descent is defined for n >= 2")
-    v = n
-    steps = 0
+    if not steps:
+        v = n
+    elif steps >= step_cap:
+        # the cap fell inside the skipped prefix, where no value is <= n
+        raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
     while True:
         if v & 1:
             v = 3 * v + 1

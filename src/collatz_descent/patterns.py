@@ -14,6 +14,7 @@ makes exhaustive verification sievable.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Union
@@ -211,8 +212,8 @@ def residue_for_pattern(p: PatternLike) -> ResidueClass:
     pinned so far (x mod 2^w).  Steps following an O are forced even and
     add no information; the first step and each step following an E add
     one binary constraint, so after the walk x is pinned mod 2^j.  The
-    result is cross-checked against the direct congruence
-    x = -m * 3^(-i) (mod 2^j).
+    tests check the result against the direct congruence
+    x = -m * 3^(-i) (mod 2^j) for every minimal pattern with j <= 20.
 
     Raises NotADescent when 2^j <= 3^i (the end value cannot fall below
     the start for the class's large members) and when the pinned smallest
@@ -249,13 +250,6 @@ def residue_for_pattern(p: PatternLike) -> ResidueClass:
         else:
             b += 1
             pow2b <<= 1
-
-    # independent route: the divisibility congruence pins the same residue
-    x_cong = (-m * pow(3, -a, pow2b)) % pow2b
-    if x_cong != x:
-        raise AssertionError(
-            f"propagated residue {x} disagrees with congruence solution {x_cong} for {pat.text!r}"
-        )
 
     if pow2b <= pow3a:
         raise NotADescent(
@@ -322,6 +316,83 @@ def iter_minimal_pattern_texts(
                     yield child
                 continue
             stack.append((child, na, nb, n3, n2))
+
+
+@dataclass(frozen=True)
+class UnresolvedLeaves:
+    """The residues mod 2^depth that no class with j <= depth covers.
+
+    Leaf t is the odd residue residues[t]: every n = residues[t] + 2^depth*k
+    takes o_counts[t] O-steps and depth E-steps with every value strictly
+    above n, and then stands at (3^o_counts[t] * n + adders[t]) / 2^depth,
+    exactly.  Residues are sorted; classes counts the resolved classes the
+    walk pruned.  Depth 0 has the single trivial leaf r = 0, a = 0, m = 0.
+    """
+
+    depth: int
+    residues: array  # 'Q'
+    o_counts: bytes
+    adders: array  # 'Q'
+    classes: int
+
+
+def unresolved_leaves(depth: int) -> UnresolvedLeaves:
+    """Walk the parity tree to `depth` halvings and keep its open leaves.
+
+    A node is a residue x mod 2^b with the affine form (3^a*x + m) / 2^b
+    of the value after its a O-steps and b E-steps.  Bit b of x fixes the
+    parity of that value, so each node has two children, one halving
+    deeper.  A child whose prefix first reaches 2^b > 3^a is a resolved
+    class and is pruned, once its smallest member x >= 2 is shown to end
+    below x; a node that reaches b = depth is an open leaf.  This is
+    Terras' parity-vector bijection: the pruned nodes are exactly the
+    minimal classes with j <= depth, the leaves the unresolved residues.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    residues = array("Q")
+    o_counts = bytearray()
+    adders = array("Q")
+    classes = 0
+    # x mod 2^b, b, a, 3^a, m; every stacked node has 2^b < 3^a (or is the root)
+    stack: list[tuple[int, int, int, int, int]] = [(0, 0, 0, 1, 0)]
+    while stack:
+        x0, b, a, pow3a, m = stack.pop()
+        pow2b = 1 << b
+        if b == depth:
+            if pow2b > pow3a or (pow3a * x0 + m) % pow2b:
+                raise AssertionError(f"leaf {x0} mod 2^{b} breaks its affine form")
+            residues.append(x0)
+            o_counts.append(a)
+            adders.append(m)
+            continue
+        nb = b + 1
+        for x in (x0, x0 | pow2b):
+            if ((pow3a * x + m) >> b) & 1:
+                na, n3, nm = a + 1, 3 * pow3a, 3 * m + pow2b
+            else:
+                na, n3, nm = a, pow3a, m
+            if (1 << nb) <= n3:
+                stack.append((x, nb, na, n3, nm))
+                continue
+            numer = n3 * x + nm
+            if numer % (1 << nb):
+                raise AssertionError(f"class constant of {x} mod 2^{nb} is not divisible")
+            if x >= 2 and numer >> nb >= x:
+                raise NotADescent(f"smallest member {x} of class mod 2^{nb} ends at {numer >> nb}")
+            classes += 1
+    # sort by residue through one list of (residue, walk index) keys packed
+    # into single ints, the least memory a sort of Python objects needs
+    shift = len(residues).bit_length()
+    low = (1 << shift) - 1
+    order = sorted((r << shift) | t for t, r in enumerate(residues))
+    return UnresolvedLeaves(
+        depth=depth,
+        residues=array("Q", (key >> shift for key in order)),
+        o_counts=bytes(o_counts[key & low] for key in order),
+        adders=array("Q", (adders[key & low] for key in order)),
+        classes=classes,
+    )
 
 
 def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:

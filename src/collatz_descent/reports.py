@@ -197,7 +197,7 @@ def scan_report_tables(report: ScanReport) -> list[Table]:
             len(report.failures),
             report.max_descent_steps,
             "" if report.max_descent_n is None else report.max_descent_n,
-            int(report.wall_time * 1000),
+            int((report.setup_time + report.wall_time) * 1000),
         ]
     )
     tables = [summary]

@@ -1,14 +1,18 @@
 """Depth classification, sieve-accelerated range verification and twin checks.
 
 classify_depth collects every minimal descent class with at most J halving
-steps; the resolved residues mod 2^J then let a range scan skip numbers
-whose descent is already certified, simulating only the leftovers.
+steps.  A range scan needs only what those classes miss: the open leaves of
+the parity tree (patterns.unresolved_leaves), each an odd residue mod 2^J
+with the affine form of its first J halvings.  The scan visits the members
+of those leaves alone, resumes each from its value after the J halvings,
+and counts every other number as skipped; it builds no 2^J table.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,12 +22,16 @@ from .errors import CycleDetected, DepthTooLarge, StepCapExceeded
 from .patterns import (
     DescentPattern,
     ResidueClass,
+    UnresolvedLeaves,
     iter_minimal_pattern_texts,
     residue_for_pattern,
+    unresolved_leaves,
 )
 
-# A depth-J residue table occupies 2^J slots; 24 keeps it in the
-# low-megabyte range.  Larger depths would need a sparser representation.
+# classify_depth's resolved table occupies 2^J bytes; 24 keeps it in the
+# low-megabyte range.  A scan holds no such table, only the open leaves
+# (286,581 at depth 24, two 8-byte words and one byte each), but shares
+# the bound.
 MAX_DEPTH = 24
 
 DEFAULT_BLOCK_SIZE = 1 << 16
@@ -61,7 +69,9 @@ class ScanReport:
     failures holds (n, reason) rows and is expected to stay empty; a
     nonempty list is a headline result, not an error.  max_descent_steps
     tracks the simulated (non-skipped) numbers only; skipped numbers have
-    class-certified descents of at most depth + a few steps.
+    class-certified descents of at most depth + a few steps.  wall_time
+    is the scan phase (blocks and process pool); setup_time is the sieve
+    build before it.  Neither is part of canonical().
     """
 
     lo: int
@@ -73,9 +83,10 @@ class ScanReport:
     max_descent_steps: int
     max_descent_n: int | None
     wall_time: float
+    setup_time: float
 
     def canonical(self) -> dict:
-        """Report content without the timing field, for byte-exact comparison."""
+        """Report content without the timing fields, for byte-exact comparison."""
         return {
             "lo": self.lo,
             "hi": self.hi,
@@ -150,43 +161,77 @@ def classify_depth(depth: int) -> ClassificationReport:
 
 
 def _scan_block(
-    lo: int, hi: int, resolved: bytes, mask: int, step_cap: int
+    lo: int, hi: int, leaves: UnresolvedLeaves, step_cap: int
 ) -> tuple[int, int, list[tuple[int, str]], int, int | None]:
-    """Scan one contiguous block: count resolved residues, run the kernel on the rest."""
+    """Simulate the leftovers of one contiguous block; count the rest as skipped.
+
+    Visits only the members of the open leaves, leaf by leaf, each resumed
+    from its leaf's affine image after depth halvings.  Going leaf by leaf
+    rather than period by period keeps a shallow sieve, whose 2^depth
+    period is far shorter than a block, free of per-period overhead; ties
+    and failures are put back in range order.
+    """
+    depth = leaves.depth
+    residues, o_counts, adders = leaves.residues, leaves.o_counts, leaves.adders
+    period = 1 << depth
+    mask = period - 1
+    count = len(residues)
+    # index ranges of the leaves with a member in [lo, hi]
+    if hi - lo >= mask:
+        spans = [(0, count)]
+    else:
+        first = bisect_left(residues, lo & mask)
+        last = bisect_right(residues, hi & mask)
+        spans = [(first, last)] if lo & mask <= hi & mask else [(first, count), (0, last)]
     verified = 0
-    skipped = 0
     failures: list[tuple[int, str]] = []
     max_steps = 0
     max_n: int | None = None
-    for n in range(lo, hi + 1):
-        if resolved[n & mask]:
-            skipped += 1
-            continue
-        try:
-            steps = descent_length(n, step_cap)
-        except CycleDetected:
-            failures.append((n, "cycle detected"))
-            continue
-        except StepCapExceeded:
-            failures.append((n, "step cap exceeded"))
-            continue
-        verified += 1
-        if steps > max_steps:
-            max_steps = steps
-            max_n = n
-    return verified, skipped, failures, max_steps, max_n
+    for i, j in spans:
+        for r, a, m in zip(residues[i:j], o_counts[i:j], adders[i:j]):
+            pow3a = 3**a
+            skipped_steps = a + depth
+            n0 = lo + ((r - lo) & mask)
+            # the members step by 2^depth, so their images step by 3^a
+            v = ((pow3a * n0 + m) >> depth) - pow3a
+            for n in range(n0, hi + 1, period):
+                v += pow3a
+                try:
+                    steps = descent_length(n, step_cap, v, skipped_steps)
+                except CycleDetected:
+                    failures.append((n, "cycle detected"))
+                    continue
+                except StepCapExceeded:
+                    failures.append((n, "step cap exceeded"))
+                    continue
+                verified += 1
+                if steps > max_steps or (steps == max_steps and n < max_n):
+                    max_steps = steps
+                    max_n = n
+    failures.sort()
+
+    # leftovers in [0, x]: whole periods below x, then the leaves up to x's residue
+    def upto(x: int) -> int:
+        return (x >> depth) * count + bisect_right(residues, x & mask)
+
+    leftovers = upto(hi) - upto(lo - 1)
+    if verified + len(failures) != leftovers:
+        raise AssertionError(
+            f"block [{lo}, {hi}] visited {verified + len(failures)} leftovers, expected {leftovers}"
+        )
+    return verified, hi - lo + 1 - leftovers, failures, max_steps, max_n
 
 
 _WORKER_STATE: dict = {}
 
 
-def _scan_worker_init(resolved: bytes, mask: int, step_cap: int) -> None:
-    _WORKER_STATE["args"] = (resolved, mask, step_cap)
+def _scan_worker_init(leaves: UnresolvedLeaves, step_cap: int) -> None:
+    _WORKER_STATE["args"] = (leaves, step_cap)
 
 
 def _scan_worker(block: tuple[int, int]):
-    resolved, mask, step_cap = _WORKER_STATE["args"]
-    return _scan_block(block[0], block[1], resolved, mask, step_cap)
+    leaves, step_cap = _WORKER_STATE["args"]
+    return _scan_block(block[0], block[1], leaves, step_cap)
 
 
 def sieve_scan(
@@ -200,10 +245,11 @@ def sieve_scan(
 ) -> ScanReport:
     """Verify that every n in [lo, hi] descends below itself.
 
-    Numbers whose residue mod 2^depth belongs to a known class are counted
-    as skipped (their descent is certified by the class algebra); the rest
-    are simulated.  depth = 0 disables the sieve.  The report is
-    deterministic for any worker count: blocks are merged in range order.
+    Numbers whose residue mod 2^depth belongs to a resolved class are
+    counted as skipped (their descent is certified by the class algebra,
+    checked while the leaves are built); the rest are simulated.  depth = 0
+    disables the sieve.  The report is deterministic for any worker count:
+    blocks are merged in range order.
     """
     if lo < 2:
         raise ValueError("scan range must start at 2 or above")
@@ -213,31 +259,23 @@ def sieve_scan(
         raise ValueError("workers must be >= 1")
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
+    if depth > MAX_DEPTH:
+        raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
 
-    if depth == 0:
-        resolved: bytes = b"\x00"
-        mask = 0
-    else:
-        unresolved = classify_depth(depth).unresolved_residues
-        # every residue but the unresolved odd ones is covered by a class
-        table = bytearray(b"\x01") * (1 << depth)
-        for r in unresolved:
-            table[r] = 0
-        resolved = bytes(table)
-        mask = (1 << depth) - 1
-
-    blocks = [(a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size)]
     t0 = time.perf_counter()
+    leaves = unresolved_leaves(depth)
+    blocks = [(a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size)]
+    t1 = time.perf_counter()
     if workers == 1 or len(blocks) == 1:
-        results = [_scan_block(a, b, resolved, mask, step_cap) for a, b in blocks]
+        results = [_scan_block(a, b, leaves, step_cap) for a, b in blocks]
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_scan_worker_init,
-            initargs=(resolved, mask, step_cap),
+            initargs=(leaves, step_cap),
         ) as pool:
             results = list(pool.map(_scan_worker, blocks))
-    wall = time.perf_counter() - t0
+    wall = time.perf_counter() - t1
 
     verified = 0
     skipped = 0
@@ -263,6 +301,7 @@ def sieve_scan(
         max_descent_steps=max_steps,
         max_descent_n=max_n,
         wall_time=wall,
+        setup_time=t1 - t0,
     )
 
 

@@ -15,7 +15,7 @@ from collatz_descent import (
     total_stopping_time,
 )
 from collatz_descent import core
-from collatz_descent.core import descent_length
+from collatz_descent.core import DEFAULT_STEP_CAP, descent_length
 
 
 def test_col_step_examples():
@@ -91,6 +91,27 @@ def test_descent_length_step_cap_message_matches_trace():
     with pytest.raises(StepCapExceeded) as kernel_exc:
         descent_length(27, step_cap=20)
     assert str(kernel_exc.value) == str(trace_exc.value)
+
+
+def test_descent_length_resumes_from_any_point_above_the_start():
+    for n in range(2, 3000):
+        tr = descent_trace(n)
+        for steps in range(1, len(tr)):
+            assert descent_length(n, DEFAULT_STEP_CAP, tr.values[steps - 1], steps) == len(tr)
+
+
+def test_descent_length_resumed_past_the_cap_fails_like_a_fresh_walk():
+    tr = descent_trace(27)
+    with pytest.raises(StepCapExceeded) as fresh:
+        descent_length(27, step_cap=20)
+    for steps in (20, 21, 60):
+        with pytest.raises(StepCapExceeded) as resumed:
+            descent_length(27, 20, tr.values[steps - 1], steps)
+        assert str(resumed.value) == str(fresh.value)
+    # the descent check comes before the cap check, as in a fresh walk
+    assert descent_length(27, 96, tr.values[94], 95) == 96
+    with pytest.raises(StepCapExceeded):
+        descent_length(27, 95, tr.values[94], 95)
 
 
 def test_cycle_detection_surfaces_loudly(monkeypatch):

@@ -21,7 +21,10 @@ from collatz_descent import (
     pattern_constants,
     residue_for_pattern,
     subsequent_lower_value,
+    unresolved_leaves,
 )
+from collatz_descent.core import col_step
+from collatz_descent.scanner import classify_depth
 
 # The full reference feasibility table up to length 37, frozen row by row.
 EXPECTED_FEASIBILITY_37 = [
@@ -150,6 +153,50 @@ def test_propagated_residue_satisfies_the_congruence(text):
     assert (3**c.i * c.x + c.m) % c.modulus == 0
     assert c.x == x_cong
     assert c.x % 2 == 1  # odd-start patterns pin odd residues
+
+
+def test_bit_walk_matches_the_congruence_for_every_minimal_pattern_to_j20():
+    # residue_for_pattern solves by the bit walk alone; this is its second route
+    count = 0
+    for text in iter_minimal_pattern_texts(max_j=20):
+        c = residue_for_pattern(text)
+        assert c.x == (-c.m * pow(3, -c.i, c.modulus)) % c.modulus, text
+        count += 1
+    assert count == 4404
+
+
+def test_leaves_match_the_dense_classification():
+    for depth in range(1, 21):
+        leaves = unresolved_leaves(depth)
+        report = classify_depth(depth)
+        assert tuple(leaves.residues) == report.unresolved_residues
+        assert leaves.classes == len(report.classes)
+        assert len(leaves.o_counts) == len(leaves.adders) == len(leaves.residues)
+
+
+def test_depth_zero_leaf_is_trivial():
+    leaves = unresolved_leaves(0)
+    assert (list(leaves.residues), leaves.o_counts, list(leaves.adders)) == ([0], b"\x00", [0])
+    assert leaves.classes == 0
+    with pytest.raises(ValueError):
+        unresolved_leaves(-1)
+
+
+def test_leaf_prefix_stays_above_the_start_and_lands_on_the_affine_image():
+    for depth in range(1, 13):
+        leaves = unresolved_leaves(depth)
+        for r, a, m in zip(leaves.residues, leaves.o_counts, leaves.adders):
+            for k in (0, 1, 2**20 + 3):
+                n = r + (k << depth)
+                if n < 2:
+                    continue
+                v, halvings = n, 0
+                for _ in range(a + depth):
+                    v, kind = col_step(v)
+                    halvings += kind == "E"
+                    assert v > n, (n, depth)
+                assert halvings == depth
+                assert v == (3**a * n + m) >> depth
 
 
 def test_enumerate_examples():

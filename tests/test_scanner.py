@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatz_descent import (
+    DEFAULT_STEP_CAP,
+    CycleDetected,
     DepthTooLarge,
+    ScanReport,
+    StepCapExceeded,
     classify_depth,
     descent_trace,
     record_search,
     sieve_scan,
     twin_check,
 )
+from collatz_descent import scanner
+from collatz_descent.core import descent_length
+from collatz_descent.reports import scan_report_tables
 
 # resolved measures for depths 1..12, frozen from brute-force simulation
 # of one large member per residue
@@ -129,6 +138,146 @@ def test_scan_deterministic_across_worker_counts():
     other = sieve_scan(2, 50_000, 5, workers=2, block_size=8192)
     assert reference.canonical_json() == other.canonical_json()
     assert reference.wall_time > 0 and other.wall_time > 0
+
+
+def _dense_scan_block(lo, hi, resolved, mask, step_cap):
+    """The scan kernel before the leaf walk: a 2^depth byte table, every n visited."""
+    verified = 0
+    skipped = 0
+    failures = []
+    max_steps = 0
+    max_n = None
+    for n in range(lo, hi + 1):
+        if resolved[n & mask]:
+            skipped += 1
+            continue
+        try:
+            steps = descent_length(n, step_cap)
+        except CycleDetected:
+            failures.append((n, "cycle detected"))
+            continue
+        except StepCapExceeded:
+            failures.append((n, "step cap exceeded"))
+            continue
+        verified += 1
+        if steps > max_steps:
+            max_steps = steps
+            max_n = n
+    return verified, skipped, failures, max_steps, max_n
+
+
+def dense_reference_scan(lo, hi, depth, step_cap=DEFAULT_STEP_CAP):
+    """Canonical JSON of a scan through the dense-table kernel, as one block."""
+    if depth == 0:
+        resolved, mask = b"\x00", 0
+    else:
+        table = bytearray(b"\x01") * (1 << depth)
+        for r in classify_depth(depth).unresolved_residues:
+            table[r] = 0
+        resolved, mask = bytes(table), (1 << depth) - 1
+    verified, skipped, failures, max_steps, max_n = _dense_scan_block(
+        lo, hi, resolved, mask, step_cap
+    )
+    return ScanReport(
+        lo=lo,
+        hi=hi,
+        depth=depth,
+        verified_count=verified,
+        skipped_count=skipped,
+        failures=tuple(failures),
+        max_descent_steps=max_steps,
+        max_descent_n=max_n,
+        wall_time=0.0,
+        setup_time=0.0,
+    ).canonical_json()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 5, 16, 20])
+def test_leftover_kernel_matches_dense_reference(depth):
+    lo, hi = 2, 200_000
+    expected = dense_reference_scan(lo, hi, depth)
+    for workers in (1, 2):
+        for block_size in (4096, 70001):
+            rep = sieve_scan(lo, hi, depth, workers=workers, block_size=block_size)
+            assert rep.canonical_json() == expected, (workers, block_size)
+
+
+def test_leftover_kernel_matches_dense_reference_near_10_12():
+    # unaligned, and far shorter than one 2^22 period
+    lo = 10**12 + 12_345
+    hi = lo + 300_000
+    expected = dense_reference_scan(lo, hi, 22)
+    for block_size in (4096, 70001):
+        assert sieve_scan(lo, hi, 22, block_size=block_size).canonical_json() == expected
+
+
+@pytest.mark.parametrize("step_cap", [10, 17, 40])
+def test_leftover_kernel_matches_dense_reference_under_a_step_cap(step_cap):
+    # at depth 16 every leaf skips a + 16 >= 27 steps: cap 17 fails every
+    # leftover inside its prefix, cap 40 resumes them all; at depth 7 the
+    # leaves with a = 5 skip 12 steps and some descend on the 13th
+    lo, hi = 2, 30_000
+    for depth in (0, 5, 7, 16):
+        rep = sieve_scan(lo, hi, depth, block_size=4096, step_cap=step_cap)
+        assert rep.canonical_json() == dense_reference_scan(lo, hi, depth, step_cap)
+    assert sieve_scan(lo, hi, 16, step_cap=17).verified_count == 0
+
+
+def test_sieve_scan_depth_bounds():
+    with pytest.raises(DepthTooLarge):
+        sieve_scan(2, 100, 25)
+    with pytest.raises(ValueError):
+        sieve_scan(2, 100, -1)
+
+
+@settings(max_examples=40)
+@given(
+    lo=st.integers(min_value=2, max_value=2**40),
+    size=st.integers(min_value=1, max_value=3000),
+    depth=st.integers(min_value=0, max_value=12),
+    workers=st.sampled_from([1, 2]),
+    block_size=st.integers(min_value=1, max_value=5000),
+)
+def test_random_scans_match_a_trace_oracle(lo, size, depth, workers, block_size):
+    hi = lo + size - 1
+    # n is certified by a class iff its first descent needs at most depth halvings
+    verified = skipped = max_steps = 0
+    max_n = None
+    for n in range(lo, hi + 1):
+        tr = descent_trace(n)
+        if tr.pattern.j <= depth:
+            skipped += 1
+            continue
+        verified += 1
+        if len(tr) > max_steps:
+            max_steps, max_n = len(tr), n
+    rep = sieve_scan(lo, hi, depth, workers=workers, block_size=block_size)
+    assert rep.canonical() == {
+        "lo": lo,
+        "hi": hi,
+        "depth": depth,
+        "verified_count": verified,
+        "skipped_count": skipped,
+        "failures": [],
+        "max_descent_steps": max_steps,
+        "max_descent_n": max_n,
+    }
+
+
+def test_setup_time_covers_the_leaf_walk(monkeypatch):
+    real = scanner.unresolved_leaves
+
+    def slow_leaves(depth):
+        time.sleep(0.2)
+        return real(depth)
+
+    monkeypatch.setattr(scanner, "unresolved_leaves", slow_leaves)
+    rep = sieve_scan(2, 100, 5)
+    assert rep.setup_time >= 0.2
+    assert rep.wall_time < 0.2
+    [summary] = scan_report_tables(rep)
+    wall_ms = summary.rows[0][summary.columns.index("Wall ms")]
+    assert wall_ms == int((rep.setup_time + rep.wall_time) * 1000) >= 200
 
 
 def test_record_search_examples():
