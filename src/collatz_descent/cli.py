@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.  Tables
-go to stdout, diagnostics to stderr.  COLLATZ_STEP_CAP overrides the
+Exit codes: 0 on success, 1 on domain errors, a dead worker process or
+an interrupt (Ctrl-C), 2 on usage errors.  Tables go to stdout,
+diagnostics to stderr.  COLLATZ_STEP_CAP overrides the
 per-descent step cap.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .core import DEFAULT_STEP_CAP
 from .errors import CollatzDescentError
@@ -130,8 +132,11 @@ def main(argv: list[str] | None = None) -> int:
             tables = records_report(record_search(args.lo, args.hi, step_cap=step_cap))
         else:  # report
             tables = named_report(args.name, step_cap=step_cap, paper_style=args.paper_style)
-    except (CollatzDescentError, ValueError, OSError) as exc:
+    except (CollatzDescentError, ValueError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return 1
 
     sys.stdout.write(render(tables, args.format))

@@ -320,78 +320,139 @@ def iter_minimal_pattern_texts(
 
 @dataclass(frozen=True)
 class UnresolvedLeaves:
-    """The residues mod 2^depth that no class with j <= depth covers.
+    """The parity tree to `depth` halvings: its open leaves and its pruned classes.
 
     Leaf t is the odd residue residues[t]: every n = residues[t] + 2^depth*k
     takes o_counts[t] O-steps and depth E-steps with every value strictly
     above n, and then stands at (3^o_counts[t] * n + adders[t]) / 2^depth,
-    exactly.  Residues are sorted; classes counts the resolved classes the
-    walk pruned.  Depth 0 has the single trivial leaf r = 0, a = 0, m = 0.
+    exactly.  Residues are sorted.  Pruned class t is the minimal descent
+    class 2^class_j[t]*k + class_x[t] with class_i[t] O-steps and adder
+    class_m[t], in walk order.  Depth 0 has the single trivial leaf
+    r = 0, a = 0, m = 0 and no class.
     """
 
     depth: int
     residues: array  # 'Q'
     o_counts: bytes
     adders: array  # 'Q'
-    classes: int
+    class_x: array  # 'Q'
+    class_j: bytes
+    class_i: bytes
+    class_m: array  # 'Q'
+
+    @property
+    def classes(self) -> int:
+        """Number of resolved classes the walk pruned."""
+        return len(self.class_x)
+
+    def resolved_classes(self) -> list[ResidueClass]:
+        """The pruned classes as ResidueClass objects, in walk order.
+
+        A class's pattern is the parity word of its smallest member x over
+        x's own first j halvings, found by replaying them: by Terras'
+        bijection x mod 2^j fixes that word.  The replay must take i
+        O-steps and land on y0 = (3^i*x + m) / 2^j.
+        """
+        out: list[ResidueClass] = []
+        for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m):
+            parts = []
+            v = x
+            for _ in range(j):
+                if v & 1:
+                    parts.append("OE")
+                    v = (3 * v + 1) >> 1
+                else:
+                    parts.append("E")
+                    v >>= 1
+            text = "".join(parts)
+            y0 = (3**i * x + m) >> j
+            if v != y0 or len(text) != i + j:
+                raise AssertionError(f"replay of {x} mod 2^{j} leaves its class")
+            pattern = DescentPattern(text=text, i=i, j=j)
+            out.append(ResidueClass(pattern=pattern, i=i, j=j, m=m, x=x, modulus=1 << j, y0=y0))
+        return out
 
 
 def unresolved_leaves(depth: int) -> UnresolvedLeaves:
-    """Walk the parity tree to `depth` halvings and keep its open leaves.
+    """Walk the parity tree to `depth` halvings, level by level.
 
     A node is a residue x mod 2^b with the affine form (3^a*x + m) / 2^b
     of the value after its a O-steps and b E-steps.  Bit b of x fixes the
-    parity of that value, so each node has two children, one halving
-    deeper.  A child whose prefix first reaches 2^b > 3^a is a resolved
-    class and is pruned, once its smallest member x >= 2 is shown to end
-    below x; a node that reaches b = depth is an open leaf.  This is
-    Terras' parity-vector bijection: the pruned nodes are exactly the
-    minimal classes with j <= depth, the leaves the unresolved residues.
+    parity of that value, so each node has two children, x and x + 2^b,
+    one halving deeper.  Their values differ by the odd 3^a, so one parity
+    test settles both.  The odd child never resolves (2^b <= 3^a gives
+    2^(b+1) < 3^(a+1)); the even child whose prefix first reaches
+    2^(b+1) > 3^a is a resolved class and is pruned, once its smallest
+    member x >= 2 is shown to end below x.  The nodes that reach
+    b = depth are the open leaves.  Each level keeps its x-children ahead
+    of its (x + 2^b)-children, so every level, the leaves included, stays
+    sorted by residue.  This is Terras' parity-vector bijection: the pruned
+    nodes are exactly the minimal classes with j <= depth, the leaves the
+    unresolved residues.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    residues = array("Q")
-    o_counts = bytearray()
-    adders = array("Q")
-    classes = 0
-    # x mod 2^b, b, a, 3^a, m; every stacked node has 2^b < 3^a (or is the root)
-    stack: list[tuple[int, int, int, int, int]] = [(0, 0, 0, 1, 0)]
-    while stack:
-        x0, b, a, pow3a, m = stack.pop()
+    pow3 = [3**a for a in range(depth + 1)]
+    # one level: residues x mod 2^b, O-counts a and adders m, each with 2^b <= 3^a
+    xs, o_counts, ms = array("Q", [0]), bytearray(b"\x00"), array("Q", [0])
+    class_x, class_j, class_i, class_m = array("Q"), bytearray(), bytearray(), array("Q")
+    for b in range(depth):
         pow2b = 1 << b
-        if b == depth:
-            if pow2b > pow3a or (pow3a * x0 + m) % pow2b:
-                raise AssertionError(f"leaf {x0} mod 2^{b} breaks its affine form")
-            residues.append(x0)
-            o_counts.append(a)
-            adders.append(m)
-            continue
         nb = b + 1
-        for x in (x0, x0 | pow2b):
-            if ((pow3a * x + m) >> b) & 1:
-                na, n3, nm = a + 1, 3 * pow3a, 3 * m + pow2b
+        pow2nb = 1 << nb
+        lo_x, lo_o, lo_m = array("Q"), bytearray(), array("Q")
+        hi_x, hi_o, hi_m = array("Q"), bytearray(), array("Q")
+        for x, a, m in zip(xs, o_counts, ms):
+            p = pow3[a]
+            numer = p * x + m
+            odd_m = 3 * m + pow2b
+            if numer >> b & 1:
+                lo_x.append(x)
+                lo_o.append(a + 1)
+                lo_m.append(odd_m)
+                x |= pow2b
+                numer += p << b
+                if pow2nb <= p:
+                    hi_x.append(x)
+                    hi_o.append(a)
+                    hi_m.append(m)
+                    continue
             else:
-                na, n3, nm = a, pow3a, m
-            if (1 << nb) <= n3:
-                stack.append((x, nb, na, n3, nm))
-                continue
-            numer = n3 * x + nm
-            if numer % (1 << nb):
+                hi_x.append(x | pow2b)
+                hi_o.append(a + 1)
+                hi_m.append(odd_m)
+                if pow2nb <= p:
+                    lo_x.append(x)
+                    lo_o.append(a)
+                    lo_m.append(m)
+                    continue
+            # the even child x first descends here: a resolved class
+            if numer & (pow2nb - 1):
                 raise AssertionError(f"class constant of {x} mod 2^{nb} is not divisible")
             if x >= 2 and numer >> nb >= x:
                 raise NotADescent(f"smallest member {x} of class mod 2^{nb} ends at {numer >> nb}")
-            classes += 1
-    # sort by residue through one list of (residue, walk index) keys packed
-    # into single ints, the least memory a sort of Python objects needs
-    shift = len(residues).bit_length()
-    low = (1 << shift) - 1
-    order = sorted((r << shift) | t for t, r in enumerate(residues))
+            class_x.append(x)
+            class_j.append(nb)
+            class_i.append(a)
+            class_m.append(m)
+        lo_x.extend(hi_x)
+        lo_o += hi_o
+        lo_m.extend(hi_m)
+        xs, o_counts, ms = lo_x, lo_o, lo_m
+    pow2 = 1 << depth
+    for x, a, m in zip(xs, o_counts, ms):
+        p = pow3[a]
+        if pow2 > p or (p * x + m) % pow2:
+            raise AssertionError(f"leaf {x} mod 2^{depth} breaks its affine form")
     return UnresolvedLeaves(
         depth=depth,
-        residues=array("Q", (key >> shift for key in order)),
-        o_counts=bytes(o_counts[key & low] for key in order),
-        adders=array("Q", (adders[key & low] for key in order)),
-        classes=classes,
+        residues=xs,
+        o_counts=bytes(o_counts),
+        adders=ms,
+        class_x=class_x,
+        class_j=bytes(class_j),
+        class_i=bytes(class_i),
+        class_m=class_m,
     )
 
 
@@ -438,9 +499,4 @@ def alternating_family(i: int) -> ResidueClass:
     if i < 1:
         raise ValueError("i must be >= 1")
     j = _min_descending_j(i)
-    text = "OE" * i + "E" * (j - i)
-    fi, fj, fm = pattern_constants(text)
-    closed = 3**i - 2**i
-    if (fi, fj) != (i, j) or fm != closed:
-        raise AssertionError(f"fold constants {(fi, fj, fm)} disagree with closed form for i={i}")
-    return residue_for_pattern(text)
+    return residue_for_pattern("OE" * i + "E" * (j - i))

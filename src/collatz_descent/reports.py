@@ -57,8 +57,7 @@ def render_csv(tables: list[Table]) -> str:
         if t.title:
             buf.write(f"# {t.title}\n")
         writer.writerow(t.columns)
-        for row in t.rows:
-            writer.writerow([str(c) for c in row])
+        writer.writerows(t.rows)
     return buf.getvalue()
 
 

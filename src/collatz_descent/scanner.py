@@ -1,11 +1,12 @@
 """Depth classification, sieve-accelerated range verification and twin checks.
 
-classify_depth collects every minimal descent class with at most J halving
-steps.  A range scan needs only what those classes miss: the open leaves of
-the parity tree (patterns.unresolved_leaves), each an odd residue mod 2^J
+Both classification and the scan stand on one walk of the parity tree to
+J halvings (patterns.unresolved_leaves).  Its pruned nodes are the minimal
+descent classes with at most J halving steps, which classify_depth lists;
+its open leaves are what those classes miss, each an odd residue mod 2^J
 with the affine form of its first J halvings.  The scan visits the members
 of those leaves alone, resumes each from its value after the J halvings,
-and counts every other number as skipped; it builds no 2^J table.
+and counts every other number as skipped.  No 2^J table is built anywhere.
 """
 
 from __future__ import annotations
@@ -19,19 +20,13 @@ from fractions import Fraction
 
 from .core import DEFAULT_STEP_CAP, descent_length, descent_trace
 from .errors import CycleDetected, DepthTooLarge, StepCapExceeded
-from .patterns import (
-    DescentPattern,
-    ResidueClass,
-    UnresolvedLeaves,
-    iter_minimal_pattern_texts,
-    residue_for_pattern,
-    unresolved_leaves,
-)
+from .patterns import DescentPattern, ResidueClass, UnresolvedLeaves, unresolved_leaves
 
-# classify_depth's resolved table occupies 2^J bytes; 24 keeps it in the
-# low-megabyte range.  A scan holds no such table, only the open leaves
-# (286,581 at depth 24, two 8-byte words and one byte each), but shares
-# the bound.
+# The walk holds one level of the parity tree at a time and the pruned
+# classes, in compact arrays: at depth 24, 286,581 open leaves and 81,119
+# classes, two 8-byte words and one or two bytes each.  The bound is kept
+# for classify_depth, which turns every class into objects: the classes
+# grow about 6x per two depths (12,449 at depth 22, 81,119 at 24).
 MAX_DEPTH = 24
 
 DEFAULT_BLOCK_SIZE = 1 << 16
@@ -115,44 +110,25 @@ class TwinRecord:
     twin_first_lower: int
 
 
-def _resolved_table(depth: int, classes: list[ResidueClass]) -> bytearray:
-    """One byte per residue mod 2^depth: 1 if covered by a class.
-
-    Classes must be processed in nondecreasing modulus order; any overlap
-    between two classes then shows up as an already-marked offset.
-    """
-    size = 1 << depth
-    table = bytearray(size)
-    for c in sorted(classes, key=lambda c: (c.modulus, c.x)):
-        if c.modulus > size:
-            raise ValueError(f"class {c.pattern.text!r} has modulus above 2^{depth}")
-        if table[c.x]:
-            raise AssertionError(f"classes overlap at residue {c.x} mod {c.modulus}")
-        count = size // c.modulus
-        table[c.x :: c.modulus] = b"\x01" * count
-    return table
-
-
 def classify_depth(depth: int) -> ClassificationReport:
-    """Classify the naturals by descent depth: all classes with j <= depth."""
+    """Classify the naturals by descent depth: all classes with j <= depth.
+
+    Reads the classes and the unresolved residues off one walk of the
+    parity tree (patterns.unresolved_leaves).
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
-    classes = [residue_for_pattern(t) for t in iter_minimal_pattern_texts(max_j=depth)]
+    leaves = unresolved_leaves(depth)
+    classes = leaves.resolved_classes()
     classes.sort(key=lambda c: (len(c.pattern), c.x))
-    table = _resolved_table(depth, classes)
-    size = 1 << depth
-    unresolved = [r for r in range(1, size, 2) if not table[r]]
-    covered = table.count(1)
-    if covered + len(unresolved) != size:
-        raise AssertionError("an even residue escaped the E class")
-    measure = sum((Fraction(1, c.modulus) for c in classes), Fraction(0))
+    covered = sum(1 << (depth - j) for j in leaves.class_j)
     return ClassificationReport(
         depth=depth,
         classes=tuple(classes),
-        resolved_measure=measure,
-        unresolved_residues=tuple(unresolved),
+        resolved_measure=Fraction(covered, 1 << depth),
+        unresolved_residues=tuple(leaves.residues),
     )
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from collatz_descent import cli
 from collatz_descent.cli import main
 
 
@@ -78,6 +80,25 @@ def test_scan_json(capsys):
     row = dict(zip(summary["columns"], summary["rows"][0]))
     assert row["Verified"] + row["Skipped"] == 999
     assert row["Failures"] == 0
+
+
+def _raise(exc):
+    def fake_scan(*args, **kwargs):
+        raise exc
+
+    return fake_scan
+
+
+def test_scan_dead_worker_is_a_clean_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sieve_scan", _raise(BrokenProcessPool("a worker died")))
+    code, out, err = run(capsys, "scan", "2", "1000")
+    assert (code, out, err) == (1, "", "error: a worker died\n")
+
+
+def test_scan_interrupt_is_a_clean_exit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sieve_scan", _raise(KeyboardInterrupt()))
+    code, out, err = run(capsys, "scan", "2", "1000")
+    assert (code, out, err) == (1, "", "interrupted\n")
 
 
 def test_scan_bad_range(capsys):

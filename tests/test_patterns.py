@@ -25,6 +25,7 @@ from collatz_descent import (
 )
 from collatz_descent.core import col_step
 from collatz_descent.scanner import classify_depth
+from dense_reference import dense_classification
 
 # The full reference feasibility table up to length 37, frozen row by row.
 EXPECTED_FEASIBILITY_37 = [
@@ -165,13 +166,36 @@ def test_bit_walk_matches_the_congruence_for_every_minimal_pattern_to_j20():
     assert count == 4404
 
 
+def _replayed_pattern(x, j):
+    """The parity word of x's own first j halvings, step by step."""
+    if x == 0:
+        return "E"
+    word, v = "", x
+    while word.count("E") < j:
+        v, kind = col_step(v)
+        word += kind
+    return word
+
+
 def test_leaves_match_the_dense_classification():
+    # the walk against the enumerate-solve-table route it replaced
     for depth in range(1, 21):
         leaves = unresolved_leaves(depth)
         report = classify_depth(depth)
-        assert tuple(leaves.residues) == report.unresolved_residues
-        assert leaves.classes == len(report.classes)
+        expected = dense_classification(depth)
+        assert report.depth == expected.depth
+        assert report.classes == expected.classes, depth
+        assert report.resolved_measure == expected.resolved_measure, depth
+        assert report.unresolved_residues == expected.unresolved_residues, depth
+        assert tuple(leaves.residues) == expected.unresolved_residues
+        assert leaves.classes == len(expected.classes)
         assert len(leaves.o_counts) == len(leaves.adders) == len(leaves.residues)
+        assert len(leaves.class_j) == len(leaves.class_i) == len(leaves.class_m) == leaves.classes
+        if depth > 16:
+            continue
+        for x, j, i, m in zip(leaves.class_x, leaves.class_j, leaves.class_i, leaves.class_m):
+            c = residue_for_pattern(_replayed_pattern(x, j))
+            assert (x, j, i, m) == (c.x, c.j, c.i, c.m)
 
 
 def test_depth_zero_leaf_is_trivial():
@@ -286,10 +310,14 @@ def test_alternating_family_examples():
 
 
 def test_alternating_family_closed_form_deep():
-    for i in range(1, 41):
+    # the fold of (OE)^i E^(j-i) against the closed form: m = 3^i - 2^i, j minimal
+    for i in range(1, 61):
         c = alternating_family(i)
-        assert c.m == 3**i - 2**i
-        assert pattern_constants(c.pattern)[2] == c.m
+        j = 1
+        while 2**j <= 3**i:
+            j += 1
+        assert pattern_constants(c.pattern) == (i, j, 3**i - 2**i)
+        assert (c.i, c.j, c.m) == (i, j, 3**i - 2**i)
 
 
 def test_class_soundness_small_lengths():

@@ -23,6 +23,7 @@ from collatz_descent import (
 from collatz_descent import scanner
 from collatz_descent.core import descent_length
 from collatz_descent.reports import scan_report_tables
+from dense_reference import dense_classification
 
 # resolved measures for depths 1..12, frozen from brute-force simulation
 # of one large member per residue
@@ -172,7 +173,7 @@ def dense_reference_scan(lo, hi, depth, step_cap=DEFAULT_STEP_CAP):
         resolved, mask = b"\x00", 0
     else:
         table = bytearray(b"\x01") * (1 << depth)
-        for r in classify_depth(depth).unresolved_residues:
+        for r in dense_classification(depth).unresolved_residues:
             table[r] = 0
         resolved, mask = bytes(table), (1 << depth) - 1
     verified, skipped, failures, max_steps, max_n = _dense_scan_block(
