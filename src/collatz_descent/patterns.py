@@ -67,10 +67,6 @@ class DescentPattern:
                 raise UnrealizablePattern(f"{text!r}: a descent cannot end on an O step")
         return cls(text=text, i=text.count("O"), j=text.count("E"))
 
-    @property
-    def steps(self) -> tuple[StepKind, ...]:
-        return tuple(StepKind(c) for c in self.text)
-
     def __len__(self) -> int:
         return len(self.text)
 
@@ -107,9 +103,6 @@ class ResidueClass:
     def member(self, k: int) -> int:
         """The k-th starting number of this class."""
         return self.modulus * k + self.x
-
-    def first_lower(self, k: int) -> int:
-        return first_lower_value(self, k)
 
 
 class FeasibilityRow(NamedTuple):
@@ -204,100 +197,86 @@ def pattern_constants(p: PatternLike) -> tuple[int, int, int]:
     return a, b, c
 
 
+def _resolved_class(x: int, j: int, i: int, m: int) -> ResidueClass:
+    """The class 2^j*k + x with i O-steps and adder m, its pattern replayed from x.
+
+    The pattern is the parity word of x's own first j halvings: by Terras'
+    bijection x mod 2^j fixes that word for every member.  The replay must
+    take i O-steps and land on y0 = (3^i*x + m) / 2^j.
+    """
+    parts = []
+    v = x
+    for _ in range(j):
+        if v & 1:
+            parts.append("OE")
+            v = (3 * v + 1) >> 1
+        else:
+            parts.append("E")
+            v >>= 1
+    text = "".join(parts)
+    y0 = (3**i * x + m) >> j
+    if v != y0 or len(text) != i + j:
+        raise AssertionError(f"replay of {x} mod 2^{j} leaves its class")
+    pattern = DescentPattern(text=text, i=i, j=j)
+    return ResidueClass(pattern=pattern, i=i, j=j, m=m, x=x, modulus=1 << j, y0=y0)
+
+
 def residue_for_pattern(p: PatternLike) -> ResidueClass:
     """Solve for the residue class whose members trace exactly this pattern.
 
-    Walks the pattern keeping the affine form (3^a*x + m) / 2^b of the
-    current value over a symbolic start x together with the residue
-    pinned so far (x mod 2^w).  Steps following an O are forced even and
-    add no information; the first step and each step following an E add
-    one binary constraint, so after the walk x is pinned mod 2^j.  The
-    tests check the result against the direct congruence
-    x = -m * 3^(-i) (mod 2^j) for every minimal pattern with j <= 20.
+    The end value (3^i*x + m) / 2^j must be an integer, so
+    x = -m * 3^(-i) (mod 2^j), and by Terras' bijection that residue is
+    the only one whose members trace the pattern.  The class is built by
+    replaying x's first j halvings, which must give back the pattern.
 
     Raises NotADescent when 2^j <= 3^i (the end value cannot fall below
-    the start for the class's large members) and when the pinned smallest
-    member x >= 2 fails to end below itself.  Note that for patterns
-    containing a proper prefix that already descends, the class describes
-    the parity path of its members rather than their first descent;
+    the start for the class's large members) and when the smallest member
+    x >= 2 fails to end below itself.  Note that for patterns containing
+    a proper prefix that already descends, the class describes the
+    parity path of its members rather than their first descent;
     enumerate_minimal_patterns never emits such patterns.
     """
     pat = _as_pattern(p)
-    a = b = 0
-    m = 0
-    pow3a = 1
-    pow2b = 1
-    x = 0  # residue pinned so far
-    w = 0  # number of pinned bits
-    pow2w = 1
-    for ch in pat.text:
-        want_odd = ch == "O"
-        numer = pow3a * x + m  # current value is numer / 2^b, exact for pinned x
-        if w > b:
-            # parity already decided by earlier constraints
-            if bool((numer >> b) & 1) != want_odd:
-                raise UnrealizablePattern(f"{pat.text!r}: parity contradiction at step {a + b + 1}")
-        else:
-            # free step: pin one more bit of x to force the wanted parity
-            if bool((numer >> b) & 1) != want_odd:
-                x += pow2w
-            w += 1
-            pow2w <<= 1
-        if ch == "O":
-            m = 3 * m + pow2b
-            a += 1
-            pow3a *= 3
-        else:
-            b += 1
-            pow2b <<= 1
-
-    if pow2b <= pow3a:
+    i, j, m = pattern_constants(pat)
+    pow3i = 3**i
+    modulus = 1 << j
+    if modulus <= pow3i:
         raise NotADescent(
-            f"{pat.text!r}: 2^{b} - 3^{a} = {pow2b - pow3a} <= 0, end value never drops below start"
+            f"{pat.text!r}: 2^{j} - 3^{i} = {modulus - pow3i} <= 0, end value never drops below start"
         )
-    numer = pow3a * x + m
-    if numer % pow2b:
-        raise AssertionError(f"class constant for {pat.text!r} is not divisible by 2^{b}")
-    y0 = numer // pow2b
+    x = -m * pow(pow3i, -1, modulus) % modulus
+    y0 = (pow3i * x + m) >> j
     if x >= 2 and y0 >= x:
-        # Only x in {0, 1} may fail to drop (the 1-4-2-1 loop); anything else
-        # would contradict the class construction.
+        # Only x in {0, 1} may fail to drop (the 1-4-2-1 loop).
         raise NotADescent(f"{pat.text!r}: smallest member {x} ends at {y0} >= {x}")
-    return ResidueClass(pattern=pat, i=a, j=b, m=m, x=x, modulus=pow2b, y0=y0)
+    c = _resolved_class(x, j, i, m)
+    if c.pattern.text != pat.text:
+        raise UnrealizablePattern(f"{pat.text!r}: residue {x} mod 2^{j} traces {c.pattern.text!r}")
+    return c
 
 
-def iter_minimal_pattern_texts(
-    max_length: int | None = None, max_j: int | None = None
-) -> Iterator[str]:
-    """Yield every minimal descent pattern within the given bounds.
+def iter_minimal_pattern_texts(max_j: int) -> Iterator[str]:
+    """Yield every minimal descent pattern with at most max_j E-steps.
 
     Minimal: no proper prefix has 2^(E so far) > 3^(O so far).  A prefix
     with positive margin already sends every sufficiently large class
     member below its start, so any extension of it can never be the first
     descent of a whole residue class (this is what disqualifies the
     length-6 words starting with the shortest cycle OEE).  Patterns are
-    emitted in depth-first order with E explored before O; at least one
-    bound must be supplied.
+    emitted in depth-first order with E explored before O.  The package
+    generates its classes with the parity-tree walk (unresolved_leaves);
+    this word-by-word route is kept as its independent reference.
     """
-    if max_length is None and max_j is None:
-        raise ValueError("need a length bound or an E-step bound")
-    if max_length is not None and max_length < 1:
-        raise ValueError("max_length must be >= 1")
-    if max_j is not None and max_j < 1:
+    if max_j < 1:
         raise ValueError("max_j must be >= 1")
 
     yield "E"  # the even class, the only valid non-O start
-
-    if max_length == 1:
-        return
 
     # chars, O count, E count, 3^a, 2^b; every stacked prefix has margin <= 0
     stack: list[tuple[str, int, int, int, int]] = [("O", 1, 0, 3, 1)]
     while stack:
         text, a, b, pow3a, pow2b = stack.pop()
-        if max_length is not None and len(text) >= max_length:
-            continue
-        if max_j is not None and b >= max_j:
+        if b >= max_j:
             continue
         if text[-1] == "O":
             # forced E after an O
@@ -312,8 +291,7 @@ def iter_minimal_pattern_texts(
             child = text + ch
             if n2 > n3:
                 # first positive margin: a complete minimal descent pattern
-                if max_length is None or len(child) <= max_length:
-                    yield child
+                yield child
                 continue
             stack.append((child, na, nb, n3, n2))
 
@@ -346,31 +324,11 @@ class UnresolvedLeaves:
         return len(self.class_x)
 
     def resolved_classes(self) -> list[ResidueClass]:
-        """The pruned classes as ResidueClass objects, in walk order.
-
-        A class's pattern is the parity word of its smallest member x over
-        x's own first j halvings, found by replaying them: by Terras'
-        bijection x mod 2^j fixes that word.  The replay must take i
-        O-steps and land on y0 = (3^i*x + m) / 2^j.
-        """
-        out: list[ResidueClass] = []
-        for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m):
-            parts = []
-            v = x
-            for _ in range(j):
-                if v & 1:
-                    parts.append("OE")
-                    v = (3 * v + 1) >> 1
-                else:
-                    parts.append("E")
-                    v >>= 1
-            text = "".join(parts)
-            y0 = (3**i * x + m) >> j
-            if v != y0 or len(text) != i + j:
-                raise AssertionError(f"replay of {x} mod 2^{j} leaves its class")
-            pattern = DescentPattern(text=text, i=i, j=j)
-            out.append(ResidueClass(pattern=pattern, i=i, j=j, m=m, x=x, modulus=1 << j, y0=y0))
-        return out
+        """The pruned classes as ResidueClass objects, in walk order."""
+        return [
+            _resolved_class(x, j, i, m)
+            for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m)
+        ]
 
 
 def unresolved_leaves(depth: int) -> UnresolvedLeaves:
@@ -459,15 +417,24 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
 def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:
     """All minimal descent classes of exactly the given length, sorted by x.
 
-    Empty when no minimal pattern of that length exists (for example
-    lengths 2, 4, 5 and 7).
+    A minimal class with i O-steps has the smallest j with 2^j > 3^i, so
+    length = i + bitlen(3^i), which grows with i: at most one i fits.  Its
+    classes are the ones the parity-tree walk prunes at j halvings.
+    Empty when no i fits (for example lengths 2, 4, 5, 7 and 40).
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    i = 0
+    while i + _min_descending_j(i) < length:
+        i += 1
+    j = length - i
+    if _min_descending_j(i) != j:
+        return []
+    leaves = unresolved_leaves(j)
     classes = [
-        residue_for_pattern(text)
-        for text in iter_minimal_pattern_texts(max_length=length)
-        if len(text) == length
+        _resolved_class(x, cj, ci, m)
+        for x, cj, ci, m in zip(leaves.class_x, leaves.class_j, leaves.class_i, leaves.class_m)
+        if cj == j
     ]
     classes.sort(key=lambda c: c.x)
     return classes

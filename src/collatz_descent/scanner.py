@@ -64,7 +64,8 @@ class ScanReport:
     failures holds (n, reason) rows and is expected to stay empty; a
     nonempty list is a headline result, not an error.  max_descent_steps
     tracks the simulated (non-skipped) numbers only; skipped numbers have
-    class-certified descents of at most depth + a few steps.  wall_time
+    class-certified descents of i + j <= depth + floor(depth*log3(2))
+    steps, since j <= depth and 3^i < 2^j.  wall_time
     is the scan phase (blocks and process pool); setup_time is the sieve
     build before it.  Neither is part of canonical().
     """
@@ -246,7 +247,7 @@ def sieve_scan(
         results = [_scan_block(a, b, leaves, step_cap) for a, b in blocks]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, len(blocks)),
             initializer=_scan_worker_init,
             initargs=(leaves, step_cap),
         ) as pool:

@@ -1,9 +1,12 @@
 """The enumerate-solve-table classification, kept as a test oracle.
 
-It reaches the classes of depth J by a route that shares no code with
+It reaches the classes of depth J by a route that finds them without
 the parity-tree walk (patterns.unresolved_leaves): it enumerates every
-minimal pattern text, solves each with residue_for_pattern, paints a
-dense 2^J byte table and reads the unresolved odd residues off it.
+minimal pattern text depth first, solves each with residue_for_pattern,
+paints a dense 2^J byte table and reads the unresolved odd residues off
+it.  Both routes build ResidueClass objects with the same constructor,
+which replays x's first j halvings; residue_for_pattern checks that the
+replayed word equals the enumerated text.
 """
 
 from __future__ import annotations

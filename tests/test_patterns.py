@@ -140,28 +140,71 @@ def test_even_class_convention():
     assert (c.x, c.modulus, c.y0, c.m, c.i, c.j) == (0, 2, 0, 0, 0, 1)
 
 
+def _replay(n, text):
+    """n's value after tracing text step by step with col_step, or None if n leaves it."""
+    v = n
+    for ch in text:
+        v, kind = col_step(v)
+        if kind != ch:
+            return None
+    return v
+
+
+def _lifted_residue(text):
+    """The residue mod 2^j whose members trace text, lifted one halving at a time.
+
+    Both lifts x and x + 2^b of a residue tracing the first b halvings trace
+    them too, and their values then differ by an odd number, so exactly one
+    traces the next halving.  Each lift r < 2^(b+1) is replayed through its
+    member r + 2^(b+1), since col_step starts at 1.
+    """
+    x = b = 0
+    for cut, ch in enumerate(text, 1):
+        if ch == "E":
+            lifts = [r for r in (x, x + (1 << b)) if _replay(r + (2 << b), text[:cut]) is not None]
+            assert len(lifts) == 1, text
+            x = lifts[0]
+            b += 1
+    return x
+
+
+def _brute_force_residues(text):
+    """Every residue mod 2^j whose member in [2^j, 2^(j+1)) traces text."""
+    j = text.count("E")
+    return [n - (1 << j) for n in range(1 << j, 2 << j) if _replay(n, text) is not None]
+
+
 @settings(max_examples=200)
 @given(valid_patterns())
-def test_propagated_residue_satisfies_the_congruence(text):
+def test_solved_residue_is_the_one_residue_tracing_the_pattern(text):
+    # oracles on col_step alone: the lifted residue, and brute force for j <= 10
     i, j, m = pattern_constants(text)
-    x_cong = (-m * pow(3, -i, 2**j)) % 2**j
-    y0 = (3**i * x_cong + m) // 2**j
-    try:
-        c = residue_for_pattern(text)
-    except NotADescent:
-        assert feasibility_margin(i, j) <= 0 or (x_cong >= 2 and y0 >= x_cong)
+    x = _lifted_residue(text)
+    if j <= 10:
+        assert _brute_force_residues(text) == [x]
+    y0 = _replay(x, text)
+    if feasibility_margin(i, j) <= 0 or (x >= 2 and y0 >= x):
+        with pytest.raises(NotADescent):
+            residue_for_pattern(text)
         return
+    c = residue_for_pattern(text)
+    assert (c.pattern.text, c.i, c.j, c.m, c.modulus) == (text, i, j, m, 1 << j)
+    assert (c.x, c.y0) == (x, y0)
     assert (3**c.i * c.x + c.m) % c.modulus == 0
-    assert c.x == x_cong
     assert c.x % 2 == 1  # odd-start patterns pin odd residues
 
 
-def test_bit_walk_matches_the_congruence_for_every_minimal_pattern_to_j20():
-    # residue_for_pattern solves by the bit walk alone; this is its second route
+def test_solved_class_replays_every_minimal_pattern_to_j20():
+    # col_step replays the solved x through the word and lands on y0
     count = 0
     for text in iter_minimal_pattern_texts(max_j=20):
         c = residue_for_pattern(text)
-        assert c.x == (-c.m * pow(3, -c.i, c.modulus)) % c.modulus, text
+        j = text.count("E")
+        assert c.modulus == 1 << j and 0 <= c.x < c.modulus, text
+        k = 1 if c.x == 0 else 0  # col_step starts at 1: the even class replays member 2
+        assert _replay(c.member(k), text) == c.y0 + k * 3**c.i, text
+        if j <= 10:
+            assert _brute_force_residues(text) == [c.x], text
         count += 1
     assert count == 4404
 
@@ -227,7 +270,7 @@ def test_enumerate_examples():
     assert [(c.pattern.text, c.x, c.modulus) for c in enumerate_minimal_patterns(1)] == [
         ("E", 0, 2)
     ]
-    for empty_len in (2, 4, 5, 7):
+    for empty_len in (2, 4, 5, 7, 40):
         assert enumerate_minimal_patterns(empty_len) == []
     assert [(c.pattern.text, c.x, c.modulus) for c in enumerate_minimal_patterns(3)] == [
         ("OEE", 1, 4)
@@ -245,6 +288,17 @@ def test_enumerate_length_11():
         ("OEOEOEOEEEE", 15),
         ("OEOEEOEOEEE", 59),
     ]
+
+
+def test_enumerate_matches_the_word_route_to_length_34():
+    # the depth-first word route, solved and grouped by length; a minimal
+    # pattern of length <= 34 has i <= 13 O-steps, so j <= bitlen(3^13) = 21
+    by_length = {}
+    for text in iter_minimal_pattern_texts(max_j=21):
+        by_length.setdefault(len(text), []).append(residue_for_pattern(text))
+    for length in range(1, 35):
+        expected = sorted(by_length.get(length, []), key=lambda c: c.x)
+        assert enumerate_minimal_patterns(length) == expected, length
 
 
 def test_minimality_no_proper_prefix_descends():

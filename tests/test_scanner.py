@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from collatz_descent import (
     record_search,
     sieve_scan,
     twin_check,
+    unresolved_leaves,
 )
 from collatz_descent import scanner
 from collatz_descent.core import descent_length
@@ -139,6 +141,41 @@ def test_scan_deterministic_across_worker_counts():
     other = sieve_scan(2, 50_000, 5, workers=2, block_size=8192)
     assert reference.canonical_json() == other.canonical_json()
     assert reference.wall_time > 0 and other.wall_time > 0
+
+
+def test_pool_never_outnumbers_the_blocks(monkeypatch):
+    # a stand-in pool records its size and runs the blocks in this process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scanner, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(scanner, "_WORKER_STATE", {})
+    rep = sieve_scan(2, 70_000, 5, workers=4096)  # two blocks of 2^16
+    assert sizes == [2]
+    assert rep.canonical_json() == sieve_scan(2, 70_000, 5).canonical_json()
+    sieve_scan(2, 70_000, 5, workers=3, block_size=10_000)  # seven blocks
+    assert sizes == [2, 3]
+
+
+def test_skipped_descents_stay_within_depth_plus_floor_depth_log3_2():
+    # a class has j <= depth halvings and i O-steps with 3^i < 2^j
+    for depth, bound in ((16, 26), (24, 39)):
+        assert bound == depth + math.floor(depth * math.log(2, 3))
+        leaves = unresolved_leaves(depth)
+        assert max(i + j for i, j in zip(leaves.class_i, leaves.class_j)) == bound
 
 
 def _dense_scan_block(lo, hi, resolved, mask, step_cap):
