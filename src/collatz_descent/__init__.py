@@ -40,7 +40,6 @@ from .patterns import (
 )
 from .scanner import (
     MAX_DEPTH,
-    ClassificationReport,
     ScanReport,
     TwinRecord,
     classify_depth,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_STEP_CAP",
     "MAX_DEPTH",
-    "ClassificationReport",
     "CollatzDescentError",
     "CycleDetected",
     "DepthTooLarge",

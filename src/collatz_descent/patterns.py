@@ -17,9 +17,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, NamedTuple, Union
 
-from .errors import NotADescent, UnrealizablePattern
+from .errors import DepthTooLarge, NotADescent, UnrealizablePattern
 
 
 class StepKind(str, Enum):
@@ -307,6 +309,9 @@ class UnresolvedLeaves:
     class 2^class_j[t]*k + class_x[t] with class_i[t] O-steps and adder
     class_m[t], in walk order.  Depth 0 has the single trivial leaf
     r = 0, a = 0, m = 0 and no class.
+
+    This is also the classification of the naturals to `depth` halvings:
+    classes, resolved_measure and unresolved_residues read it as objects.
     """
 
     depth: int
@@ -318,17 +323,26 @@ class UnresolvedLeaves:
     class_i: bytes
     class_m: array  # 'Q'
 
-    @property
-    def classes(self) -> int:
-        """Number of resolved classes the walk pruned."""
-        return len(self.class_x)
-
-    def resolved_classes(self) -> list[ResidueClass]:
-        """The pruned classes as ResidueClass objects, in walk order."""
-        return [
+    @cached_property
+    def classes(self) -> tuple[ResidueClass, ...]:
+        """The pruned classes as ResidueClass objects, sorted by (length, x); built once."""
+        classes = [
             _resolved_class(x, j, i, m)
             for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m)
         ]
+        classes.sort(key=lambda c: (len(c.pattern), c.x))
+        return tuple(classes)
+
+    @property
+    def resolved_measure(self) -> Fraction:
+        """The exact density sum(2^-j) of the classes."""
+        covered = sum(1 << (self.depth - j) for j in self.class_j)
+        return Fraction(covered, 1 << self.depth)
+
+    @property
+    def unresolved_residues(self) -> tuple[int, ...]:
+        """The odd residues mod 2^depth that no class covers, sorted."""
+        return tuple(self.residues)
 
 
 def unresolved_leaves(depth: int) -> UnresolvedLeaves:
@@ -402,6 +416,12 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
         p = pow3[a]
         if pow2 > p or (p * x + m) % pow2:
             raise AssertionError(f"leaf {x} mod 2^{depth} breaks its affine form")
+    # the classes and the leaves partition the residues mod 2^depth
+    covered = sum(1 << (depth - j) for j in class_j)
+    if covered + len(xs) != pow2:
+        raise AssertionError(
+            f"classes cover {covered} and {len(xs)} leaves are open, not 2^{depth} residues"
+        )
     return UnresolvedLeaves(
         depth=depth,
         residues=xs,
@@ -414,13 +434,19 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
     )
 
 
+# Deepest walk for enumerate (length 47).  Open leaves, 17 bytes each, grow
+# about 1.9x per level: 1.04 M at 26 halvings, some 1.5 G at 37 (length 60).
+MAX_ENUMERATE_DEPTH = 29
+
+
 def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:
     """All minimal descent classes of exactly the given length, sorted by x.
 
     A minimal class with i O-steps has the smallest j with 2^j > 3^i, so
     length = i + bitlen(3^i), which grows with i: at most one i fits.  Its
     classes are the ones the parity-tree walk prunes at j halvings.
-    Empty when no i fits (for example lengths 2, 4, 5, 7 and 40).
+    Empty when no i fits (for example lengths 2, 4, 5, 7 and 40); raises
+    DepthTooLarge, before walking, when j > MAX_ENUMERATE_DEPTH.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -430,6 +456,10 @@ def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:
     j = length - i
     if _min_descending_j(i) != j:
         return []
+    if j > MAX_ENUMERATE_DEPTH:
+        raise DepthTooLarge(
+            f"length {length} needs {j} halvings, above the maximum {MAX_ENUMERATE_DEPTH}"
+        )
     leaves = unresolved_leaves(j)
     classes = [
         _resolved_class(x, cj, ci, m)

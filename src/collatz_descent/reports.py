@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .core import DEFAULT_STEP_CAP, descent_trace, total_stopping_time
-from .patterns import ResidueClass, feasibility_table
-from .scanner import ClassificationReport, ScanReport
+from .core import DEFAULT_STEP_CAP, DescentTrace, descent_trace, total_stopping_time
+from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table
+from .scanner import ScanReport, twin_walk
 
 Cell = int | str
 
@@ -149,7 +149,7 @@ def classes_report(classes: list[ResidueClass], title: str = "") -> list[Table]:
     return [t]
 
 
-def classify_report(report: ClassificationReport) -> list[Table]:
+def classify_report(report: UnresolvedLeaves) -> list[Table]:
     summary = Table(
         title="Classification summary",
         columns=["Depth", "Classes", "Resolved measure", "Unresolved residues"],
@@ -159,14 +159,14 @@ def classify_report(report: ClassificationReport) -> list[Table]:
             report.depth,
             len(report.classes),
             str(report.resolved_measure),
-            len(report.unresolved_residues),
+            len(report.residues),
         ]
     )
     classes = classes_report(list(report.classes), title="Classes")[0]
     unresolved = Table(
         title=f"Unresolved residues mod 2^{report.depth}",
         columns=["Residue"],
-        rows=[[r] for r in report.unresolved_residues],
+        rows=[[r] for r in report.residues],
     )
     return [summary, classes, unresolved]
 
@@ -246,26 +246,24 @@ def trace_twin_report(
     the class adder m; the per-step adders sum to m.  paper_style renders
     those cells in rounded spreadsheet notation instead of exact integers.
     """
-    tr = descent_trace(n, step_cap=step_cap)
+    tr, twin_values = twin_walk(n, step_cap=step_cap)
     i, j = tr.pattern.i, tr.pattern.j
-    twin = n + (1 << j)
     fmt = paper_sci if paper_style else str
     t = Table(title=title, columns=["Step", "Value", "Ops", "Adder value", "Subsequent"])
-    v, v2 = n, twin
+    before = (n,) + tr.values
+    twin_before = (n + (1 << j),) + twin_values
     a = b = 0
     adder_total = 0
     for idx, ch in enumerate(tr.pattern.text):
         if ch == "O":
             adder = 3 ** (i - a - 1) * (1 << b)
             adder_total += adder
-            t.rows.append([idx + 1, v, ch, fmt(adder), v2])
-            v, v2 = 3 * v + 1, 3 * v2 + 1
+            t.rows.append([idx + 1, before[idx], ch, fmt(adder), twin_before[idx]])
             a += 1
         else:
-            t.rows.append([idx + 1, v, ch, "", v2])
-            v, v2 = v >> 1, v2 >> 1
+            t.rows.append([idx + 1, before[idx], ch, "", twin_before[idx]])
             b += 1
-    t.rows.append(["", v, "", "", v2])
+    t.rows.append(["", tr.first_lower, "", "", twin_values[-1]])
     t.rows.append(["Total", len(tr.pattern), "Adder", fmt(adder_total), ""])
     t.rows.append(["O steps", i, "", "", ""])
     t.rows.append(["E steps", j, "", "", ""])
@@ -304,46 +302,43 @@ _LENGTH6_GENERAL = [
 def _members_trace_table(
     title: str,
     columns: list[str],
-    members: list[int],
-    pattern_text: str,
+    traces: list[DescentTrace],
     general: list[str] | None = None,
 ) -> Table:
+    """Side-by-side descents of class members, which must share one pattern."""
+    text = traces[0].pattern.text
+    if any(tr.pattern.text != text for tr in traces):
+        raise AssertionError(f"members {[tr.start for tr in traces]} differ in pattern")
+    steps = [[idx + 1, ch] for idx, ch in enumerate(text)] + [["", ""]]
     t = Table(title=title, columns=columns)
-    values = {m: m for m in members}
-    for idx in range(len(pattern_text) + 1):
-        row: list[Cell] = [values[m] for m in members]
+    for idx, values in enumerate(zip(*[(tr.start,) + tr.values for tr in traces])):
+        row: list[Cell] = list(values)
         if general is not None:
             row.append(general[idx])
-        if idx < len(pattern_text):
-            ch = pattern_text[idx]
-            row.extend([idx + 1, ch])
-            for m in members:
-                v = values[m]
-                values[m] = 3 * v + 1 if ch == "O" else v >> 1
-        else:
-            row.extend(["", ""])
-        t.rows.append(row)
+        t.rows.append(row + steps[idx])
     return t
 
 
 def named_report(name: str, step_cap: int = DEFAULT_STEP_CAP, paper_style: bool = False) -> list[Table]:
     if name == "cycle-length":
         return feasibility_report(37)
+    def traces(members: list[int]) -> list[DescentTrace]:
+        return [descent_trace(m, step_cap=step_cap) for m in members]
+
     if name == "length6":
         return [
             _members_trace_table(
                 title="Selected sequences with length 6",
                 columns=["N 1", "N 2", "N 3", "General", "Step", "Cycle"],
-                members=[3, 19, 163],
-                pattern_text="OEOEEE",
+                traces=traces([3, 19, 163]),
                 general=_LENGTH6_GENERAL,
             )
         ]
     if name == "length8":
         cols = ["Number 1", "Number 2", "Number 3", "Step", "Cycle"]
         return [
-            _members_trace_table("Sequence 2^5*k+11", cols, [11, 43, 331], "OEOEEOEE"),
-            _members_trace_table("Sequence 2^5*k+23", cols, [23, 55, 343], "OEOEOEEE"),
+            _members_trace_table("Sequence 2^5*k+11", cols, traces([11, 43, 331])),
+            _members_trace_table("Sequence 2^5*k+23", cols, traces([23, 55, 343])),
         ]
     if name == "seq27":
         return trace_twin_report(

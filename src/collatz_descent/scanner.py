@@ -1,12 +1,13 @@
 """Depth classification, sieve-accelerated range verification and twin checks.
 
 Both classification and the scan stand on one walk of the parity tree to
-J halvings (patterns.unresolved_leaves).  Its pruned nodes are the minimal
-descent classes with at most J halving steps, which classify_depth lists;
-its open leaves are what those classes miss, each an odd residue mod 2^J
-with the affine form of its first J halvings.  The scan visits the members
-of those leaves alone, resumes each from its value after the J halvings,
-and counts every other number as skipped.  No 2^J table is built anywhere.
+J halvings (patterns.unresolved_leaves), which classify_depth returns as
+the classification.  Its pruned nodes are the minimal descent classes
+with at most J halving steps; its open leaves are what those classes
+miss, each an odd residue mod 2^J with the affine form of its first J
+halvings.  The scan visits the members of those leaves alone, resumes
+each from its value after the J halvings, and counts every other number
+as skipped.  No 2^J table is built anywhere.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import DEFAULT_STEP_CAP, descent_length, descent_trace
+from .core import DEFAULT_STEP_CAP, DescentTrace, descent_length, descent_trace
 from .errors import CycleDetected, DepthTooLarge, StepCapExceeded
-from .patterns import DescentPattern, ResidueClass, UnresolvedLeaves, unresolved_leaves
+from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
 
 # The walk holds one level of the parity tree at a time and the pruned
 # classes, in compact arrays: at depth 24, 286,581 open leaves and 81,119
@@ -30,31 +30,6 @@ from .patterns import DescentPattern, ResidueClass, UnresolvedLeaves, unresolved
 MAX_DEPTH = 24
 
 DEFAULT_BLOCK_SIZE = 1 << 16
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Descent classes with at most `depth` halving steps, plus what they miss.
-
-    resolved_measure is the exact dyadic density sum(2^-j) over the
-    classes; unresolved_residues are the odd residues mod 2^depth not
-    covered by any class (even residues are always covered by the "E"
-    class).
-    """
-
-    depth: int
-    classes: tuple[ResidueClass, ...]
-    resolved_measure: Fraction
-    unresolved_residues: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        size = 1 << self.depth
-        expected = 1 - Fraction(len(self.unresolved_residues), size)
-        if self.resolved_measure != expected:
-            raise AssertionError(
-                f"measure {self.resolved_measure} inconsistent with "
-                f"{len(self.unresolved_residues)} unresolved residues mod 2^{self.depth}"
-            )
 
 
 @dataclass(frozen=True)
@@ -111,26 +86,17 @@ class TwinRecord:
     twin_first_lower: int
 
 
-def classify_depth(depth: int) -> ClassificationReport:
+def classify_depth(depth: int) -> UnresolvedLeaves:
     """Classify the naturals by descent depth: all classes with j <= depth.
 
-    Reads the classes and the unresolved residues off one walk of the
-    parity tree (patterns.unresolved_leaves).
+    The walk of the parity tree (patterns.unresolved_leaves) is the
+    classification: its pruned classes, their measure and its open leaves.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
-    leaves = unresolved_leaves(depth)
-    classes = leaves.resolved_classes()
-    classes.sort(key=lambda c: (len(c.pattern), c.x))
-    covered = sum(1 << (depth - j) for j in leaves.class_j)
-    return ClassificationReport(
-        depth=depth,
-        classes=tuple(classes),
-        resolved_measure=Fraction(covered, 1 << depth),
-        unresolved_residues=tuple(leaves.residues),
-    )
+    return unresolved_leaves(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +264,19 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     return records
 
 
-def twin_check(n: int, step_cap: int = DEFAULT_STEP_CAP) -> TwinRecord:
-    """Verify that n + 2^j repeats n's descent pattern exactly.
+def twin_walk(n: int, step_cap: int = DEFAULT_STEP_CAP) -> tuple[DescentTrace, tuple[int, ...]]:
+    """n's first descent and the values its twin n + 2^j takes alongside it.
 
-    Along the way the value gap is checked at every step: after a O-steps
-    and b E-steps it must equal 3^a * 2^(j-b), which lands on 3^i once
-    both descents finish.
+    The twin must repeat n's pattern exactly.  The value gap is checked at
+    every step: after a O-steps and b E-steps it must equal 3^a * 2^(j-b),
+    which lands on 3^i once both descents finish, below the twin.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("twin check is defined for odd n >= 3")
     tr = descent_trace(n, step_cap=step_cap)
     i, j = tr.pattern.i, tr.pattern.j
     twin = n + (1 << j)
     v, v2 = n, twin
     a = b = 0
+    twin_values = []
     for ch in tr.pattern.text:
         gap = 3**a * (1 << (j - b))
         if v2 - v != gap:
@@ -326,14 +291,16 @@ def twin_check(n: int, step_cap: int = DEFAULT_STEP_CAP) -> TwinRecord:
                 raise AssertionError(f"parity mismatch at step {a + b + 1} of twin of {n}")
             v, v2 = v >> 1, v2 >> 1
             b += 1
+        twin_values.append(v2)
     if v != tr.first_lower or v2 - v != 3**i or v2 >= twin:
         raise AssertionError(f"twin of {n} did not land at first_lower + 3^{i}")
-    return TwinRecord(
-        n=n,
-        twin=twin,
-        pattern=tr.pattern,
-        i=i,
-        j=j,
-        first_lower=tr.first_lower,
-        twin_first_lower=v2,
-    )
+    return tr, tuple(twin_values)
+
+
+def twin_check(n: int, step_cap: int = DEFAULT_STEP_CAP) -> TwinRecord:
+    """Verify that the odd n's twin n + 2^j repeats n's descent pattern exactly."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError("twin check is defined for odd n >= 3")
+    tr, twin_values = twin_walk(n, step_cap=step_cap)
+    i, j = tr.pattern.i, tr.pattern.j
+    return TwinRecord(n, n + (1 << j), tr.pattern, i, j, tr.first_lower, twin_values[-1])

@@ -12,9 +12,16 @@ replayed word equals the enumerated text.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from collatz_descent import iter_minimal_pattern_texts, residue_for_pattern
-from collatz_descent.scanner import ClassificationReport
+from collatz_descent import ResidueClass, iter_minimal_pattern_texts, residue_for_pattern
+
+
+class DenseClassification(NamedTuple):
+    depth: int
+    classes: tuple[ResidueClass, ...]
+    resolved_measure: Fraction
+    unresolved_residues: tuple[int, ...]
 
 
 def dense_resolved_table(depth, classes):
@@ -40,9 +47,6 @@ def dense_classification(depth):
     size = 1 << depth
     unresolved = tuple(r for r in range(1, size, 2) if not table[r])
     assert table.count(1) + len(unresolved) == size, "an even residue escaped the E class"
-    return ClassificationReport(
-        depth=depth,
-        classes=tuple(classes),
-        resolved_measure=sum((Fraction(1, c.modulus) for c in classes), Fraction(0)),
-        unresolved_residues=unresolved,
-    )
+    measure = sum((Fraction(1, c.modulus) for c in classes), Fraction(0))
+    assert measure == 1 - Fraction(len(unresolved), size), "measure disagrees with the residues"
+    return DenseClassification(depth, tuple(classes), measure, unresolved)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatz_descent import (
+    DepthTooLarge,
     DescentPattern,
     NotADescent,
     UnrealizablePattern,
@@ -23,6 +24,7 @@ from collatz_descent import (
     subsequent_lower_value,
     unresolved_leaves,
 )
+from collatz_descent import patterns
 from collatz_descent.core import col_step
 from collatz_descent.scanner import classify_depth
 from dense_reference import dense_classification
@@ -231,9 +233,9 @@ def test_leaves_match_the_dense_classification():
         assert report.resolved_measure == expected.resolved_measure, depth
         assert report.unresolved_residues == expected.unresolved_residues, depth
         assert tuple(leaves.residues) == expected.unresolved_residues
-        assert leaves.classes == len(expected.classes)
+        assert len(leaves.class_x) == len(expected.classes)
         assert len(leaves.o_counts) == len(leaves.adders) == len(leaves.residues)
-        assert len(leaves.class_j) == len(leaves.class_i) == len(leaves.class_m) == leaves.classes
+        assert len(leaves.class_j) == len(leaves.class_i) == len(leaves.class_m) == len(leaves.class_x)
         if depth > 16:
             continue
         for x, j, i, m in zip(leaves.class_x, leaves.class_j, leaves.class_i, leaves.class_m):
@@ -244,7 +246,7 @@ def test_leaves_match_the_dense_classification():
 def test_depth_zero_leaf_is_trivial():
     leaves = unresolved_leaves(0)
     assert (list(leaves.residues), leaves.o_counts, list(leaves.adders)) == ([0], b"\x00", [0])
-    assert leaves.classes == 0
+    assert leaves.classes == ()
     with pytest.raises(ValueError):
         unresolved_leaves(-1)
 
@@ -288,6 +290,26 @@ def test_enumerate_length_11():
         ("OEOEOEOEEEE", 15),
         ("OEOEEOEOEEE", 59),
     ]
+
+
+def test_enumerate_refuses_deep_walks_before_walking(monkeypatch):
+    # length 47 walks to 29 halvings; the next length with classes, 50,
+    # needs 31, and 55 and 60 need 34 and 37 (gigabytes of open leaves)
+    class Walked(Exception):
+        pass
+
+    def no_walk(depth):
+        raise Walked(depth)
+
+    monkeypatch.setattr(patterns, "unresolved_leaves", no_walk)
+    with pytest.raises(Walked) as walked:
+        enumerate_minimal_patterns(47)
+    assert walked.value.args == (patterns.MAX_ENUMERATE_DEPTH,) == (29,)
+    for length in (50, 55, 60, 1001):
+        with pytest.raises(DepthTooLarge, match=f"length {length} needs"):
+            enumerate_minimal_patterns(length)
+    for empty_len in (48, 49, 1000):
+        assert enumerate_minimal_patterns(empty_len) == []
 
 
 def test_enumerate_matches_the_word_route_to_length_34():

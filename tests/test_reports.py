@@ -4,15 +4,25 @@ from __future__ import annotations
 
 import json
 
-from collatz_descent import enumerate_minimal_patterns, pattern_constants, sieve_scan
+import pytest
+
+from collatz_descent import (
+    descent_trace,
+    enumerate_minimal_patterns,
+    pattern_constants,
+    patterns,
+    sieve_scan,
+)
 from collatz_descent.reports import (
     Table,
+    _members_trace_table,
     classes_report,
     classify_report,
     feasibility_report,
     named_report,
     paper_sci,
     parse_csv,
+    render,
     render_csv,
     render_json,
     render_markdown,
@@ -74,6 +84,16 @@ def test_twin_table_adders_sum_to_the_class_adder():
     assert landing[1] == 23 and landing[4] == 450283905890997386
 
 
+def test_twin_table_of_an_even_start():
+    (table,) = trace_report(4, "twin")
+    assert table.rows[:2] == [[1, 4, "E", "", 6], ["", 2, "", "", 3]]
+    assert table.rows[2:] == [
+        ["Total", 1, "Adder", "0", ""],
+        ["O steps", 0, "", "", ""],
+        ["E steps", 1, "", "", ""],
+    ]
+
+
 def test_twin_table_paper_style_cells():
     (table,) = trace_report(27, "twin", paper_style=True)
     assert table.rows[0][3] == "1,50095E+17"
@@ -126,6 +146,21 @@ def test_classify_report_roundtrip_and_no_floats():
     assert summary.rows[0][2] == "7/8"
 
 
+def test_classify_report_builds_each_class_once(monkeypatch):
+    calls = []
+    real = patterns._resolved_class
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(patterns, "_resolved_class", counted)
+    report = classify_depth(12)
+    text = render(classify_report(report), "csv")
+    assert len(calls) == len(report.classes) == len(report.class_x)
+    assert text.count("\n") > len(calls)
+
+
 def test_scan_report_tables_roundtrip():
     rep = sieve_scan(2, 500, 5)
     tables = scan_report_tables(rep)
@@ -153,3 +188,9 @@ def test_render_markdown_shape():
     assert lines[0].startswith("| E ops | O ops |")
     assert lines[1].startswith("| ---")
     assert len(lines) == 4
+
+
+def test_members_table_rejects_members_of_different_classes():
+    with pytest.raises(AssertionError, match="differ in pattern"):
+        traces = [descent_trace(11), descent_trace(23)]  # 2^5*k+11 and 2^5*k+23
+        _members_trace_table("mixed", ["A", "B", "Step", "Cycle"], traces)
