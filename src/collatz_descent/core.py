@@ -78,31 +78,55 @@ def descent_length(
 ) -> int:
     """Number of steps until the first value strictly below n, nothing recorded.
 
-    The scan kernel: same checks, order and messages as descent_trace, which
-    the tests keep as its independent reference.  A caller that knows the
-    first `steps` values of n's trajectory all lie strictly above n may
-    resume from v, the value after them; with steps = 0, v is ignored and
-    the walk starts at n.
+    The scan kernel: same result, exceptions and messages as a walk of one
+    step per loop turn that checks descent, cycle and cap after each step,
+    as descent_trace does; the tests keep that walk as its reference.  A
+    caller that knows the first `steps` values of n's trajectory all lie
+    strictly above n may resume from v, the value after them; with
+    steps = 0, v is ignored and the walk starts at n.
+
+    The loop turns once per O-step.  Each turn strips the run of halvings
+    of the even v > n with one trailing-zero count t.  If the run's odd
+    end v >> t is still above n, every value of the run is, and the turn
+    counts the t halvings and the O-step after them with one cap check:
+    the cap message names no step index, so one check at the run's last
+    index equals a check at each.  Otherwise the run lands at the first s
+    with v >> s <= n: s is the bit length of v less that of n, plus 1 if
+    v >> s is still above n, since a value of smaller bit length than n is
+    below n.  An even resumed v does its halving run first.
     """
     if n < 2:
         raise ValueError("descent is defined for n >= 2")
     if not steps:
+        if not n & 1:
+            return 1
         v = n
     elif steps >= step_cap:
         # the cap fell inside the skipped prefix, where no value is <= n
         raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
-    while True:
-        if v & 1:
-            v = 3 * v + 1
-        else:
-            v >>= 1
+    if v & 1:
+        v = 3 * v + 1
         steps += 1
-        if v < n:
-            return steps
-        if v == n:
-            raise CycleDetected(f"trajectory of {n} returned to its start after {steps} steps")
-        if steps >= step_cap:
+    bits = n.bit_length()
+    while True:
+        t = (v & -v).bit_length() - 1
+        odd = v >> t
+        if odd > n:
+            # the t halvings, all above n, and the O-step from odd
+            steps += t + 1
+            if steps >= step_cap:
+                raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+            v = 3 * odd + 1
+            continue
+        s = v.bit_length() - bits
+        if v >> s > n:
+            s += 1
+        # the values before the landing halving are above n
+        if steps + s - 1 >= step_cap:
             raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+        if v >> s == n:
+            raise CycleDetected(f"trajectory of {n} returned to its start after {steps + s} steps")
+        return steps + s
 
 
 def chain_descents(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[DescentTrace]:

@@ -130,27 +130,26 @@ def _scan_block(
     failures: list[tuple[int, str]] = []
     max_steps = 0
     max_n: int | None = None
+    # a leaf's depth halvings follow at most depth O-steps
+    pow3 = [3**a for a in range(depth + 1)]
     for i, j in spans:
         for r, a, m in zip(residues[i:j], o_counts[i:j], adders[i:j]):
-            pow3a = 3**a
+            p = pow3[a]
             skipped_steps = a + depth
-            n0 = lo + ((r - lo) & mask)
-            # the members step by 2^depth, so their images step by 3^a
-            v = ((pow3a * n0 + m) >> depth) - pow3a
-            for n in range(n0, hi + 1, period):
-                v += pow3a
+            n = lo + ((r - lo) & mask)
+            while n <= hi:
                 try:
-                    steps = descent_length(n, step_cap, v, skipped_steps)
+                    steps = descent_length(n, step_cap, (p * n + m) >> depth, skipped_steps)
                 except CycleDetected:
                     failures.append((n, "cycle detected"))
-                    continue
                 except StepCapExceeded:
                     failures.append((n, "step cap exceeded"))
-                    continue
-                verified += 1
-                if steps > max_steps or (steps == max_steps and n < max_n):
-                    max_steps = steps
-                    max_n = n
+                else:
+                    verified += 1
+                    if steps > max_steps or (steps == max_steps and n < max_n):
+                        max_steps = steps
+                        max_n = n
+                n += period
     failures.sort()
 
     # leftovers in [0, x]: whole periods below x, then the leaves up to x's residue

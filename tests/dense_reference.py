@@ -1,12 +1,17 @@
-"""The enumerate-solve-table classification, kept as a test oracle.
+"""The routes the package replaced, kept as test oracles.
 
-It reaches the classes of depth J by a route that finds them without
-the parity-tree walk (patterns.unresolved_leaves): it enumerates every
-minimal pattern text depth first, solves each with residue_for_pattern,
-paints a dense 2^J byte table and reads the unresolved odd residues off
-it.  Both routes build ResidueClass objects with the same constructor,
-which replays x's first j halvings; residue_for_pattern checks that the
-replayed word equals the enumerated text.
+The enumerate-solve-table classification reaches the classes of depth J
+by a route that finds them without the parity-tree walk
+(patterns.unresolved_leaves): it enumerates every minimal pattern text
+depth first, solves each with residue_for_pattern, paints a dense 2^J
+byte table and reads the unresolved odd residues off it.  Both routes
+build ResidueClass objects with the same constructor, which replays x's
+first j halvings; residue_for_pattern checks that the replayed word
+equals the enumerated text.
+
+descent_length_reference is the descent kernel before the halving runs:
+one step per loop turn, with the descent, cycle and cap checks after
+each step.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from collatz_descent import ResidueClass, iter_minimal_pattern_texts, residue_for_pattern
+from collatz_descent import (
+    DEFAULT_STEP_CAP,
+    CycleDetected,
+    ResidueClass,
+    StepCapExceeded,
+    iter_minimal_pattern_texts,
+    residue_for_pattern,
+)
 
 
 class DenseClassification(NamedTuple):
@@ -50,3 +62,26 @@ def dense_classification(depth):
     measure = sum((Fraction(1, c.modulus) for c in classes), Fraction(0))
     assert measure == 1 - Fraction(len(unresolved), size), "measure disagrees with the residues"
     return DenseClassification(depth, tuple(classes), measure, unresolved)
+
+
+def descent_length_reference(n, step_cap=DEFAULT_STEP_CAP, v=0, steps=0):
+    """core.descent_length before the halving runs, one step per loop turn."""
+    if n < 2:
+        raise ValueError("descent is defined for n >= 2")
+    if not steps:
+        v = n
+    elif steps >= step_cap:
+        # the cap fell inside the skipped prefix, where no value is <= n
+        raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+    while True:
+        if v & 1:
+            v = 3 * v + 1
+        else:
+            v >>= 1
+        steps += 1
+        if v < n:
+            return steps
+        if v == n:
+            raise CycleDetected(f"trajectory of {n} returned to its start after {steps} steps")
+        if steps >= step_cap:
+            raise StepCapExceeded(f"no value below {n} within {step_cap} steps")

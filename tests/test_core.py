@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from collatz_descent import (
     CycleDetected,
@@ -16,6 +16,7 @@ from collatz_descent import (
 )
 from collatz_descent import core
 from collatz_descent.core import DEFAULT_STEP_CAP, descent_length
+from dense_reference import descent_length_reference
 
 
 def test_col_step_examples():
@@ -112,6 +113,46 @@ def test_descent_length_resumed_past_the_cap_fails_like_a_fresh_walk():
     assert descent_length(27, 96, tr.values[94], 95) == 96
     with pytest.raises(StepCapExceeded):
         descent_length(27, 95, tr.values[94], 95)
+
+
+def _outcome(kernel, *args):
+    """The kernel's return value, or the type and message of what it raised."""
+    try:
+        return kernel(*args)
+    except (CycleDetected, StepCapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(min_value=2, max_value=2**100), data=st.data())
+def test_descent_length_matches_the_step_by_step_reference(n, data):
+    # a fresh walk or a resume after any prefix of the first descent, under
+    # every cap from 1 to one past the descent
+    tr = descent_trace(n)
+    steps = data.draw(st.integers(min_value=0, max_value=len(tr) - 1), label="steps")
+    v = tr.values[steps - 1] if steps else 0
+    for cap in range(1, len(tr) + 2):
+        expected = _outcome(descent_length_reference, n, cap, v, steps)
+        assert _outcome(descent_length, n, cap, v, steps) == expected, cap
+
+
+@given(
+    n=st.integers(min_value=2, max_value=2**100),
+    t=st.integers(min_value=1, max_value=80),
+    steps=st.integers(min_value=1, max_value=50),
+)
+def test_descent_length_reports_a_cycle_like_the_reference(n, t, steps):
+    # no real cycle is known, so resume at a value whose halving run, or the
+    # O-step and halving run after it, lands back on n
+    resumes = [n << t]
+    if (n << t) % 3 == 1 and (n << t) // 3 > n:
+        resumes.append((n << t) // 3)
+    for v in resumes:
+        for cap in range(steps, steps + t + 3):
+            expected = _outcome(descent_length_reference, n, cap, v, steps)
+            assert _outcome(descent_length, n, cap, v, steps) == expected, (v, cap)
+    message = f"trajectory of {n} returned to its start after {steps + t} steps"
+    assert _outcome(descent_length, n, steps + t + 1, n << t, steps) == (CycleDetected, message)
 
 
 def test_cycle_detection_surfaces_loudly(monkeypatch):

@@ -23,9 +23,8 @@ from collatz_descent import (
     unresolved_leaves,
 )
 from collatz_descent import scanner
-from collatz_descent.core import descent_length
 from collatz_descent.reports import scan_report_tables
-from dense_reference import dense_classification
+from dense_reference import dense_classification, descent_length_reference
 
 # resolved measures for depths 1..12, frozen from brute-force simulation
 # of one large member per residue
@@ -179,7 +178,8 @@ def test_skipped_descents_stay_within_depth_plus_floor_depth_log3_2():
 
 
 def _dense_scan_block(lo, hi, resolved, mask, step_cap):
-    """The scan kernel before the leaf walk: a 2^depth byte table, every n visited."""
+    """The scan before the leaf walk and the halving runs: a 2^depth byte
+    table, every n visited and walked one step per loop turn."""
     verified = 0
     skipped = 0
     failures = []
@@ -190,7 +190,7 @@ def _dense_scan_block(lo, hi, resolved, mask, step_cap):
             skipped += 1
             continue
         try:
-            steps = descent_length(n, step_cap)
+            steps = descent_length_reference(n, step_cap)
         except CycleDetected:
             failures.append((n, "cycle detected"))
             continue
@@ -241,12 +241,14 @@ def test_leftover_kernel_matches_dense_reference(depth):
 
 
 def test_leftover_kernel_matches_dense_reference_near_10_12():
-    # unaligned, and far shorter than one 2^22 period
-    lo = 10**12 + 12_345
-    hi = lo + 300_000
-    expected = dense_reference_scan(lo, hi, 22)
-    for block_size in (4096, 70001):
-        assert sieve_scan(lo, hi, 22, block_size=block_size).canonical_json() == expected
+    # unaligned, and far shorter than one 2^22 period; near 2^70 the values
+    # are multi-digit integers in the kernel's bit-length landing arithmetic
+    for lo in (10**12 + 12_345, 2**70 + 12_345):
+        hi = lo + 300_000
+        expected = dense_reference_scan(lo, hi, 22)
+        for block_size in (4096, 70001):
+            rep = sieve_scan(lo, hi, 22, block_size=block_size)
+            assert rep.canonical_json() == expected, (lo, block_size)
 
 
 @pytest.mark.parametrize("step_cap", [10, 17, 40])
