@@ -25,7 +25,6 @@ from .patterns import (
     DescentPattern,
     FeasibilityRow,
     ResidueClass,
-    StepKind,
     UnresolvedLeaves,
     alternating_family,
     enumerate_minimal_patterns,
@@ -63,7 +62,6 @@ __all__ = [
     "ResidueClass",
     "ScanReport",
     "StepCapExceeded",
-    "StepKind",
     "TwinRecord",
     "UnrealizablePattern",
     "UnresolvedLeaves",

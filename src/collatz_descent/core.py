@@ -11,19 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleDetected, StepCapExceeded
-from .patterns import DescentPattern, StepKind
+from .patterns import DescentPattern
 
 # Far above the 96 steps of 27; guards against nontermination only.
 DEFAULT_STEP_CAP = 100_000
 
 
-def col_step(n: int) -> tuple[int, StepKind]:
-    """One application of the Collatz function: (n/2, E) if even, (3n+1, O) if odd."""
+def col_step(n: int) -> tuple[int, str]:
+    """One Collatz step and its pattern letter: (n/2, "E") if n is even, (3n+1, "O") if odd."""
     if n < 1:
         raise ValueError("the Collatz function is defined on n >= 1")
     if n & 1:
-        return 3 * n + 1, StepKind.O
-    return n >> 1, StepKind.E
+        return 3 * n + 1, "O"
+    return n >> 1, "E"
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def descent_trace(n: int, step_cap: int = DEFAULT_STEP_CAP) -> DescentTrace:
     values: list[int] = []
     while True:
         v, kind = col_step(v)
-        chars.append(kind.value)
+        chars.append(kind)
         values.append(v)
         if v < n:
             break
@@ -65,9 +65,11 @@ def descent_trace(n: int, step_cap: int = DEFAULT_STEP_CAP) -> DescentTrace:
             raise CycleDetected(f"trajectory of {n} returned to its start after {len(values)} steps")
         if len(values) >= step_cap:
             raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+    # the word follows n's own parities, so it is a valid pattern by construction
+    text = "".join(chars)
     return DescentTrace(
         start=n,
-        pattern=DescentPattern.parse("".join(chars)),
+        pattern=DescentPattern(text, text.count("O"), text.count("E")),
         values=tuple(values),
         first_lower=v,
     )
@@ -93,7 +95,10 @@ def descent_length(
     index equals a check at each.  Otherwise the run lands at the first s
     with v >> s <= n: s is the bit length of v less that of n, plus 1 if
     v >> s is still above n, since a value of smaller bit length than n is
-    below n.  An even resumed v does its halving run first.
+    below n.  An even resumed v does its halving run first.  A resumed
+    `steps` already at the cap needs no check of its own: v > n makes
+    s >= 1, so the turn's first cap check, which comes before the cycle
+    check, raises.
     """
     if n < 2:
         raise ValueError("descent is defined for n >= 2")
@@ -101,9 +106,6 @@ def descent_length(
         if not n & 1:
             return 1
         v = n
-    elif steps >= step_cap:
-        # the cap fell inside the skipped prefix, where no value is <= n
-        raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
     if v & 1:
         v = 3 * v + 1
         steps += 1

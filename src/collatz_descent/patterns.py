@@ -16,22 +16,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Union
 
 from .errors import DepthTooLarge, NotADescent, UnrealizablePattern
-
-
-class StepKind(str, Enum):
-    """One application of the Collatz function: O for 3n+1, E for n/2."""
-
-    O = "O"
-    E = "E"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -183,20 +172,17 @@ def pattern_constants(p: PatternLike) -> tuple[int, int, int]:
     Maintains value = (3^a * n + c) / 2^b over the steps: an E increments
     b, an O maps c -> 3c + 2^b and increments a.  The identity
     end_value(n) = (3^i*n + m) / 2^j holds for every n that realizes the
-    pattern.
+    pattern.  The fold computes m alone; i and j are the pattern's counts.
     """
     pat = _as_pattern(p)
-    a = b = 0
     c = 0
     pow2b = 1
     for ch in pat.text:
         if ch == "O":
             c = 3 * c + pow2b
-            a += 1
         else:
-            b += 1
             pow2b <<= 1
-    return a, b, c
+    return pat.i, pat.j, c
 
 
 def _resolved_class(x: int, j: int, i: int, m: int) -> ResidueClass:
@@ -335,9 +321,12 @@ class UnresolvedLeaves:
 
     @property
     def resolved_measure(self) -> Fraction:
-        """The exact density sum(2^-j) of the classes."""
-        covered = sum(1 << (self.depth - j) for j in self.class_j)
-        return Fraction(covered, 1 << self.depth)
+        """The exact density sum(2^-j) of the classes.
+
+        The walk checked that the classes and the open leaves partition the
+        residues mod 2^depth, so the classes cover all but the leaves.
+        """
+        return Fraction((1 << self.depth) - len(self.residues), 1 << self.depth)
 
     @property
     def unresolved_residues(self) -> tuple[int, ...]:

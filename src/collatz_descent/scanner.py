@@ -16,6 +16,7 @@ import json
 import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, descent_length, descent_trace
@@ -41,8 +42,8 @@ class ScanReport:
     tracks the simulated (non-skipped) numbers only; skipped numbers have
     class-certified descents of i + j <= depth + floor(depth*log3(2))
     steps, since j <= depth and 3^i < 2^j.  wall_time
-    is the scan phase (blocks and process pool); setup_time is the sieve
-    build before it.  Neither is part of canonical().
+    is the scan phase (blocks, their merge and the process pool);
+    setup_time is the sieve build before it.  Neither is part of canonical().
     """
 
     lo: int
@@ -191,7 +192,8 @@ def sieve_scan(
     counted as skipped (their descent is certified by the class algebra,
     checked while the leaves are built); the rest are simulated.  depth = 0
     disables the sieve.  The report is deterministic for any worker count:
-    blocks are merged in range order.
+    blocks are merged in range order, each as it arrives.  One worker
+    draws its blocks lazily, so its memory stays flat in the range size.
     """
     if lo < 2:
         raise ValueError("scan range must start at 2 or above")
@@ -206,31 +208,32 @@ def sieve_scan(
 
     t0 = time.perf_counter()
     leaves = unresolved_leaves(depth)
-    blocks = [(a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size)]
+    starts = range(lo, hi + 1, block_size)
+    blocks = ((a, min(a + block_size - 1, hi)) for a in starts)
     t1 = time.perf_counter()
-    if workers == 1 or len(blocks) == 1:
-        results = [_scan_block(a, b, leaves, step_cap) for a, b in blocks]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(blocks)),
-            initializer=_scan_worker_init,
-            initargs=(leaves, step_cap),
-        ) as pool:
-            results = list(pool.map(_scan_worker, blocks))
-    wall = time.perf_counter() - t1
-
     verified = 0
     skipped = 0
     failures: list[tuple[int, str]] = []
     max_steps = 0
     max_n: int | None = None
-    for bv, bs, bf, bmax, bn in results:
-        verified += bv
-        skipped += bs
-        failures.extend(bf)
-        if bmax > max_steps:
-            max_steps = bmax
-            max_n = bn
+    with ExitStack() as stack:
+        if workers == 1 or len(starts) == 1:
+            results = (_scan_block(a, b, leaves, step_cap) for a, b in blocks)
+        else:
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, len(starts)),
+                initializer=_scan_worker_init,
+                initargs=(leaves, step_cap),
+            )
+            results = stack.enter_context(pool).map(_scan_worker, blocks)
+        for bv, bs, bf, bmax, bn in results:
+            verified += bv
+            skipped += bs
+            failures.extend(bf)
+            if bmax > max_steps:
+                max_steps = bmax
+                max_n = bn
+    wall = time.perf_counter() - t1
     if verified + skipped + len(failures) != hi - lo + 1:
         raise AssertionError("scan accounting does not cover the range")
     return ScanReport(
@@ -266,32 +269,33 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
 def twin_walk(n: int, step_cap: int = DEFAULT_STEP_CAP) -> tuple[DescentTrace, tuple[int, ...]]:
     """n's first descent and the values its twin n + 2^j takes alongside it.
 
-    The twin must repeat n's pattern exactly.  The value gap is checked at
-    every step: after a O-steps and b E-steps it must equal 3^a * 2^(j-b),
-    which lands on 3^i once both descents finish, below the twin.
+    The twin must repeat n's pattern exactly.  Only the twin is stepped:
+    n's value before each step is read from its trace, whose letters
+    follow n's parities, so the twin's parity is checked against the
+    letter.  The value gap is checked before every step: after a O-steps
+    and b E-steps it must equal 3^a * 2^(j-b), which lands on 3^i once
+    both descents finish, below the twin.
     """
     tr = descent_trace(n, step_cap=step_cap)
     i, j = tr.pattern.i, tr.pattern.j
     twin = n + (1 << j)
-    v, v2 = n, twin
+    v2 = twin
     a = b = 0
     twin_values = []
-    for ch in tr.pattern.text:
+    for v, ch in zip((n,) + tr.values, tr.pattern.text):
         gap = 3**a * (1 << (j - b))
         if v2 - v != gap:
             raise AssertionError(f"twin gap {v2 - v} != 3^{a}*2^{j - b} before step {a + b + 1}")
+        if (ch == "O") != bool(v2 & 1):
+            raise AssertionError(f"parity mismatch at step {a + b + 1} of twin of {n}")
         if ch == "O":
-            if not (v & 1 and v2 & 1):
-                raise AssertionError(f"parity mismatch at step {a + b + 1} of twin of {n}")
-            v, v2 = 3 * v + 1, 3 * v2 + 1
+            v2 = 3 * v2 + 1
             a += 1
         else:
-            if v & 1 or v2 & 1:
-                raise AssertionError(f"parity mismatch at step {a + b + 1} of twin of {n}")
-            v, v2 = v >> 1, v2 >> 1
+            v2 >>= 1
             b += 1
         twin_values.append(v2)
-    if v != tr.first_lower or v2 - v != 3**i or v2 >= twin:
+    if v2 - tr.first_lower != 3**i or v2 >= twin:
         raise AssertionError(f"twin of {n} did not land at first_lower + 3^{i}")
     return tr, tuple(twin_values)
 

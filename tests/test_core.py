@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from collatz_descent import (
     CycleDetected,
+    DescentPattern,
     StepCapExceeded,
-    StepKind,
     chain_descents,
     col_step,
     descent_trace,
@@ -20,9 +20,9 @@ from dense_reference import descent_length_reference
 
 
 def test_col_step_examples():
-    assert col_step(27) == (82, StepKind.O)
-    assert col_step(82) == (41, StepKind.E)
-    assert col_step(2) == (1, StepKind.E)
+    assert col_step(27) == (82, "O")
+    assert col_step(82) == (41, "E")
+    assert col_step(2) == (1, "E")
 
 
 def test_col_step_rejects_zero():
@@ -157,7 +157,7 @@ def test_descent_length_reports_a_cycle_like_the_reference(n, t, steps):
 
 def test_cycle_detection_surfaces_loudly(monkeypatch):
     # no real cycle is known, so fake a 5 -> 7 -> 5 loop
-    fake = {5: (7, StepKind.O), 7: (5, StepKind.E)}
+    fake = {5: (7, "O"), 7: (5, "E")}
     monkeypatch.setattr(core, "col_step", lambda v: fake[v])
     with pytest.raises(CycleDetected):
         descent_trace(5)
@@ -173,6 +173,7 @@ def test_parity_soundness_and_o_always_followed_by_e():
         assert tr.pattern.text[-1] == "E"
         assert all(v > n for v in tr.values[:-1])
         assert tr.first_lower < n
+        assert tr.pattern == DescentPattern.parse(tr.pattern.text)
 
 
 def test_chain_descents_examples():

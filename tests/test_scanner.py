@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,26 @@ def test_pool_never_outnumbers_the_blocks(monkeypatch):
     assert rep.canonical_json() == sieve_scan(2, 70_000, 5).canonical_json()
     sieve_scan(2, 70_000, 5, workers=3, block_size=10_000)  # seven blocks
     assert sizes == [2, 3]
+
+
+def test_one_worker_scan_streams_its_blocks(monkeypatch):
+    # a stub kernel stops at the first block; a list of all 152,588 block
+    # bounds of [2, 10^10] would take some 19 MiB before it
+    class FirstBlock(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstBlock
+
+    monkeypatch.setattr(scanner, "_scan_block", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstBlock):
+            sieve_scan(2, 10**10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_skipped_descents_stay_within_depth_plus_floor_depth_log3_2():
@@ -356,6 +378,18 @@ def test_twin_rejects_even_and_tiny():
         twin_check(4)
     with pytest.raises(ValueError):
         twin_check(1)
+
+
+def test_twin_walk_rejects_a_twin_that_leaves_the_pattern(monkeypatch):
+    # one halving too few: the twin n + 2^(j-1) drifts off n's pattern
+    def short_trace(n, step_cap):
+        tr = descent_trace(n, step_cap)
+        return dataclasses.replace(tr, pattern=dataclasses.replace(tr.pattern, j=tr.pattern.j - 1))
+
+    monkeypatch.setattr(scanner, "descent_trace", short_trace)
+    for n, step in ((3, 6), (7, 11), (27, 96), (97, 3)):
+        with pytest.raises(AssertionError, match=f"parity mismatch at step {step} of twin of {n}$"):
+            twin_check(n)
 
 
 def test_twin_law_holds_up_to_10k():
