@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
     p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    p.add_argument("--workers", type=int, default=cpus or 1)
     _add_format(p)
 
     p = sub.add_parser("records", help="running maxima of descent length over a range")

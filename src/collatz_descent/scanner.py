@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import time
 from bisect import bisect_left, bisect_right
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, descent_length, descent_trace
@@ -177,6 +177,30 @@ def _scan_worker(block: tuple[int, int]):
     return _scan_block(block[0], block[1], leaves, step_cap)
 
 
+def _block_results(
+    lo: int, hi: int, block_size: int, leaves: UnresolvedLeaves, step_cap: int, workers: int
+):
+    """Yield _scan_block's result for each block of [lo, hi], in range order.
+
+    Blocks are drawn lazily.  A pool, never larger than the block count,
+    holds at most two blocks per worker in flight, so the parent's memory
+    stays flat in the range size.
+    """
+    blocks = ((a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size))
+    workers = min(workers, (hi - lo) // block_size + 1)
+    if workers == 1:
+        yield from (_scan_block(a, b, leaves, step_cap) for a, b in blocks)
+        return
+    pool = ProcessPoolExecutor(workers, initializer=_scan_worker_init, initargs=(leaves, step_cap))
+    with pool:
+        in_flight: deque = deque()
+        for block in blocks:
+            if len(in_flight) == 2 * workers:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(_scan_worker, block))
+        yield from (future.result() for future in in_flight)
+
+
 def sieve_scan(
     lo: int,
     hi: int,
@@ -192,8 +216,9 @@ def sieve_scan(
     counted as skipped (their descent is certified by the class algebra,
     checked while the leaves are built); the rest are simulated.  depth = 0
     disables the sieve.  The report is deterministic for any worker count:
-    blocks are merged in range order, each as it arrives.  One worker
-    draws its blocks lazily, so its memory stays flat in the range size.
+    blocks are merged in range order, each as it arrives.  Every worker
+    count draws its blocks lazily, and a pool holds at most two blocks per
+    worker in flight, so memory stays flat in the range size.
     """
     if lo < 2:
         raise ValueError("scan range must start at 2 or above")
@@ -208,31 +233,19 @@ def sieve_scan(
 
     t0 = time.perf_counter()
     leaves = unresolved_leaves(depth)
-    starts = range(lo, hi + 1, block_size)
-    blocks = ((a, min(a + block_size - 1, hi)) for a in starts)
     t1 = time.perf_counter()
     verified = 0
     skipped = 0
     failures: list[tuple[int, str]] = []
     max_steps = 0
     max_n: int | None = None
-    with ExitStack() as stack:
-        if workers == 1 or len(starts) == 1:
-            results = (_scan_block(a, b, leaves, step_cap) for a, b in blocks)
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(starts)),
-                initializer=_scan_worker_init,
-                initargs=(leaves, step_cap),
-            )
-            results = stack.enter_context(pool).map(_scan_worker, blocks)
-        for bv, bs, bf, bmax, bn in results:
-            verified += bv
-            skipped += bs
-            failures.extend(bf)
-            if bmax > max_steps:
-                max_steps = bmax
-                max_n = bn
+    for bv, bs, bf, bmax, bn in _block_results(lo, hi, block_size, leaves, step_cap, workers):
+        verified += bv
+        skipped += bs
+        failures.extend(bf)
+        if bmax > max_steps:
+            max_steps = bmax
+            max_n = bn
     wall = time.perf_counter() - t1
     if verified + skipped + len(failures) != hi - lo + 1:
         raise AssertionError("scan accounting does not cover the range")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from collatz_descent import cli
+from collatz_descent import cli, scanner
 from collatz_descent.cli import main
 
 
@@ -93,6 +95,26 @@ def test_scan_dead_worker_is_a_clean_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sieve_scan", _raise(BrokenProcessPool("a worker died")))
     code, out, err = run(capsys, "scan", "2", "1000")
     assert (code, out, err) == (1, "", "error: a worker died\n")
+
+
+def test_scan_real_worker_death_is_a_clean_error(capsys, monkeypatch):
+    # forked workers inherit the patched kernel and die on their first block
+    assert multiprocessing.get_start_method() == "fork"
+    parent = os.getpid()
+
+    def die(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+
+    monkeypatch.setattr(scanner, "_scan_block", die)
+    code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_scan_workers_default_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.build_parser().parse_args(["scan", "2", "3"]).workers == 1
 
 
 def test_scan_interrupt_is_a_clean_exit(capsys, monkeypatch):

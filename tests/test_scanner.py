@@ -6,6 +6,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from concurrent.futures import Executor, Future
 from fractions import Fraction
 
 import pytest
@@ -144,43 +145,85 @@ def test_scan_deterministic_across_worker_counts():
     assert reference.wall_time > 0 and other.wall_time > 0
 
 
-def test_pool_never_outnumbers_the_blocks(monkeypatch):
-    # a stand-in pool records its size and runs the blocks in this process
-    sizes = []
+class InlinePool(Executor):
+    """A stand-in process pool that runs the initializer and each task in
+    this process and counts the futures whose result is not taken yet."""
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.untaken = self.most_untaken = 0
+        initializer(*initargs)
 
-        def __enter__(self):
-            return self
+    def submit(self, fn, *args):
+        pool = self
 
-        def __exit__(self, *exc):
-            return False
+        class Taken(Future):
+            def result(self, timeout=None):
+                pool.untaken -= 1
+                return super().result(timeout)
 
-        def map(self, fn, items):
-            return map(fn, items)
+        future = Taken()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        self.untaken += 1
+        self.most_untaken = max(self.most_untaken, self.untaken)
+        return future
 
-    monkeypatch.setattr(scanner, "ProcessPoolExecutor", InlinePool)
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Route sieve_scan's pools through InlinePool; returns the pools made."""
+    pools = []
+
+    def make(*args, **kwargs):
+        pools.append(InlinePool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(scanner, "ProcessPoolExecutor", make)
     monkeypatch.setattr(scanner, "_WORKER_STATE", {})
+    return pools
+
+
+def test_pool_never_outnumbers_the_blocks(inline_pools):
     rep = sieve_scan(2, 70_000, 5, workers=4096)  # two blocks of 2^16
-    assert sizes == [2]
+    assert [p.max_workers for p in inline_pools] == [2]
     assert rep.canonical_json() == sieve_scan(2, 70_000, 5).canonical_json()
     sieve_scan(2, 70_000, 5, workers=3, block_size=10_000)  # seven blocks
-    assert sizes == [2, 3]
+    assert [p.max_workers for p in inline_pools] == [2, 3]
+
+
+def test_pool_holds_at_most_two_blocks_per_worker_in_flight(inline_pools, monkeypatch):
+    # 1,526 blocks of 2^16; an eager submission would hold them all at once
+    monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], 0, None))
+    rep = sieve_scan(2, 10**8, 0, workers=2)
+    assert rep.skipped_count == 10**8 - 1
+    [pool] = inline_pools
+    assert pool.untaken == 0
+    assert pool.most_untaken == 2 * pool.max_workers == 4
+
+
+class FirstBlock(Exception):
+    """Raised by a stub kernel to stop a scan at its first block."""
+
+
+def stop_at_first_block(*args):
+    raise FirstBlock
+
+
+def test_pool_scans_a_range_too_big_to_count_in_a_machine_word(inline_pools, monkeypatch):
+    # [2, 2^80] holds more blocks than len() of a range can report
+    monkeypatch.setattr(scanner, "_scan_block", stop_at_first_block)
+    with pytest.raises(FirstBlock):
+        sieve_scan(2, 2**80, 0, workers=2)
+    assert [p.max_workers for p in inline_pools] == [2]
 
 
 def test_one_worker_scan_streams_its_blocks(monkeypatch):
     # a stub kernel stops at the first block; a list of all 152,588 block
     # bounds of [2, 10^10] would take some 19 MiB before it
-    class FirstBlock(Exception):
-        pass
-
-    def stop(*args):
-        raise FirstBlock
-
-    monkeypatch.setattr(scanner, "_scan_block", stop)
+    monkeypatch.setattr(scanner, "_scan_block", stop_at_first_block)
     tracemalloc.start()
     try:
         with pytest.raises(FirstBlock):
