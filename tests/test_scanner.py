@@ -6,11 +6,12 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from bisect import bisect_right
 from concurrent.futures import Executor, Future
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatz_descent import (
     DEFAULT_STEP_CAP,
@@ -400,6 +401,85 @@ def test_record_search_matches_trace_maxima():
             best = steps
             expected.append((n, steps))
     assert record_search(2, 5000) == expected
+
+
+def reference_records(lo, hi, step_cap):
+    """Running maxima over the one-step reference kernel, every n walked from its start."""
+    records, best = [], 0
+    for n in range(lo, hi + 1):
+        steps = descent_length_reference(n, step_cap)
+        if steps > best:
+            best = steps
+            records.append((n, steps))
+    return records
+
+
+def outcome(search, *args):
+    """The records, or the type and message of the exception that ended the search."""
+    try:
+        return search(*args)
+    except (CycleDetected, StepCapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60)
+@given(
+    lo=st.one_of(
+        st.integers(min_value=2, max_value=3000),
+        # straddling a period of the record search's leaves mod 2^16
+        st.integers(min_value=5 * 2**16 - 3000, max_value=5 * 2**16 - 1),
+        st.integers(min_value=10**12, max_value=10**12 + 3000),
+        st.integers(min_value=2**70, max_value=2**70 + 3000),
+    ),
+    size=st.integers(min_value=1, max_value=4000),
+    step_cap=st.integers(min_value=1, max_value=200),
+)
+# the longest class at depth 16 takes 26 steps: a cap below it, at it and past it
+@example(lo=2, size=3000, step_cap=25)
+@example(lo=2, size=3000, step_cap=26)
+@example(lo=2, size=3000, step_cap=96)
+# the record 703 (132 steps) is the last n of the range
+@example(lo=2, size=702, step_cap=132)
+# from 10^12 + 1192 the maximum reaches 24 steps, then 10^12 + 1247 sets 26
+@example(lo=10**12 + 1192, size=100, step_cap=200)
+@example(lo=10**12 + 1192, size=100, step_cap=25)
+@example(lo=10**12 + 1192, size=100, step_cap=26)
+def test_record_search_matches_a_running_maximum_over_every_n(lo, size, step_cap):
+    hi = lo + size - 1
+    expected = outcome(reference_records, lo, hi, step_cap)
+    assert outcome(record_search, lo, hi, step_cap) == expected
+
+
+def test_record_search_ends_at_the_scan_maximum():
+    # 287 steps exceed every class length at depth 16, so both report the
+    # smallest n with the longest descent
+    rep = sieve_scan(2, 10**6, 16)
+    assert (rep.max_descent_n, rep.max_descent_steps) == (626331, 287)
+    assert record_search(2, 10**6)[-1] == (626331, 287)
+
+
+def test_record_search_walks_only_the_open_leaves_past_27(monkeypatch):
+    calls = []
+    real = scanner.descent_length
+
+    def counting(n, *args):
+        calls.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(scanner, "descent_length", counting)
+    assert record_search(2, 200_000)[-1] == (35655, 220)
+    leaves = unresolved_leaves(scanner._RECORD_DEPTH)
+    depth, residues = leaves.depth, leaves.residues
+    mask = (1 << depth) - 1
+
+    def members_upto(x):
+        return (x >> depth) * len(residues) + bisect_right(residues, x & mask)
+
+    # 2..27 are walked until 27 sets 96 > 26 steps; then only leaf members
+    leftovers = members_upto(200_000) - members_upto(27)
+    assert len(calls) <= 26 + leftovers < 200_000 // 20
+    open_residues = set(residues)
+    assert all(n & mask in open_residues for n in calls[26:])
 
 
 def test_twin_of_27():
