@@ -8,7 +8,8 @@ minimal descent classes with at most J halving steps; its open leaves are
 what those classes miss, each an odd residue mod 2^J with the affine form
 of its first J halvings.  The scan visits the members of those leaves
 alone, resumes each from its value after the J halvings, and counts every
-other number as skipped.  The record search does the same once its
+other number as skipped.  Each block returns its running maxima: the
+scan keeps the last, and the record search merges them all once its
 running maximum passes the longest class.  No 2^J table is built anywhere.
 """
 
@@ -112,24 +113,41 @@ def classify_depth(depth: int) -> UnresolvedLeaves:
 # sieve scan
 
 
+def _running_maxima(entries, best: int):
+    """The (n, steps) entries, in their order, whose steps beat best and every entry before them."""
+    for n, steps in entries:
+        if steps > best:
+            best = steps
+            yield n, steps
+
+
 def _scan_block(
     lo: int, hi: int, leaves: UnresolvedLeaves, step_cap: int
-) -> tuple[int, int, list[tuple[int, str]], int, int | None]:
+) -> tuple[int, int, list[tuple[int, str]], list[tuple[int, int]]]:
     """Simulate the leftovers of one contiguous block; count the rest as skipped.
 
-    Visits only the members of the open leaves, leaf by leaf, each resumed
-    from its leaf's affine image after depth halvings.  Going leaf by leaf
-    rather than period by period keeps a shallow sieve, whose 2^depth
-    period is far shorter than a block, free of per-period overhead; ties
-    and failures are put back in range order.
+    Returns (verified, skipped, failures, maxima): maxima are the running
+    maxima of descent length over the verified leftovers, as (n, steps)
+    in increasing n.  This is the one place a leftover is resumed, from
+    its leaf's affine image after depth halvings, leaf by leaf.  A block
+    at most one period long has at most one member per leaf, met in
+    increasing n, so one running maximum serves; a longer block puts each
+    leaf's maxima, like the failures, back in range order.
     """
+    # Leaf by leaf rather than period by period keeps a shallow sieve,
+    # whose 2^depth period is far shorter than a block, free of per-period
+    # overhead: on 2*10^6 numbers from 2 or from 10^12, in 2^16 blocks, a
+    # period-by-period kernel took 3-9% longer at depth 5 and 1.3-1.4x as
+    # long at depth 1 (Python 3.11, one core of a 2-vCPU Xeon).
     depth = leaves.depth
     residues, o_counts, adders = leaves.residues, leaves.o_counts, leaves.adders
     period = 1 << depth
     mask = period - 1
     count = len(residues)
-    # index ranges of the leaves with a member in [lo, hi]
-    if hi - lo >= mask:
+    # index ranges of the leaves with a member in [lo, hi]; past one period
+    # every leaf has one, and some have several
+    several = hi - lo > mask
+    if several:
         spans = [(0, count)]
     else:
         first = bisect_left(residues, lo & mask)
@@ -137,12 +155,14 @@ def _scan_block(
         spans = [(first, last)] if lo & mask <= hi & mask else [(first, count), (0, last)]
     verified = 0
     failures: list[tuple[int, str]] = []
-    max_steps = 0
-    max_n: int | None = None
+    maxima: list[tuple[int, int]] = []
+    best = 0
     # a leaf's depth halvings follow at most depth O-steps
     pow3 = [3**a for a in range(depth + 1)]
     for i, j in spans:
         for r, a, m in zip(residues[i:j], o_counts[i:j], adders[i:j]):
+            if several:
+                best = 0
             p = pow3[a]
             skipped_steps = a + depth
             n = lo + ((r - lo) & mask)
@@ -155,11 +175,13 @@ def _scan_block(
                     failures.append((n, "step cap exceeded"))
                 else:
                     verified += 1
-                    if steps > max_steps or (steps == max_steps and n < max_n):
-                        max_steps = steps
-                        max_n = n
+                    if steps > best:
+                        best = steps
+                        maxima.append((n, steps))
                 n += period
     failures.sort()
+    if several:
+        maxima = list(_running_maxima(sorted(maxima), 0))
 
     # leftovers in [0, x]: whole periods below x, then the leaves up to x's residue
     def upto(x: int) -> int:
@@ -170,7 +192,7 @@ def _scan_block(
         raise AssertionError(
             f"block [{lo}, {hi}] visited {verified + len(failures)} leftovers, expected {leftovers}"
         )
-    return verified, hi - lo + 1 - leftovers, failures, max_steps, max_n
+    return verified, hi - lo + 1 - leftovers, failures, maxima
 
 
 _WORKER_STATE: dict = {}
@@ -247,13 +269,12 @@ def sieve_scan(
     failures: list[tuple[int, str]] = []
     max_steps = 0
     max_n: int | None = None
-    for bv, bs, bf, bmax, bn in _block_results(lo, hi, block_size, leaves, step_cap, workers):
+    for bv, bs, bf, maxima in _block_results(lo, hi, block_size, leaves, step_cap, workers):
         verified += bv
         skipped += bs
         failures.extend(bf)
-        if bmax > max_steps:
-            max_steps = bmax
-            max_n = bn
+        if maxima and maxima[-1][1] > max_steps:
+            max_n, max_steps = maxima[-1]
     wall = time.perf_counter() - t1
     if verified + skipped + len(failures) != hi - lo + 1:
         raise AssertionError("scan accounting does not cover the range")
@@ -277,17 +298,15 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     A record can only sit in a residue that no class covers.  The search
     walks the parity tree to _RECORD_DEPTH halvings and reads L, the
     longest class, i + j, off it (26 at depth 16).  It walks every n from
-    lo while the running maximum is below L; from then on it visits only
-    the members of the open leaves, period by period in increasing n,
-    each resumed past its leaf's prefix as the scan resumes it.  This is
-    exact:
+    lo while the running maximum is below L, then merges the scan's block
+    maxima over the rest of the range in range order.  This is exact:
     - a member n >= 2 of a pruned class descends in exactly i + j <= L
       steps, at most the running maximum, so it sets no strict record;
     - descent_length returns only lengths <= step_cap, and the running
       maximum is such a length, so a skipped n would neither exceed the
       cap nor, ending below itself, close a cycle;
-    - the leftovers go in increasing n, so the first n that raises is the
-      n a walk of every number raises at, with the same exception.
+    - the blocks arrive in range order, so their first failing leftover,
+      walked from its start, raises as a walk of every number would.
     """
     if lo < 2:
         raise ValueError("record search starts at 2 or above")
@@ -304,25 +323,13 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
             best = steps
             records.append((n, steps))
         n += 1
-    depth = leaves.depth
-    mask = (1 << depth) - 1
-    pow3 = [3**a for a in range(depth + 1)]
-    leaf_forms = [
-        (r, pow3[a], a + depth, m)
-        for r, a, m in zip(leaves.residues, leaves.o_counts, leaves.adders)
-    ]
-    # the leaves of n's own period from n's residue on, then every leaf of each later period
-    first = bisect_left(leaves.residues, n & mask)
-    for base in range(n - (n & mask), hi + 1, mask + 1):
-        for r, p, skipped_steps, m in leaf_forms[first:]:
-            n = base + r
-            if n > hi:
-                break
-            steps = descent_length(n, step_cap, (p * n + m) >> depth, skipped_steps)
-            if steps > best:
-                best = steps
-                records.append((n, steps))
-        first = 0
+    if n > hi:
+        return records
+    for _, _, failures, maxima in _block_results(n, hi, DEFAULT_BLOCK_SIZE, leaves, step_cap, 1):
+        if failures:
+            descent_length(failures[0][0], step_cap)
+            raise AssertionError(f"leftover {failures[0][0]} failed only in its block")
+        records.extend(_running_maxima(maxima, records[-1][1]))
     return records
 
 

@@ -135,6 +135,13 @@ def test_records_command(capsys):
     assert out.strip().split("\n")[-1] == "27,96"
 
 
+def test_records_interrupt_inside_a_block_is_a_clean_exit(capsys, monkeypatch):
+    # past 27 the search runs the scan's blocks
+    monkeypatch.setattr(scanner, "_scan_block", _raise(KeyboardInterrupt()))
+    code, out, err = run(capsys, "records", "2", "300000")
+    assert (code, out, err) == (1, "", "interrupted\n")
+
+
 def test_report_names(capsys):
     for name in ("cycle-length", "length6", "length8", "seq27"):
         code, out, _ = run(capsys, "report", name, "--format", "csv")
@@ -160,6 +167,14 @@ def test_records_step_cap_env_override(capsys, monkeypatch):
     code, out, err = run(capsys, "records", "2", "30")
     assert code == 1
     assert "10 steps" in err and out == ""
+
+
+def test_records_step_cap_hit_inside_a_block(capsys, monkeypatch):
+    # 27 takes 96 steps and ends the every-n prefix; 703, the next record,
+    # takes 132 and is the first leftover of the first block to fail
+    monkeypatch.setenv("COLLATZ_STEP_CAP", "96")
+    code, out, err = run(capsys, "records", "2", "300000")
+    assert (code, out, err) == (1, "", "error: no value below 703 within 96 steps\n")
 
 
 def test_step_cap_env_rejects_garbage(capsys, monkeypatch):

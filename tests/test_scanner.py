@@ -197,7 +197,7 @@ def test_pool_never_outnumbers_the_blocks(inline_pools):
 
 def test_pool_holds_at_most_two_blocks_per_worker_in_flight(inline_pools, monkeypatch):
     # 1,526 blocks of 2^16; an eager submission would hold them all at once
-    monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], 0, None))
+    monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], []))
     rep = sieve_scan(2, 10**8, 0, workers=2)
     assert rep.skipped_count == 10**8 - 1
     [pool] = inline_pools
@@ -448,6 +448,69 @@ def test_record_search_matches_a_running_maximum_over_every_n(lo, size, step_cap
     hi = lo + size - 1
     expected = outcome(reference_records, lo, hi, step_cap)
     assert outcome(record_search, lo, hi, step_cap) == expected
+
+
+def brute_force_block(lo, hi, depth):
+    """_scan_block's result through the one-step reference kernel, each leftover walked in full."""
+    open_residues = set(unresolved_leaves(depth).residues)
+    mask = (1 << depth) - 1
+    leftovers = [n for n in range(lo, hi + 1) if n & mask in open_residues]
+    maxima, best = [], 0
+    for n in leftovers:
+        steps = descent_length_reference(n)
+        if steps > best:
+            best = steps
+            maxima.append((n, steps))
+    return len(leftovers), hi - lo + 1 - len(leftovers), [], maxima
+
+
+@pytest.mark.parametrize(
+    "lo, size, depth",
+    [
+        (2, 10_000, 5),  # about 300 members per leaf
+        (10**12 + 12_345, 1 << 16, 16),  # one unaligned period, as records runs it
+        (7 * 4096 - 1000, 3000, 12),  # wraps past a period boundary
+    ],
+)
+def test_block_maxima_are_the_running_maxima_of_its_leftovers(lo, size, depth):
+    hi = lo + size - 1
+    result = scanner._scan_block(lo, hi, unresolved_leaves(depth), DEFAULT_STEP_CAP)
+    expected = brute_force_block(lo, hi, depth)
+    assert result == expected
+    assert len(expected[3]) > 1
+
+
+def test_record_search_lists_the_glide_records_to_10_6():
+    # Roosendaal's table of glide records (http://www.ericr.nl/wondrous/glidrecs.html);
+    # past 27 the search merges the maxima of 15 blocks of 2^16
+    assert record_search(2, 10**6) == [
+        (2, 1),
+        (3, 6),
+        (7, 11),
+        (27, 96),
+        (703, 132),
+        (10087, 171),
+        (35655, 220),
+        (270271, 267),
+        (362343, 269),
+        (381727, 282),
+        (626331, 287),
+    ]
+
+
+def test_record_search_near_10_12_matches_a_running_maximum_over_every_n():
+    lo, hi = 10**12, 10**12 + 300_000  # 17 records, the last 2 in the third block
+    assert record_search(lo, hi) == reference_records(lo, hi, DEFAULT_STEP_CAP)
+
+
+def test_record_search_refuses_a_block_failure_that_a_full_walk_does_not_repeat(monkeypatch):
+    def fail_at_the_start(a, b, *rest):
+        return 0, 0, [(a, "cycle detected")], []
+
+    # the blocks start at 28, which descends in 1 step from its start
+    monkeypatch.setattr(scanner, "_scan_block", fail_at_the_start)
+    with pytest.raises(AssertionError, match="^leftover 28 failed only in its block$"):
+        record_search(2, 100)
 
 
 def test_record_search_ends_at_the_scan_maximum():
