@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .core import DEFAULT_STEP_CAP
 from .errors import CollatzDescentError
@@ -102,6 +101,15 @@ def _step_cap(parser: argparse.ArgumentParser) -> int:
     return cap
 
 
+def _broken_pool(exc: RuntimeError) -> bool:
+    """Whether exc is a BrokenProcessPool, without importing the pool at start-up.
+
+    A raised BrokenProcessPool means its module is loaded.
+    """
+    process = sys.modules.get("concurrent.futures.process")
+    return process is not None and isinstance(exc, process.BrokenProcessPool)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -133,7 +141,9 @@ def main(argv: list[str] | None = None) -> int:
             tables = records_report(record_search(args.lo, args.hi, step_cap=step_cap))
         else:  # report
             tables = named_report(args.name, step_cap=step_cap, paper_style=args.paper_style)
-    except (CollatzDescentError, ValueError, OSError, BrokenProcessPool) as exc:
+    except (CollatzDescentError, ValueError, OSError, RuntimeError) as exc:
+        if isinstance(exc, RuntimeError) and not _broken_pool(exc):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -185,8 +185,8 @@ def pattern_constants(p: PatternLike) -> tuple[int, int, int]:
     return pat.i, pat.j, c
 
 
-def _resolved_class(x: int, j: int, i: int, m: int) -> ResidueClass:
-    """The class 2^j*k + x with i O-steps and adder m, its pattern replayed from x.
+def replay_class(x: int, j: int, i: int, m: int) -> tuple[str, int]:
+    """The pattern and first lower value y0 of the class 2^j*k + x, replayed from x.
 
     The pattern is the parity word of x's own first j halvings: by Terras'
     bijection x mod 2^j fixes that word for every member.  The replay must
@@ -205,6 +205,12 @@ def _resolved_class(x: int, j: int, i: int, m: int) -> ResidueClass:
     y0 = (3**i * x + m) >> j
     if v != y0 or len(text) != i + j:
         raise AssertionError(f"replay of {x} mod 2^{j} leaves its class")
+    return text, y0
+
+
+def _resolved_class(x: int, j: int, i: int, m: int) -> ResidueClass:
+    """The class 2^j*k + x with i O-steps and adder m, as replay_class finds it."""
+    text, y0 = replay_class(x, j, i, m)
     pattern = DescentPattern(text=text, i=i, j=j)
     return ResidueClass(pattern=pattern, i=i, j=j, m=m, x=x, modulus=1 << j, y0=y0)
 
@@ -296,8 +302,10 @@ class UnresolvedLeaves:
     class_m[t], in walk order.  Depth 0 has the single trivial leaf
     r = 0, a = 0, m = 0 and no class.
 
-    This is also the classification of the naturals to `depth` halvings:
-    classes, resolved_measure and unresolved_residues read it as objects.
+    This is also the classification of the naturals to `depth` halvings.
+    reports.classify_report reads its rows straight off these arrays;
+    classes, resolved_measure and unresolved_residues give the library
+    the same facts as objects, a fraction and a tuple.
     """
 
     depth: int

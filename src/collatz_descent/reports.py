@@ -3,6 +3,7 @@
 Every command's output is a list of Tables whose cells are exact integers
 or plain strings; no floating point ever reaches a numeric cell.  CSV
 output re-parses to the same tables, which the test suite exercises.
+A row is a list or a tuple of cells.
 """
 
 from __future__ import annotations
@@ -10,11 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
+from itertools import chain
+from operator import itemgetter
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, descent_trace, total_stopping_time
-from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table
+from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table, replay_class
 from .scanner import ScanReport, twin_walk
 
 Cell = int | str
@@ -26,11 +30,24 @@ FORMATS = ("markdown", "csv", "json")
 class Table:
     title: str
     columns: list[str]
-    rows: list[list[Cell]] = field(default_factory=list)
+    rows: list[Sequence[Cell]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def _int_column(rows: list[Sequence[Cell]]) -> list[int] | None:
+    """The cells of the rows if each row is one integer, else None.
+
+    Such a cell renders as its digits alone: an integer never needs CSV
+    quoting, and a single cell needs no delimiter.
+    """
+    if set(map(len, rows)) <= {1}:
+        cells = list(chain.from_iterable(rows))
+        if set(map(type, cells)) <= {int}:
+            return cells
+    return None
 
 
 def render_markdown(tables: list[Table]) -> str:
@@ -42,8 +59,11 @@ def render_markdown(tables: list[Table]) -> str:
             lines.append("")
         lines.append("| " + " | ".join(t.columns) + " |")
         lines.append("|" + "|".join(" --- " for _ in t.columns) + "|")
-        for row in t.rows:
-            lines.append("| " + " | ".join(str(c) for c in row) + " |")
+        column = _int_column(t.rows)
+        if column is None:
+            lines.extend("| " + " | ".join(map(str, row)) + " |" for row in t.rows)
+        else:
+            lines.extend(f"| {c} |" for c in column)
         parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
 
@@ -57,7 +77,11 @@ def render_csv(tables: list[Table]) -> str:
         if t.title:
             buf.write(f"# {t.title}\n")
         writer.writerow(t.columns)
-        writer.writerows(t.rows)
+        column = _int_column(t.rows)
+        if column is None:
+            writer.writerows(t.rows)
+        elif column:
+            buf.write("\n".join(map(str, column)) + "\n")
     return buf.getvalue()
 
 
@@ -134,22 +158,28 @@ _CLASS_COLUMNS = [
 ]
 
 
-def _subset_text(c: ResidueClass) -> str:
-    if c.x == 0:
-        return f"2^{c.j}*k" if c.j > 1 else "2*k"
-    return f"2^{c.j}*k+{c.x}"
+def _class_row(text: str, i: int, j: int, m: int, x: int, y0: int) -> list[Cell]:
+    """One row of _CLASS_COLUMNS for the class 2^j*k + x with pattern text."""
+    if x == 0:
+        subset = f"2^{j}*k" if j > 1 else "2*k"
+    else:
+        subset = f"2^{j}*k+{x}"
+    return [text, len(text), i, j, 1 << j, x, m, y0, subset]
 
 
 def classes_report(classes: list[ResidueClass], title: str = "") -> list[Table]:
     t = Table(title=title, columns=list(_CLASS_COLUMNS))
-    for c in classes:
-        t.rows.append(
-            [c.pattern.text, len(c.pattern), c.i, c.j, c.modulus, c.x, c.m, c.y0, _subset_text(c)]
-        )
+    t.rows = [_class_row(c.pattern.text, c.i, c.j, c.m, c.x, c.y0) for c in classes]
     return [t]
 
 
 def classify_report(report: UnresolvedLeaves) -> list[Table]:
+    """Summary, classes and unresolved residues, read straight off the walk's arrays.
+
+    Each class is replayed once (patterns.replay_class, which checks its
+    pattern against i, j and y0) and becomes a row; the rows are sorted by
+    (length, x), as UnresolvedLeaves.classes sorts its objects.
+    """
     summary = Table(
         title="Classification summary",
         columns=["Depth", "Classes", "Resolved measure", "Unresolved residues"],
@@ -157,16 +187,21 @@ def classify_report(report: UnresolvedLeaves) -> list[Table]:
     summary.rows.append(
         [
             report.depth,
-            len(report.classes),
+            len(report.class_x),
             str(report.resolved_measure),
             len(report.residues),
         ]
     )
-    classes = classes_report(list(report.classes), title="Classes")[0]
+    rows = []
+    for x, j, i, m in zip(report.class_x, report.class_j, report.class_i, report.class_m):
+        text, y0 = replay_class(x, j, i, m)
+        rows.append(_class_row(text, i, j, m, x, y0))
+    rows.sort(key=itemgetter(1, 5))
+    classes = Table(title="Classes", columns=list(_CLASS_COLUMNS), rows=rows)
     unresolved = Table(
         title=f"Unresolved residues mod 2^{report.depth}",
         columns=["Residue"],
-        rows=[[r] for r in report.residues],
+        rows=list(zip(report.residues)),
     )
     return [summary, classes, unresolved]
 

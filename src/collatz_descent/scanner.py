@@ -19,7 +19,6 @@ import json
 import time
 from bisect import bisect_left, bisect_right
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, descent_length, descent_trace
@@ -29,8 +28,9 @@ from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
 # The walk holds one level of the parity tree at a time and the pruned
 # classes, in compact arrays: at depth 24, 286,581 open leaves and 81,119
 # classes, two 8-byte words and one or two bytes each.  The bound is kept
-# for classify_depth, which turns every class into objects: the classes
-# grow about 6x per two depths (12,449 at depth 22, 81,119 at 24).
+# for classify_depth, whose report replays every class and prints a row
+# for every class and open leaf: the classes grow about 6x per two depths
+# (12,449 at depth 22, 81,119 at 24), the leaves about 1.8x per depth.
 MAX_DEPTH = 24
 
 DEFAULT_BLOCK_SIZE = 1 << 16
@@ -212,15 +212,18 @@ def _block_results(
 ):
     """Yield _scan_block's result for each block of [lo, hi], in range order.
 
-    Blocks are drawn lazily.  A pool, never larger than the block count,
-    holds at most two blocks per worker in flight, so the parent's memory
-    stays flat in the range size.
+    Blocks are drawn lazily; an empty range yields nothing.  A pool, never
+    larger than the block count, holds at most two blocks per worker in
+    flight, so the parent's memory stays flat in the range size.  Only a
+    pool imports the process machinery.
     """
     blocks = ((a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size))
     workers = min(workers, (hi - lo) // block_size + 1)
-    if workers == 1:
+    if workers <= 1:
         yield from (_scan_block(a, b, leaves, step_cap) for a, b in blocks)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(workers, initializer=_scan_worker_init, initargs=(leaves, step_cap))
     with pool:
         in_flight: deque = deque()

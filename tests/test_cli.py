@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +113,26 @@ def test_scan_real_worker_death_is_a_clean_error(capsys, monkeypatch):
     code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_scan_other_runtime_errors_propagate(monkeypatch):
+    monkeypatch.setattr(cli, "sieve_scan", _raise(RecursionError("deep")))
+    with pytest.raises(RecursionError, match="deep"):
+        main(["scan", "2", "1000"])
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only a scan on more than one worker needs the pool's imports
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys, collatz_descent.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_scan_workers_default_to_the_usable_cpus(monkeypatch):

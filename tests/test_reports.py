@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from array import array
 
 import pytest
 
@@ -13,7 +15,9 @@ from collatz_descent import (
     patterns,
     sieve_scan,
 )
+from collatz_descent import reports
 from collatz_descent.reports import (
+    FORMATS,
     Table,
     _members_trace_table,
     classes_report,
@@ -147,18 +151,71 @@ def test_classify_report_roundtrip_and_no_floats():
 
 
 def test_classify_report_builds_each_class_once(monkeypatch):
-    calls = []
-    real = patterns._resolved_class
+    # one replay per class and no ResidueClass: the rows come off the arrays
+    built, replayed = [], []
+    real = patterns.replay_class
 
     def counted(*args):
-        calls.append(args)
+        replayed.append(args)
         return real(*args)
 
-    monkeypatch.setattr(patterns, "_resolved_class", counted)
+    monkeypatch.setattr(patterns, "_resolved_class", lambda *args: built.append(args))
+    monkeypatch.setattr(patterns, "replay_class", counted)
+    monkeypatch.setattr(reports, "replay_class", counted)
     report = classify_depth(12)
     text = render(classify_report(report), "csv")
-    assert len(calls) == len(report.classes) == len(report.class_x)
-    assert text.count("\n") > len(calls)
+    assert built == []
+    assert sorted(replayed) == sorted(
+        zip(report.class_x, report.class_j, report.class_i, report.class_m)
+    )
+    assert text.count("\n") > len(replayed)
+
+
+def _classify_report_from_objects(leaves):
+    """classify_report as the ResidueClass objects build it, one list per residue."""
+    summary = Table(
+        title="Classification summary",
+        columns=["Depth", "Classes", "Resolved measure", "Unresolved residues"],
+        rows=[[leaves.depth, len(leaves.classes), str(leaves.resolved_measure), len(leaves.residues)]],
+    )
+    unresolved = Table(
+        title=f"Unresolved residues mod 2^{leaves.depth}",
+        columns=["Residue"],
+        rows=[[r] for r in leaves.unresolved_residues],
+    )
+    return [summary, *classes_report(list(leaves.classes), title="Classes"), unresolved]
+
+
+def test_classify_report_renders_as_the_object_route():
+    for depth in range(1, 17):
+        leaves = classify_depth(depth)
+        tables = classify_report(leaves)
+        old = _classify_report_from_objects(leaves)
+        for fmt in FORMATS:
+            assert render(tables, fmt) == render(old, fmt), (depth, fmt)
+
+
+def test_classify_report_replays_against_the_class_adder():
+    leaves = classify_depth(8)
+    class_m = array("Q", leaves.class_m)
+    class_m[3] += 1 << leaves.class_j[3]  # y0 one higher than the replay lands
+    with pytest.raises(AssertionError, match=r"replay of \d+ mod 2\^\d+ leaves its class"):
+        classify_report(dataclasses.replace(leaves, class_m=class_m))
+
+
+def test_render_keeps_csv_quoting_for_cells_that_are_not_one_integer():
+    tables = [
+        Table(title="a", columns=["n"], rows=[[1], ["x,y"], [2]]),
+        Table(title="b", columns=["n"], rows=[[True], [3]]),
+        Table(title="c", columns=["n"], rows=[[""]]),
+        Table(title="d", columns=["n"], rows=[]),
+        Table(title="e", columns=["n"], rows=[(4,), (5,)]),
+    ]
+    assert render_csv(tables) == (
+        '# a\nn\n1\n"x,y"\n2\n\n# b\nn\nTrue\n3\n\n# c\nn\n""\n\n# d\nn\n\n# e\nn\n4\n5\n'
+    )
+    assert render_markdown(tables[4:]) == "**e**\n\n| n |\n| --- |\n| 4 |\n| 5 |\n"
+    _csv_roundtrips(tables[:2] + tables[4:])
 
 
 def test_scan_report_tables_roundtrip():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import concurrent.futures
 import math
 import time
 import tracemalloc
@@ -182,7 +183,7 @@ def inline_pools(monkeypatch):
         pools.append(InlinePool(*args, **kwargs))
         return pools[-1]
 
-    monkeypatch.setattr(scanner, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     monkeypatch.setattr(scanner, "_WORKER_STATE", {})
     return pools
 
@@ -219,6 +220,12 @@ def test_pool_scans_a_range_too_big_to_count_in_a_machine_word(inline_pools, mon
     with pytest.raises(FirstBlock):
         sieve_scan(2, 2**80, 0, workers=2)
     assert [p.max_workers for p in inline_pools] == [2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_range_has_no_blocks(workers):
+    leaves = unresolved_leaves(5)
+    assert list(scanner._block_results(5, 4, 65536, leaves, 1000, workers)) == []
 
 
 def test_one_worker_scan_streams_its_blocks(monkeypatch):
