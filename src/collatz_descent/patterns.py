@@ -185,12 +185,12 @@ def pattern_constants(p: PatternLike) -> tuple[int, int, int]:
     return pat.i, pat.j, c
 
 
-def replay_class(x: int, j: int, i: int, m: int) -> tuple[str, int]:
-    """The pattern and first lower value y0 of the class 2^j*k + x, replayed from x.
+def replay_class(x: int, j: int, i: int, m: int) -> tuple[str, int, int, int, int, int]:
+    """The class 2^j*k + x replayed from x, as (pattern, i, j, m, x, y0).
 
     The pattern is the parity word of x's own first j halvings: by Terras'
     bijection x mod 2^j fixes that word for every member.  The replay must
-    take i O-steps and land on y0 = (3^i*x + m) / 2^j.
+    take i O-steps and land on the first lower value y0 = (3^i*x + m) / 2^j.
     """
     parts = []
     v = x
@@ -205,12 +205,11 @@ def replay_class(x: int, j: int, i: int, m: int) -> tuple[str, int]:
     y0 = (3**i * x + m) >> j
     if v != y0 or len(text) != i + j:
         raise AssertionError(f"replay of {x} mod 2^{j} leaves its class")
-    return text, y0
+    return text, i, j, m, x, y0
 
 
-def _resolved_class(x: int, j: int, i: int, m: int) -> ResidueClass:
-    """The class 2^j*k + x with i O-steps and adder m, as replay_class finds it."""
-    text, y0 = replay_class(x, j, i, m)
+def _resolved_class(text: str, i: int, j: int, m: int, x: int, y0: int) -> ResidueClass:
+    """The ResidueClass of a class as replay_class returns it."""
     pattern = DescentPattern(text=text, i=i, j=j)
     return ResidueClass(pattern=pattern, i=i, j=j, m=m, x=x, modulus=1 << j, y0=y0)
 
@@ -243,7 +242,7 @@ def residue_for_pattern(p: PatternLike) -> ResidueClass:
     if x >= 2 and y0 >= x:
         # Only x in {0, 1} may fail to drop (the 1-4-2-1 loop).
         raise NotADescent(f"{pat.text!r}: smallest member {x} ends at {y0} >= {x}")
-    c = _resolved_class(x, j, i, m)
+    c = _resolved_class(*replay_class(x, j, i, m))
     if c.pattern.text != pat.text:
         raise UnrealizablePattern(f"{pat.text!r}: residue {x} mod 2^{j} traces {c.pattern.text!r}")
     return c
@@ -303,7 +302,8 @@ class UnresolvedLeaves:
     r = 0, a = 0, m = 0 and no class.
 
     This is also the classification of the naturals to `depth` halvings.
-    reports.classify_report reads its rows straight off these arrays;
+    replayed_classes reads each class's pattern and y0 off these arrays,
+    and reports.classify_report turns those tuples straight into rows;
     classes, resolved_measure and unresolved_residues give the library
     the same facts as objects, a fraction and a tuple.
     """
@@ -317,15 +317,20 @@ class UnresolvedLeaves:
     class_i: bytes
     class_m: array  # 'Q'
 
+    def replayed_classes(self) -> list[tuple[str, int, int, int, int, int]]:
+        """The pruned classes as replay_class returns them, sorted by (length, x).
+
+        Each class is replayed once per call; classes caches the objects
+        built from this list.
+        """
+        replayed = list(map(replay_class, self.class_x, self.class_j, self.class_i, self.class_m))
+        replayed.sort(key=lambda c: (len(c[0]), c[4]))
+        return replayed
+
     @cached_property
     def classes(self) -> tuple[ResidueClass, ...]:
-        """The pruned classes as ResidueClass objects, sorted by (length, x); built once."""
-        classes = [
-            _resolved_class(x, j, i, m)
-            for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m)
-        ]
-        classes.sort(key=lambda c: (len(c.pattern), c.x))
-        return tuple(classes)
+        """The pruned classes as ResidueClass objects, in replayed_classes' order; built once."""
+        return tuple(_resolved_class(*c) for c in self.replayed_classes())
 
     @property
     def resolved_measure(self) -> Fraction:
@@ -459,7 +464,7 @@ def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:
         )
     leaves = unresolved_leaves(j)
     classes = [
-        _resolved_class(x, cj, ci, m)
+        _resolved_class(*replay_class(x, cj, ci, m))
         for x, cj, ci, m in zip(leaves.class_x, leaves.class_j, leaves.class_i, leaves.class_m)
         if cj == j
     ]

@@ -15,10 +15,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import chain
-from operator import itemgetter
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, descent_trace, total_stopping_time
-from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table, replay_class
+from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table
 from .scanner import ScanReport, twin_walk
 
 Cell = int | str
@@ -40,7 +39,7 @@ class Table:
 def _int_column(rows: list[Sequence[Cell]]) -> list[int] | None:
     """The cells of the rows if each row is one integer, else None.
 
-    Such a cell renders as its digits alone: an integer never needs CSV
+    Such a cell is a CSV line of its digits alone: an integer never needs
     quoting, and a single cell needs no delimiter.
     """
     if set(map(len, rows)) <= {1}:
@@ -59,11 +58,7 @@ def render_markdown(tables: list[Table]) -> str:
             lines.append("")
         lines.append("| " + " | ".join(t.columns) + " |")
         lines.append("|" + "|".join(" --- " for _ in t.columns) + "|")
-        column = _int_column(t.rows)
-        if column is None:
-            lines.extend("| " + " | ".join(map(str, row)) + " |" for row in t.rows)
-        else:
-            lines.extend(f"| {c} |" for c in column)
+        lines.extend("| " + " | ".join(map(str, row)) + " |" for row in t.rows)
         parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
 
@@ -176,9 +171,9 @@ def classes_report(classes: list[ResidueClass], title: str = "") -> list[Table]:
 def classify_report(report: UnresolvedLeaves) -> list[Table]:
     """Summary, classes and unresolved residues, read straight off the walk's arrays.
 
-    Each class is replayed once (patterns.replay_class, which checks its
-    pattern against i, j and y0) and becomes a row; the rows are sorted by
-    (length, x), as UnresolvedLeaves.classes sorts its objects.
+    Each class is replayed once (UnresolvedLeaves.replayed_classes, which
+    checks its pattern against i, j and y0 and fixes the row order) and
+    becomes a row; no ResidueClass is built.
     """
     summary = Table(
         title="Classification summary",
@@ -192,11 +187,7 @@ def classify_report(report: UnresolvedLeaves) -> list[Table]:
             len(report.residues),
         ]
     )
-    rows = []
-    for x, j, i, m in zip(report.class_x, report.class_j, report.class_i, report.class_m):
-        text, y0 = replay_class(x, j, i, m)
-        rows.append(_class_row(text, i, j, m, x, y0))
-    rows.sort(key=itemgetter(1, 5))
+    rows = [_class_row(*c) for c in report.replayed_classes()]
     classes = Table(title="Classes", columns=list(_CLASS_COLUMNS), rows=rows)
     unresolved = Table(
         title=f"Unresolved residues mod 2^{report.depth}",

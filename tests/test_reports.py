@@ -15,7 +15,6 @@ from collatz_descent import (
     patterns,
     sieve_scan,
 )
-from collatz_descent import reports
 from collatz_descent.reports import (
     FORMATS,
     Table,
@@ -161,7 +160,6 @@ def test_classify_report_builds_each_class_once(monkeypatch):
 
     monkeypatch.setattr(patterns, "_resolved_class", lambda *args: built.append(args))
     monkeypatch.setattr(patterns, "replay_class", counted)
-    monkeypatch.setattr(reports, "replay_class", counted)
     report = classify_depth(12)
     text = render(classify_report(report), "csv")
     assert built == []
