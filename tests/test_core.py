@@ -155,6 +155,70 @@ def test_descent_length_reports_a_cycle_like_the_reference(n, t, steps):
     assert _outcome(descent_length, n, steps + t + 1, n << t, steps) == (CycleDetected, message)
 
 
+def _to_kth_halving(v, k):
+    """Step v up to and including its k-th halving: (value, steps, O-steps before each halving)."""
+    steps = o_steps = 0
+    before: list[int] = []
+    while len(before) < k:
+        if v & 1:
+            v = 3 * v + 1
+            o_steps += 1
+        else:
+            v >>= 1
+            before.append(o_steps)
+        steps += 1
+    return v, steps, before
+
+
+def test_jump_table_matches_k_halvings_and_its_guard_is_sound():
+    k = core._JUMP_K
+    assert len(core._JUMPS) == 1 << k
+    for low, (g, p, e, s) in enumerate(core._JUMPS):
+        for h in (0, 1, 10**12 + 7, 2**70 + 3):
+            v, steps, before = _to_kth_halving(low + (h << k), k)
+            c = before[-1]
+            assert (p, v, steps, s) == (3**c, p * h + e, k + c, k + c), (low, h)
+            # 2^g*3^c_t >= 2^t at every halving t, and g - 1 fails at one
+            assert all(2**g * 3**c_t >= 2**t for t, c_t in enumerate(before, 1)), (low, h)
+            assert any(2**g * 3**c_t < 2 ** (t + 1) for t, c_t in enumerate(before, 1)), (low, h)
+
+
+def test_descent_length_around_a_jump_matches_the_reference():
+    # every resume below starts with a jump: n << t lands back on n, a cycle,
+    # t - k halvings after it, and 27's peak jumps on its way down; the caps
+    # fall before, inside and after the jump
+    k = core._JUMP_K
+    tr = descent_trace(27)
+    peak = max(tr.values)
+    resumes = [(27, peak, tr.values.index(peak) + 1, len(tr) + 1)]
+    for n in (27, 10**12 + 1, 2**70 + 1):
+        for t in range(k + 1, k + 5):
+            for steps in (1, 30):
+                resumes.append((n, n << t, steps, steps + t + 2))
+    for n, v, steps, last_cap in resumes:
+        g = core._JUMPS[v & core._JUMP_MASK][0]
+        assert v >> g > n, (n, v)
+        for cap in range(steps, last_cap + 1):
+            expected = _outcome(descent_length_reference, n, cap, v, steps)
+            assert _outcome(descent_length, n, cap, v, steps) == expected, (n, v, steps, cap)
+
+
+def test_a_jump_that_reaches_the_cap_ends_the_walk(monkeypatch):
+    # the cap bounds the work as well as the outcome: without the check
+    # after each jump, this walk would jump 100 times before it raised
+    reads = []
+
+    class CountedReads(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    monkeypatch.setattr(core, "_JUMPS", CountedReads(core._JUMPS))
+    with pytest.raises(StepCapExceeded):
+        descent_length(27, 5, 27 << (100 * core._JUMP_K), 1)
+    assert reads == [0]
+
+
 def test_cycle_detection_surfaces_loudly(monkeypatch):
     # no real cycle is known, so fake a 5 -> 7 -> 5 loop
     fake = {5: (7, "O"), 7: (5, "E")}
