@@ -80,13 +80,36 @@ def render_csv(tables: list[Table]) -> str:
     return buf.getvalue()
 
 
+def _json_rows(rows: list[Sequence[Cell]]) -> str:
+    """json.dumps(rows, indent=2), through the C encoder when every row has a cell.
+
+    json.dumps runs its pure-Python encoder whenever it indents.  The
+    compact encoding here separates items with a bare newline, which no
+    encoded string holds (non-ASCII and control characters are escaped),
+    and a cell never ends in "]" or starts with "[": so "]\\n[" parts two
+    rows and every other newline parts two cells.
+    """
+    if not rows or not all(rows):
+        return json.dumps(rows, indent=2)
+    body = json.dumps(rows, separators=("\n", ": "))[2:-2]
+    body = body.replace("]\n[", "\0").replace("\n", ",\n    ").replace("\0", "\n  ],\n  [\n    ")
+    return "[\n  [\n    " + body + "\n  ]\n]"
+
+
 def render_json(tables: list[Table]) -> str:
-    payload = {
-        "tables": [
-            {"title": t.title, "columns": t.columns, "rows": t.rows} for t in tables
-        ]
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps of {"tables": [{"title", "columns", "rows"}, ...]} with indent=2, plus a newline."""
+
+    def indented(text: str) -> str:  # a table's fields sit three levels deep
+        return text.replace("\n", "\n      ")
+
+    encoded = [
+        '{\n      "title": %s,\n      "columns": %s,\n      "rows": %s\n    }'
+        % (json.dumps(t.title), indented(json.dumps(t.columns, indent=2)), indented(_json_rows(t.rows)))
+        for t in tables
+    ]
+    if not encoded:
+        return '{\n  "tables": []\n}\n'
+    return '{\n  "tables": [\n    ' + ",\n    ".join(encoded) + "\n  ]\n}\n"
 
 
 def render(tables: list[Table], fmt: str) -> str:

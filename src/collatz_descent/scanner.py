@@ -33,8 +33,6 @@ from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
 # (12,449 at depth 22, 81,119 at 24), the leaves about 1.8x per depth.
 MAX_DEPTH = 24
 
-DEFAULT_BLOCK_SIZE = 1 << 16
-
 # The walk behind record_search: 3 ms, 2,114 open leaves mod 2^16.  Of the
 # depths 12, 14, ..., 20 it gave the fastest search of [2, 2*10^5] (18 ms,
 # best of five, Python 3.11 on a 2-vCPU x86 machine) and of 3*10^5 numbers
@@ -208,20 +206,35 @@ def _scan_worker(block: tuple[int, int]):
 
 
 def _block_results(
-    lo: int, hi: int, block_size: int, leaves: UnresolvedLeaves, step_cap: int, workers: int
+    lo: int, hi: int, block_size: int | None, leaves: UnresolvedLeaves, step_cap: int, workers: int
 ):
     """Yield _scan_block's result for each block of [lo, hi], in range order.
 
+    A block_size of None picks one from the range and the worker count.
     Blocks are drawn lazily; an empty range yields nothing.  A pool, never
     larger than the block count, holds at most two blocks per worker in
     flight, so the parent's memory stays flat in the range size.  Only a
     pool imports the process machinery.
     """
+    if block_size is None:
+        # About 8 blocks per worker, so a pool pays few round trips (about
+        # 0.5 ms each) and each leaf's setup once per block, not per 2^16
+        # numbers.  The floor keeps a short range in 2^16 blocks, and in a
+        # pool; the cap bounds what a block holds and how long Ctrl-C waits
+        # for the blocks in flight.  Swept on `scan 2 10^7 --depth 16
+        # --workers 2`, median CPU over 6-12 runs of bench/run.py: 2^16
+        # blocks 0.563 s; 4 / 8 / 16 blocks per worker 0.476 / 0.494 /
+        # 0.518 s, 4 and 8 within the noise of 6 alternating pairs (4 won
+        # 4 on CPU, 3 on wall); a cap of 2^22 0.478 s.  Near 10^12 at depth
+        # 22 on one worker (scan-deep) all gave 0.221-0.229 s wall, 2^16
+        # blocks included.
+        block_size = min(max(-(-(hi - lo + 1) // (8 * workers)), 1 << 16), 1 << 20)
     blocks = ((a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size))
     workers = min(workers, (hi - lo) // block_size + 1)
     if workers <= 1:
         yield from (_scan_block(a, b, leaves, step_cap) for a, b in blocks)
         return
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, initializer=_scan_worker_init, initargs=(leaves, step_cap))
@@ -230,7 +243,14 @@ def _block_results(
         for block in blocks:
             if len(in_flight) == 2 * workers:
                 yield in_flight.popleft().result()
-            in_flight.append(pool.submit(_scan_worker, block))
+            # the workers are forked inside submit and keep its signal mask:
+            # with SIGINT blocked in them, a Ctrl-C interrupts the parent
+            # alone, which lets the blocks in flight finish before it exits
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                in_flight.append(pool.submit(_scan_worker, block))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield from (future.result() for future in in_flight)
 
 
@@ -240,7 +260,7 @@ def sieve_scan(
     depth: int,
     *,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    block_size: int | None = None,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> ScanReport:
     """Verify that every n in [lo, hi] descends below itself.
@@ -248,10 +268,15 @@ def sieve_scan(
     Numbers whose residue mod 2^depth belongs to a resolved class are
     counted as skipped (their descent is certified by the class algebra,
     checked while the leaves are built); the rest are simulated.  depth = 0
-    disables the sieve.  The report is deterministic for any worker count:
-    blocks are merged in range order, each as it arrives.  Every worker
-    count draws its blocks lazily, and a pool holds at most two blocks per
-    worker in flight, so memory stays flat in the range size.
+    disables the sieve.  The report is deterministic for any worker count
+    and block size: blocks are merged in range order, each as it arrives.
+    Without a block_size, a block holds about 1/8 of a worker's share of
+    the range, but never fewer than 2^16 or more than 2^20 numbers.  Every
+    worker count draws its blocks lazily, and a pool holds at most two
+    blocks per worker in flight, so memory stays flat in the range size.
+    A pool's workers start with SIGINT blocked, so Ctrl-C interrupts the
+    parent alone, which lets the blocks in flight finish and raises
+    KeyboardInterrupt.
     """
     if lo < 2:
         raise ValueError("scan range must start at 2 or above")
@@ -259,7 +284,7 @@ def sieve_scan(
         raise ValueError("empty scan range")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if block_size < 1:
+    if block_size is not None and block_size < 1:
         raise ValueError("block_size must be >= 1")
     if depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
@@ -328,7 +353,7 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
         n += 1
     if n > hi:
         return records
-    for _, _, failures, maxima in _block_results(n, hi, DEFAULT_BLOCK_SIZE, leaves, step_cap, 1):
+    for _, _, failures, maxima in _block_results(n, hi, None, leaves, step_cap, 1):
         if failures:
             descent_length(failures[0][0], step_cap)
             raise AssertionError(f"leftover {failures[0][0]} failed only in its block")

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -108,6 +110,7 @@ def test_scan_real_worker_death_is_a_clean_error(capsys, monkeypatch):
     def die(*args):
         if os.getpid() != parent:
             os._exit(1)
+        raise AssertionError("a block ran in the parent: no pool started")
 
     monkeypatch.setattr(scanner, "_scan_block", die)
     code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
@@ -144,6 +147,47 @@ def test_scan_interrupt_is_a_clean_exit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sieve_scan", _raise(KeyboardInterrupt()))
     code, out, err = run(capsys, "scan", "2", "1000")
     assert (code, out, err) == (1, "", "interrupted\n")
+
+
+def wait_for_workers(pid, count, timeout=60):
+    """Wait until process pid has count children, its pool's workers."""
+    deadline = time.monotonic() + timeout
+    while True:
+        children = "".join(p.read_text() for p in Path(f"/proc/{pid}/task").glob("*/children"))
+        if len(children.split()) >= count:
+            return
+        assert time.monotonic() < deadline, "the pool never started"
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("to_the_group", [True, False])
+def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group):
+    # a terminal's Ctrl-C signals the whole process group, workers included;
+    # kill -INT signals the parent alone
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatz_descent", "scan", "2", "1000000000", "--depth", "16", "--workers", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        wait_for_workers(proc.pid, 2)
+        sent = time.monotonic()
+        if to_the_group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            os.kill(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        waited = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert (proc.returncode, out, err) == (1, "", "interrupted\n")
+    assert waited < 5
 
 
 def test_scan_bad_range(capsys):

@@ -7,6 +7,7 @@ import json
 from array import array
 
 import pytest
+from hypothesis import given, strategies as st
 
 from collatz_descent import (
     descent_trace,
@@ -235,6 +236,56 @@ def test_render_json_structure():
     tables = [Table(title="t", columns=["a", "b"], rows=[[1, "x"]])]
     payload = json.loads(render_json(tables))
     assert payload == {"tables": [{"title": "t", "columns": ["a", "b"], "rows": [[1, "x"]]}]}
+
+
+def standard_json(tables):
+    """render_json's output through json.dumps with indent=2, its pure-Python encoder."""
+    payload = {"tables": [{"title": t.title, "columns": t.columns, "rows": t.rows} for t in tables]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        [],
+        [Table(title="", columns=[], rows=[])],
+        [Table(title="one cell", columns=["n"], rows=[[7]])],
+        [Table(title="no cells", columns=["n"], rows=[[]])],
+        [Table(title="no cells among others", columns=["n"], rows=[[], [1], [], [2, 3], []])],
+        [
+            Table(
+                title='a "title", [with] \\ and \n é',
+                columns=['"q"', "b\\s", "c,[]", "é ü 😀"],
+                rows=[
+                    ['"', "\\", ",", "[", "]", "],[", "a\nb", "é", "😀", "\x00\t"],
+                    [True, False, None, 2**64, -(2**64) - 1, 3**100, 0],
+                    ("a tuple", 1),
+                ],
+            ),
+            Table(title="residues", columns=["Residue"], rows=list(zip(range(5)))),
+        ],
+    ],
+)
+def test_render_json_is_the_indented_standard_encoding(tables):
+    assert render_json(tables) == standard_json(tables)
+
+
+cells = st.one_of(st.integers(), st.text(), st.booleans())
+
+
+@given(
+    st.lists(
+        st.builds(Table, st.text(), st.lists(st.text()), st.lists(st.lists(cells, max_size=4))),
+        max_size=3,
+    )
+)
+def test_random_tables_render_as_the_indented_standard_encoding(tables):
+    assert render_json(tables) == standard_json(tables)
+
+
+def test_classify_json_is_the_indented_standard_encoding():
+    tables = classify_report(classify_depth(12))
+    assert render_json(tables) == standard_json(tables)
 
 
 def test_render_markdown_shape():

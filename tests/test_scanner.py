@@ -197,7 +197,7 @@ def test_pool_never_outnumbers_the_blocks(inline_pools):
 
 
 def test_pool_holds_at_most_two_blocks_per_worker_in_flight(inline_pools, monkeypatch):
-    # 1,526 blocks of 2^16; an eager submission would hold them all at once
+    # 96 blocks of 2^20; an eager submission would hold them all at once
     monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], []))
     rep = sieve_scan(2, 10**8, 0, workers=2)
     assert rep.skipped_count == 10**8 - 1
@@ -222,6 +222,36 @@ def test_pool_scans_a_range_too_big_to_count_in_a_machine_word(inline_pools, mon
     assert [p.max_workers for p in inline_pools] == [2]
 
 
+@pytest.mark.parametrize(
+    "size, workers, block_size",
+    [
+        (300_000, 1, 1 << 16),  # the floor
+        (300_000, 2, 1 << 16),
+        (3_000_000, 1, 375_000),  # 8 blocks per worker
+        (3_000_000, 2, 187_500),
+        (3_000_001, 2, 187_501),  # rounded up: never a 17th block
+        (8 << 20, 1, 1 << 20),  # at the cap
+        (10**8, 1, 1 << 20),  # past it
+        (10**8, 2, 1 << 20),
+    ],
+)
+def test_blocks_are_sized_from_the_range_and_the_workers(inline_pools, monkeypatch, size, workers, block_size):
+    monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], []))
+    lo = 10**12 + 12_345
+    results = scanner._block_results(lo, lo + size - 1, None, unresolved_leaves(0), 1, workers)
+    lengths = [skipped for _, skipped, _, _ in results]
+    assert lengths == [block_size] * (size // block_size) + [size % block_size] * (size % block_size > 0)
+    # a pool starts whenever there is more than one worker and one block
+    assert [p.max_workers for p in inline_pools] == [2] * (workers == 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_default_blocks_of_several_periods_report_as_blocks_of_2_16(workers):
+    # 8 or 16 blocks of 375,000 or 187,500 numbers, each many 2^12 periods long
+    expected = sieve_scan(2, 3_000_000, 12, block_size=1 << 16).canonical_json()
+    assert sieve_scan(2, 3_000_000, 12, workers=workers).canonical_json() == expected
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_empty_range_has_no_blocks(workers):
     leaves = unresolved_leaves(5)
@@ -229,13 +259,13 @@ def test_empty_range_has_no_blocks(workers):
 
 
 def test_one_worker_scan_streams_its_blocks(monkeypatch):
-    # a stub kernel stops at the first block; a list of all 152,588 block
-    # bounds of [2, 10^10] would take some 19 MiB before it
+    # a stub kernel stops at the first block; a list of all 953,675 block
+    # bounds of [2, 10^12], 2^20 numbers each, would take some 117 MiB before it
     monkeypatch.setattr(scanner, "_scan_block", stop_at_first_block)
     tracemalloc.start()
     try:
         with pytest.raises(FirstBlock):
-            sieve_scan(2, 10**10, 0)
+            sieve_scan(2, 10**12, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -489,7 +519,7 @@ def test_block_maxima_are_the_running_maxima_of_its_leftovers(lo, size, depth):
 
 def test_record_search_lists_the_glide_records_to_10_6():
     # Roosendaal's table of glide records (http://www.ericr.nl/wondrous/glidrecs.html);
-    # past 27 the search merges the maxima of 15 blocks of 2^16
+    # past 27 the search merges the maxima of 8 blocks of 124,997 numbers
     assert record_search(2, 10**6) == [
         (2, 1),
         (3, 6),
