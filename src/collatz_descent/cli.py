@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on domain errors, a dead worker process or
-an interrupt (Ctrl-C), 2 on usage errors.  Tables go to stdout,
-diagnostics to stderr.  COLLATZ_STEP_CAP overrides the
-per-descent step cap.
+Exit codes: 0 on success, 1 on domain errors (a scan's dead worker
+process among them) or an interrupt (Ctrl-C), 2 on usage errors.
+Tables go to stdout, diagnostics to stderr.  COLLATZ_STEP_CAP overrides
+the per-descent step cap.
 """
 
 from __future__ import annotations
@@ -101,15 +101,6 @@ def _step_cap(parser: argparse.ArgumentParser) -> int:
     return cap
 
 
-def _broken_pool(exc: RuntimeError) -> bool:
-    """Whether exc is a BrokenProcessPool, without importing the pool at start-up.
-
-    A raised BrokenProcessPool means its module is loaded.
-    """
-    process = sys.modules.get("concurrent.futures.process")
-    return process is not None and isinstance(exc, process.BrokenProcessPool)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -141,9 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             tables = records_report(record_search(args.lo, args.hi, step_cap=step_cap))
         else:  # report
             tables = named_report(args.name, step_cap=step_cap, paper_style=args.paper_style)
-    except (CollatzDescentError, ValueError, OSError, RuntimeError) as exc:
-        if isinstance(exc, RuntimeError) and not _broken_pool(exc):
-            raise
+    except (CollatzDescentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -185,8 +185,8 @@ def _class_row(text: str, i: int, j: int, m: int, x: int, y0: int) -> list[Cell]
     return [text, len(text), i, j, 1 << j, x, m, y0, subset]
 
 
-def classes_report(classes: list[ResidueClass], title: str = "") -> list[Table]:
-    t = Table(title=title, columns=list(_CLASS_COLUMNS))
+def classes_report(classes: list[ResidueClass]) -> list[Table]:
+    t = Table(title="", columns=list(_CLASS_COLUMNS))
     t.rows = [_class_row(c.pattern.text, c.i, c.j, c.m, c.x, c.y0) for c in classes]
     return [t]
 

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, descent_length, descent_trace
-from .errors import CycleDetected, DepthTooLarge, StepCapExceeded
+from .errors import CollatzDescentError, CycleDetected, DepthTooLarge, StepCapExceeded
 from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
 
 # The walk holds one level of the parity tree at a time and the pruned
@@ -214,7 +214,8 @@ def _block_results(
     Blocks are drawn lazily; an empty range yields nothing.  A pool, never
     larger than the block count, holds at most two blocks per worker in
     flight, so the parent's memory stays flat in the range size.  Only a
-    pool imports the process machinery.
+    pool imports the process machinery.  A dead worker, or a pool that
+    cannot start, raises CollatzDescentError with the pool's message.
     """
     if block_size is None:
         # About 8 blocks per worker, so a pool pays few round trips (about
@@ -236,22 +237,27 @@ def _block_results(
         return
     import signal
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, initializer=_scan_worker_init, initargs=(leaves, step_cap))
-    with pool:
-        in_flight: deque = deque()
-        for block in blocks:
-            if len(in_flight) == 2 * workers:
-                yield in_flight.popleft().result()
-            # the workers are forked inside submit and keep its signal mask:
-            # with SIGINT blocked in them, a Ctrl-C interrupts the parent
-            # alone, which lets the blocks in flight finish before it exits
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                in_flight.append(pool.submit(_scan_worker, block))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield from (future.result() for future in in_flight)
+    try:
+        with ProcessPoolExecutor(
+            workers, initializer=_scan_worker_init, initargs=(leaves, step_cap)
+        ) as pool:
+            in_flight: deque = deque()
+            for block in blocks:
+                if len(in_flight) == 2 * workers:
+                    yield in_flight.popleft().result()
+                # the workers are forked inside submit and keep its signal mask:
+                # with SIGINT blocked in them, a Ctrl-C interrupts the parent
+                # alone, which lets the blocks in flight finish before it exits
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    in_flight.append(pool.submit(_scan_worker, block))
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            yield from (future.result() for future in in_flight)
+    except (BrokenProcessPool, OSError) as exc:
+        raise CollatzDescentError(str(exc)) from exc
 
 
 def sieve_scan(
@@ -276,7 +282,10 @@ def sieve_scan(
     blocks per worker in flight, so memory stays flat in the range size.
     A pool's workers start with SIGINT blocked, so Ctrl-C interrupts the
     parent alone, which lets the blocks in flight finish and raises
-    KeyboardInterrupt.
+    KeyboardInterrupt.  Raises ValueError on a bad range, worker count or
+    block size, DepthTooLarge past MAX_DEPTH, and CollatzDescentError,
+    chained from the pool's BrokenProcessPool or OSError, when a worker
+    dies or the pool cannot start.
     """
     if lo < 2:
         raise ValueError("scan range must start at 2 or above")
@@ -351,8 +360,6 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
             best = steps
             records.append((n, steps))
         n += 1
-    if n > hi:
-        return records
     for _, _, failures, maxima in _block_results(n, hi, None, leaves, step_cap, 1):
         if failures:
             descent_length(failures[0][0], step_cap)

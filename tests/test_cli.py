@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -96,10 +95,15 @@ def _raise(exc):
     return fake_scan
 
 
-def test_scan_dead_worker_is_a_clean_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "sieve_scan", _raise(BrokenProcessPool("a worker died")))
-    code, out, err = run(capsys, "scan", "2", "1000")
+def test_scan_dead_worker_is_a_clean_error(capsys, dead_pools):
+    code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
     assert (code, out, err) == (1, "", "error: a worker died\n")
+    assert [p.max_workers for p in dead_pools] == [2]
+
+
+def test_scan_unstartable_pool_is_a_clean_error(capsys, unforkable_pools):
+    code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
+    assert (code, out, err) == (1, "", "error: [Errno 11] Resource temporarily unavailable\n")
 
 
 def test_scan_real_worker_death_is_a_clean_error(capsys, monkeypatch):

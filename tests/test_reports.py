@@ -182,7 +182,9 @@ def _classify_report_from_objects(leaves):
         columns=["Residue"],
         rows=[[r] for r in leaves.unresolved_residues],
     )
-    return [summary, *classes_report(list(leaves.classes), title="Classes"), unresolved]
+    [classes] = classes_report(list(leaves.classes))
+    classes.title = "Classes"
+    return [summary, classes, unresolved]
 
 
 def test_classify_report_renders_as_the_object_route():

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import concurrent.futures
+import errno
 import math
 import time
 import tracemalloc
 from bisect import bisect_right
-from concurrent.futures import Executor, Future
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from collatz_descent import (
     DEFAULT_STEP_CAP,
+    CollatzDescentError,
     CycleDetected,
     DepthTooLarge,
     ScanReport,
@@ -147,47 +148,6 @@ def test_scan_deterministic_across_worker_counts():
     assert reference.wall_time > 0 and other.wall_time > 0
 
 
-class InlinePool(Executor):
-    """A stand-in process pool that runs the initializer and each task in
-    this process and counts the futures whose result is not taken yet."""
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers = max_workers
-        self.untaken = self.most_untaken = 0
-        initializer(*initargs)
-
-    def submit(self, fn, *args):
-        pool = self
-
-        class Taken(Future):
-            def result(self, timeout=None):
-                pool.untaken -= 1
-                return super().result(timeout)
-
-        future = Taken()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        self.untaken += 1
-        self.most_untaken = max(self.most_untaken, self.untaken)
-        return future
-
-
-@pytest.fixture
-def inline_pools(monkeypatch):
-    """Route sieve_scan's pools through InlinePool; returns the pools made."""
-    pools = []
-
-    def make(*args, **kwargs):
-        pools.append(InlinePool(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
-    monkeypatch.setattr(scanner, "_WORKER_STATE", {})
-    return pools
-
-
 def test_pool_never_outnumbers_the_blocks(inline_pools):
     rep = sieve_scan(2, 70_000, 5, workers=4096)  # two blocks of 2^16
     assert [p.max_workers for p in inline_pools] == [2]
@@ -220,6 +180,22 @@ def test_pool_scans_a_range_too_big_to_count_in_a_machine_word(inline_pools, mon
     with pytest.raises(FirstBlock):
         sieve_scan(2, 2**80, 0, workers=2)
     assert [p.max_workers for p in inline_pools] == [2]
+
+
+def test_dead_worker_is_a_domain_error_chained_from_the_pool(dead_pools):
+    with pytest.raises(CollatzDescentError) as caught:
+        sieve_scan(2, 300_000, 5, workers=2)
+    assert str(caught.value) == "a worker died"
+    assert isinstance(caught.value.__cause__, BrokenProcessPool)
+    assert [p.max_workers for p in dead_pools] == [2]
+
+
+def test_unstartable_pool_is_a_domain_error_chained_from_the_pool(unforkable_pools):
+    with pytest.raises(CollatzDescentError) as caught:
+        sieve_scan(2, 300_000, 5, workers=2)
+    assert str(caught.value) == "[Errno 11] Resource temporarily unavailable"
+    assert isinstance(caught.value.__cause__, OSError)
+    assert caught.value.__cause__.errno == errno.EAGAIN
 
 
 @pytest.mark.parametrize(
