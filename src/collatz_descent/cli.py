@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="verify a range, sieving out class-certified numbers")
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=int, help="sieve depth (default: from the range size)")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     p.add_argument("--workers", type=int, default=cpus or 1)
     _add_format(p)

@@ -33,12 +33,6 @@ from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
 # (12,449 at depth 22, 81,119 at 24), the leaves about 1.8x per depth.
 MAX_DEPTH = 24
 
-# The walk behind record_search: 3 ms, 2,114 open leaves mod 2^16.  Of the
-# depths 12, 14, ..., 20 it gave the fastest search of [2, 2*10^5] (18 ms,
-# best of five, Python 3.11 on a 2-vCPU x86 machine) and of 3*10^5 numbers
-# from 10^12 but for depth 18; depth 18 won on [2, 10^6] (59 against 74 ms).
-_RECORD_DEPTH = 16
-
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -46,9 +40,10 @@ class ScanReport:
 
     failures holds (n, reason) rows and is expected to stay empty; a
     nonempty list is a headline result, not an error.  max_descent_steps
-    tracks the simulated (non-skipped) numbers only; skipped numbers have
-    class-certified descents of i + j <= depth + floor(depth*log3(2))
-    steps, since j <= depth and 3^i < 2^j.  wall_time
+    tracks the simulated (non-skipped) numbers only, so it depends on the
+    depth where the range's longest descent is a skipped one; skipped
+    numbers have class-certified descents of i + j <= depth +
+    floor(depth*log3(2)) steps, since j <= depth and 3^i < 2^j.  wall_time
     is the scan phase (blocks, their merge and the process pool);
     setup_time is the sieve build before it.  Neither is part of canonical().
     """
@@ -235,21 +230,26 @@ def _block_results(
     if workers <= 1:
         yield from (_scan_block(a, b, leaves, step_cap) for a, b in blocks)
         return
+    import multiprocessing
     import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     try:
         with ProcessPoolExecutor(
-            workers, initializer=_scan_worker_init, initargs=(leaves, step_cap)
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_scan_worker_init,
+            initargs=(leaves, step_cap),
         ) as pool:
             in_flight: deque = deque()
             for block in blocks:
                 if len(in_flight) == 2 * workers:
                     yield in_flight.popleft().result()
-                # the workers are forked inside submit and keep its signal mask:
-                # with SIGINT blocked in them, a Ctrl-C interrupts the parent
-                # alone, which lets the blocks in flight finish before it exits
+                # the workers are forked from this process inside submit, whatever
+                # the default start method, and keep its signal mask: with SIGINT
+                # blocked in them, a Ctrl-C interrupts the parent alone, which
+                # lets the blocks in flight finish before it exits
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
                     in_flight.append(pool.submit(_scan_worker, block))
@@ -260,10 +260,25 @@ def _block_results(
         raise CollatzDescentError(str(exc)) from exc
 
 
+def _sieve_depth(size: int) -> int:
+    """The walk depth for a scan or record search of size numbers."""
+    # A deeper walk leaves fewer numbers to simulate but costs more to build
+    # and hands each block more leaves to set up, so the depth that pays
+    # grows with the range.  Swept in-process on one worker, best of 3-5
+    # runs (Python 3.11, 2-vCPU x86): scan [2, 2*10^5] fastest at 16, [2,
+    # 10^6] at 18, 2*10^6 numbers from 10^12 at 18-20, [2, 10^7] at 20-22,
+    # 2^25 numbers from 2 and 2^24 from 10^12 at 22 and 24 alike (20 was
+    # 1.2-1.4x slower); records [2, 2*10^5] at 14-16, [2, 10^6] at 18,
+    # [2, 10^7] at 20-22.  Depth 24 gained nothing there and its walk
+    # costs 0.4 s and about 11 MB more, so 22 is the cap.  Ranges of 1-3
+    # numbers get depth 0, which walks every n.
+    return min(max(size.bit_length() - 2, 0), 22)
+
+
 def sieve_scan(
     lo: int,
     hi: int,
-    depth: int,
+    depth: int | None = None,
     *,
     workers: int = 1,
     block_size: int | None = None,
@@ -274,18 +289,22 @@ def sieve_scan(
     Numbers whose residue mod 2^depth belongs to a resolved class are
     counted as skipped (their descent is certified by the class algebra,
     checked while the leaves are built); the rest are simulated.  depth = 0
-    disables the sieve.  The report is deterministic for any worker count
-    and block size: blocks are merged in range order, each as it arrives.
-    Without a block_size, a block holds about 1/8 of a worker's share of
-    the range, but never fewer than 2^16 or more than 2^20 numbers.  Every
-    worker count draws its blocks lazily, and a pool holds at most two
-    blocks per worker in flight, so memory stays flat in the range size.
-    A pool's workers start with SIGINT blocked, so Ctrl-C interrupts the
-    parent alone, which lets the blocks in flight finish and raises
-    KeyboardInterrupt.  Raises ValueError on a bad range, worker count or
-    block size, DepthTooLarge past MAX_DEPTH, and CollatzDescentError,
-    chained from the pool's BrokenProcessPool or OSError, when a worker
-    dies or the pool cannot start.
+    disables the sieve.  Without a depth, one is picked from the range
+    size: bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
+    numbers, 22 from 2^23 up); the report records it.  For a given depth
+    the report is deterministic for any worker count and block size:
+    blocks are merged in range order, each as it arrives.  Without a
+    block_size, a block holds about 1/8 of a worker's share of the range,
+    but never fewer than 2^16 or more than 2^20 numbers.  Every worker
+    count draws its blocks lazily, and a pool holds at most two blocks per
+    worker in flight, so memory stays flat in the range size.  A pool's
+    workers are forked from this process, whatever the default start
+    method, with SIGINT blocked, so Ctrl-C interrupts the parent alone,
+    which lets the blocks in flight finish and raises KeyboardInterrupt.
+    Raises ValueError on a bad range, worker count or block size,
+    DepthTooLarge past MAX_DEPTH, and CollatzDescentError, chained from
+    the pool's BrokenProcessPool or OSError, when a worker dies or the
+    pool cannot start.
     """
     if lo < 2:
         raise ValueError("scan range must start at 2 or above")
@@ -295,6 +314,8 @@ def sieve_scan(
         raise ValueError("workers must be >= 1")
     if block_size is not None and block_size < 1:
         raise ValueError("block_size must be >= 1")
+    if depth is None:
+        depth = _sieve_depth(hi - lo + 1)
     if depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
 
@@ -333,10 +354,12 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     """Running maxima of descent length over [lo, hi], as (n, steps) pairs.
 
     A record can only sit in a residue that no class covers.  The search
-    walks the parity tree to _RECORD_DEPTH halvings and reads L, the
-    longest class, i + j, off it (26 at depth 16).  It walks every n from
-    lo while the running maximum is below L, then merges the scan's block
-    maxima over the rest of the range in range order.  This is exact:
+    walks the parity tree to the depth a scan of the range picks (16 for
+    2*10^5 numbers, 22 from 2^23 up) and reads L, the longest class,
+    i + j, off it (26 at depth 16, 0 at depth 0, which has no class).  It
+    walks every n from lo while the running maximum is below L, then
+    merges the scan's block maxima over the rest of the range in range
+    order.  The records do not depend on the depth.  This is exact:
     - a member n >= 2 of a pruned class descends in exactly i + j <= L
       steps, at most the running maximum, so it sets no strict record;
     - descent_length returns only lengths <= step_cap, and the running
@@ -349,8 +372,8 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
         raise ValueError("record search starts at 2 or above")
     if hi < lo:
         raise ValueError("empty search range")
-    leaves = unresolved_leaves(_RECORD_DEPTH)
-    longest = max(i + j for i, j in zip(leaves.class_i, leaves.class_j))
+    leaves = unresolved_leaves(_sieve_depth(hi - lo + 1))
+    longest = max((i + j for i, j in zip(leaves.class_i, leaves.class_j)), default=0)
     records: list[tuple[int, int]] = []
     best = 0
     n = lo
@@ -364,7 +387,7 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
         if failures:
             descent_length(failures[0][0], step_cap)
             raise AssertionError(f"leftover {failures[0][0]} failed only in its block")
-        records.extend(_running_maxima(maxima, records[-1][1]))
+        records.extend(_running_maxima(maxima, records[-1][1] if records else 0))
     return records
 
 

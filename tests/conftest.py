@@ -23,10 +23,12 @@ settings.load_profile("collatz-descent")
 
 class InlinePool(Executor):
     """A stand-in process pool that runs the initializer and each task in
-    this process and counts the futures whose result is not taken yet."""
+    this process, records the multiprocessing context it was given and
+    counts the futures whose result is not taken yet."""
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers, mp_context, initializer, initargs):
         self.max_workers = max_workers
+        self.mp_context = mp_context
         self.untaken = self.most_untaken = 0
         initializer(*initargs)
 

@@ -153,24 +153,77 @@ def test_scan_interrupt_is_a_clean_exit(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "interrupted\n")
 
 
+def children(pid):
+    """The pids of process pid's children; none once it has gone."""
+    try:
+        return "".join(p.read_text() for p in Path(f"/proc/{pid}/task").glob("*/children")).split()
+    except FileNotFoundError:
+        return []
+
+
+def pool_workers(pid):
+    """Process pid's pool workers: its children but multiprocessing's
+    helpers, and the children of a forkserver among those helpers."""
+    workers = []
+    for child in children(pid):
+        try:
+            helper = b"from multiprocessing" in Path(f"/proc/{child}/cmdline").read_bytes()
+        except FileNotFoundError:
+            continue
+        workers += children(child) if helper else [child]
+    return workers
+
+
 def wait_for_workers(pid, count, timeout=60):
-    """Wait until process pid has count children, its pool's workers."""
+    """Wait until process pid's pool has count workers; return their pids."""
     deadline = time.monotonic() + timeout
     while True:
-        children = "".join(p.read_text() for p in Path(f"/proc/{pid}/task").glob("*/children"))
-        if len(children.split()) >= count:
-            return
+        workers = pool_workers(pid)
+        if len(workers) >= count:
+            return workers
         assert time.monotonic() < deadline, "the pool never started"
         time.sleep(0.01)
 
 
-@pytest.mark.parametrize("to_the_group", [True, False])
-def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group):
+def sigint_blocked(pid):
+    """Whether process pid's signal mask blocks SIGINT."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    mask = next(line for line in status.splitlines() if line.startswith("SigBlk:"))
+    return bool(int(mask.split()[1], 16) >> (signal.SIGINT - 1) & 1)
+
+
+FORKSERVER = "multiprocessing.set_start_method('forkserver', force=True)"
+
+
+@pytest.mark.parametrize(
+    "to_the_group, prelude",
+    [
+        pytest.param(True, None, id="True"),
+        pytest.param(False, None, id="False"),
+        # Python 3.14's default on Linux: the pool starts the forkserver
+        pytest.param(True, FORKSERVER, id="True-forkserver"),
+        # a forkserver started before the scan, with SIGINT unblocked; only
+        # the parent is signalled, as the helpers may still be starting
+        pytest.param(
+            False,
+            FORKSERVER + "\nmultiprocessing.forkserver.ensure_running()",
+            id="False-forkserver-running",
+        ),
+    ],
+)
+def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group, prelude):
     # a terminal's Ctrl-C signals the whole process group, workers included;
     # kill -INT signals the parent alone
     src = Path(cli.__file__).resolve().parents[1]
+    cli_argv = [sys.executable, "-m", "collatz_descent"]
+    if prelude:
+        cli_argv[1:] = [
+            "-c",
+            f"import multiprocessing.forkserver, runpy\n{prelude}\n"
+            "runpy.run_module('collatz_descent', run_name='__main__')",
+        ]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "collatz_descent", "scan", "2", "1000000000", "--depth", "16", "--workers", "2"],
+        cli_argv + ["scan", "2", "1000000000", "--depth", "16", "--workers", "2"],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -178,7 +231,8 @@ def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group):
         start_new_session=True,
     )
     try:
-        wait_for_workers(proc.pid, 2)
+        workers = wait_for_workers(proc.pid, 2)
+        blocked = [sigint_blocked(w) for w in workers]
         sent = time.monotonic()
         if to_the_group:
             os.killpg(proc.pid, signal.SIGINT)
@@ -190,6 +244,7 @@ def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group):
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
+    assert blocked == [True, True]
     assert (proc.returncode, out, err) == (1, "", "interrupted\n")
     assert waited < 5
 

@@ -156,6 +156,13 @@ def test_pool_never_outnumbers_the_blocks(inline_pools):
     assert [p.max_workers for p in inline_pools] == [2, 3]
 
 
+def test_pool_names_the_fork_start_method(inline_pools):
+    # the SIGINT mask set around submit reaches only workers forked from the
+    # parent, and Python 3.14 makes forkserver the default on Linux
+    sieve_scan(2, 70_000, 5, workers=2)
+    assert [p.mp_context.get_start_method() for p in inline_pools] == ["fork"]
+
+
 def test_pool_holds_at_most_two_blocks_per_worker_in_flight(inline_pools, monkeypatch):
     # 96 blocks of 2^20; an eager submission would hold them all at once
     monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], []))
@@ -349,16 +356,8 @@ def test_sieve_scan_depth_bounds():
         sieve_scan(2, 100, -1)
 
 
-@settings(max_examples=40)
-@given(
-    lo=st.integers(min_value=2, max_value=2**40),
-    size=st.integers(min_value=1, max_value=3000),
-    depth=st.integers(min_value=0, max_value=12),
-    workers=st.sampled_from([1, 2]),
-    block_size=st.integers(min_value=1, max_value=5000),
-)
-def test_random_scans_match_a_trace_oracle(lo, size, depth, workers, block_size):
-    hi = lo + size - 1
+def trace_oracle(lo, hi, depth):
+    """A scan's canonical report from descent_trace, every n traced in full."""
     # n is certified by a class iff its first descent needs at most depth halvings
     verified = skipped = max_steps = 0
     max_n = None
@@ -370,8 +369,7 @@ def test_random_scans_match_a_trace_oracle(lo, size, depth, workers, block_size)
         verified += 1
         if len(tr) > max_steps:
             max_steps, max_n = len(tr), n
-    rep = sieve_scan(lo, hi, depth, workers=workers, block_size=block_size)
-    assert rep.canonical() == {
+    return {
         "lo": lo,
         "hi": hi,
         "depth": depth,
@@ -381,6 +379,62 @@ def test_random_scans_match_a_trace_oracle(lo, size, depth, workers, block_size)
         "max_descent_steps": max_steps,
         "max_descent_n": max_n,
     }
+
+
+@settings(max_examples=40)
+@given(
+    lo=st.integers(min_value=2, max_value=2**40),
+    size=st.integers(min_value=1, max_value=3000),
+    depth=st.integers(min_value=0, max_value=12),
+    workers=st.sampled_from([1, 2]),
+    block_size=st.integers(min_value=1, max_value=5000),
+)
+def test_random_scans_match_a_trace_oracle(lo, size, depth, workers, block_size):
+    hi = lo + size - 1
+    rep = sieve_scan(lo, hi, depth, workers=workers, block_size=block_size)
+    assert rep.canonical() == trace_oracle(lo, hi, depth)
+
+
+# ---------------------------------------------------------------------------
+# the depth picked from the range size
+
+
+def test_sieve_depth_grows_with_the_range_up_to_its_cap():
+    sizes = list(range(1, 5000)) + [2**e + d for e in range(13, 81) for d in (-1, 0, 1)]
+    depths = [scanner._sieve_depth(size) for size in sizes]
+    cap = scanner._sieve_depth(2**80)
+    assert cap <= scanner.MAX_DEPTH
+    assert all(0 <= d <= cap for d in depths)
+    assert all(a <= b for a, b in zip(depths, depths[1:]))
+    assert depths[:3] == [0, 0, 0]  # ranges of 1-3 numbers walk every n
+    assert scanner._sieve_depth(199_999) == 16  # the records benchmark's range
+
+
+@settings(max_examples=40)
+@given(
+    lo=st.one_of(
+        st.integers(min_value=2, max_value=5000),
+        st.integers(min_value=10**12, max_value=10**12 + 5000),
+    ),
+    size=st.integers(min_value=1, max_value=3000),
+    workers=st.sampled_from([1, 2]),
+)
+def test_scan_without_a_depth_matches_a_trace_oracle_at_the_picked_depth(lo, size, workers):
+    hi = lo + size - 1
+    depth = scanner._sieve_depth(size)
+    rep = sieve_scan(lo, hi, workers=workers)
+    assert rep.canonical() == trace_oracle(lo, hi, depth)
+    assert rep.canonical_json() == sieve_scan(lo, hi, depth, workers=workers).canonical_json()
+
+
+@pytest.mark.parametrize("lo, size", [(2, 199_999), (10**12 + 12_345, 300_001)])
+def test_scan_without_a_depth_matches_the_dense_reference_at_the_picked_depth(lo, size):
+    hi = lo + size - 1
+    depth = scanner._sieve_depth(size)
+    rep = sieve_scan(lo, hi)
+    assert rep.depth == depth
+    assert rep.canonical_json() == dense_reference_scan(lo, hi, depth)
+    assert rep.canonical_json() == sieve_scan(lo, hi, depth).canonical_json()
 
 
 def test_setup_time_covers_the_leaf_walk(monkeypatch):
@@ -399,6 +453,25 @@ def test_setup_time_covers_the_leaf_walk(monkeypatch):
     assert wall_ms == int((rep.setup_time + rep.wall_time) * 1000) >= 200
 
 
+@pytest.mark.parametrize("lo", [2, 27, 10**12])
+@pytest.mark.parametrize("size", [1, 3])
+def test_record_search_of_a_few_numbers_walks_every_n(lo, size):
+    # ranges of 1-3 numbers walk to depth 0, which has no class
+    hi = lo + size - 1
+    assert scanner._sieve_depth(size) == 0
+    expected = reference_records(lo, hi, DEFAULT_STEP_CAP)
+    assert record_search(lo, hi) == expected
+    assert expected == trace_records(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 10**6), (10**12, 10**12 + 300_000)])
+def test_record_search_does_not_depend_on_the_depth(lo, hi, monkeypatch):
+    expected = record_search(lo, hi)
+    for depth in (12, 16, 20):
+        monkeypatch.setattr(scanner, "_sieve_depth", lambda size: depth)
+        assert record_search(lo, hi) == expected, depth
+
+
 def test_record_search_examples():
     assert record_search(2, 2) == [(2, 1)]
     records = record_search(2, 10)
@@ -406,14 +479,19 @@ def test_record_search_examples():
     assert record_search(2, 30)[-1] == (27, 96)
 
 
-def test_record_search_matches_trace_maxima():
-    expected, best = [], 0
-    for n in range(2, 5001):
+def trace_records(lo, hi):
+    """Running maxima of descent_trace's length, every n traced in full."""
+    records, best = [], 0
+    for n in range(lo, hi + 1):
         steps = len(descent_trace(n))
         if steps > best:
             best = steps
-            expected.append((n, steps))
-    assert record_search(2, 5000) == expected
+            records.append((n, steps))
+    return records
+
+
+def test_record_search_matches_trace_maxima():
+    assert record_search(2, 5000) == trace_records(2, 5000)
 
 
 def reference_records(lo, hi, step_cap):
@@ -439,7 +517,7 @@ def outcome(search, *args):
 @given(
     lo=st.one_of(
         st.integers(min_value=2, max_value=3000),
-        # straddling a period of the record search's leaves mod 2^16
+        # straddling 5 * 2^16, a period boundary at every depth up to 16
         st.integers(min_value=5 * 2**16 - 3000, max_value=5 * 2**16 - 1),
         st.integers(min_value=10**12, max_value=10**12 + 3000),
         st.integers(min_value=2**70, max_value=2**70 + 3000),
@@ -447,9 +525,10 @@ def outcome(search, *args):
     size=st.integers(min_value=1, max_value=4000),
     step_cap=st.integers(min_value=1, max_value=200),
 )
-# the longest class at depth 16 takes 26 steps: a cap below it, at it and past it
-@example(lo=2, size=3000, step_cap=25)
-@example(lo=2, size=3000, step_cap=26)
+# 3000 numbers walk to depth 10, whose longest class takes 16 steps: a cap
+# below it, at it and past it
+@example(lo=2, size=3000, step_cap=15)
+@example(lo=2, size=3000, step_cap=16)
 @example(lo=2, size=3000, step_cap=96)
 # the record 703 (132 steps) is the last n of the range
 @example(lo=2, size=702, step_cap=132)
@@ -520,10 +599,12 @@ def test_record_search_refuses_a_block_failure_that_a_full_walk_does_not_repeat(
     def fail_at_the_start(a, b, *rest):
         return 0, 0, [(a, "cycle detected")], []
 
-    # the blocks start at 28, which descends in 1 step from its start
+    # at depth 8 the longest class takes 13 steps, so the every-n prefix
+    # ends at 27 and the blocks start at 28, which descends in 1 step
     monkeypatch.setattr(scanner, "_scan_block", fail_at_the_start)
+    assert scanner._sieve_depth(999) == 8
     with pytest.raises(AssertionError, match="^leftover 28 failed only in its block$"):
-        record_search(2, 100)
+        record_search(2, 1000)
 
 
 def test_record_search_ends_at_the_scan_maximum():
@@ -544,7 +625,7 @@ def test_record_search_walks_only_the_open_leaves_past_27(monkeypatch):
 
     monkeypatch.setattr(scanner, "descent_length", counting)
     assert record_search(2, 200_000)[-1] == (35655, 220)
-    leaves = unresolved_leaves(scanner._RECORD_DEPTH)
+    leaves = unresolved_leaves(scanner._sieve_depth(200_000 - 1))
     depth, residues = leaves.depth, leaves.residues
     mask = (1 << depth) - 1
 
