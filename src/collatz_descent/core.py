@@ -129,23 +129,24 @@ def descent_length(
     strictly above n may resume from v, the value after them; with
     steps = 0, v is ignored and the walk starts at n.
 
-    Each loop turn takes a stride whose values all lie above n, or lands.
-    A jump of _JUMP_K halvings comes first: the entry of v mod 2^_JUMP_K
-    (see _jump_table) gives the value after them, the steps they take and
-    a guard g, and v >> g > n keeps every value of the jump above n.
-    Otherwise the turn strips the run of halvings of v > n with one
-    trailing-zero count t, which is 0 for an odd v that a jump or a resume
-    left.  If the run's odd end v >> t is still above n, every value of
-    the run is, and the turn counts the t halvings and the O-step after
-    them.  Either stride ends with one cap check: none of its values can
-    be the descent or a return to n, and the cap message names no step
-    index, so one check at its last index equals a check at each.
-    Otherwise the run lands at the first s with v >> s <= n: s is the bit
-    length of v less that of n, plus 1 if v >> s is still above n, since a
-    value of smaller bit length than n is below n.  A resumed `steps`
-    already at the cap needs no check of its own: a stride raises at its
-    cap check, and a landing from v > n has s >= 1, so its cap check,
-    which comes before the cycle check, raises.
+    Each loop turn takes one stride whose values all lie above n.  A jump
+    of _JUMP_K halvings comes first: the entry of v mod 2^_JUMP_K (see
+    _jump_table) gives the value after them, the steps they take and a
+    guard g, and v >> g > n keeps every value of the jump above n.
+    Otherwise the stride is the run of halvings of v, stripped with one
+    trailing-zero count t (0 for an odd v that a jump or a resume left),
+    and the O-step after it; it is taken when the run's odd end v >> t is
+    still above n, since then every value of the run is.  The turn then
+    adds the stride's steps and checks the cap once: none of the stride's
+    values can be the descent or a return to n, and the cap message names
+    no step index, so one check at its last index equals a check at each.
+    When neither stride fits, the walk lands at the first s with
+    v >> s <= n: s is the bit length of v less that of n, plus 1 if
+    v >> s is still above n, since a value of smaller bit length than n
+    is below n.  A resumed `steps` already at the cap needs no check of
+    its own: a stride raises at the turn's cap check, and a landing from
+    v > n has s >= 1, so its cap check, which comes before the cycle
+    check, raises.
     """
     if n < 2:
         raise ValueError("descent is defined for n >= 2")
@@ -153,34 +154,31 @@ def descent_length(
         if not n & 1:
             return 1
         v, steps = 3 * n + 1, 1
-    bits = n.bit_length()
     while True:
         g, p, e, k = _JUMPS[v & _JUMP_MASK]
         if v >> g > n:
             # every value of the jump is above n
-            steps += k
-            if steps >= step_cap:
-                raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
             v = p * (v >> _JUMP_K) + e
-            continue
-        t = (v & -v).bit_length() - 1
-        odd = v >> t
-        if odd > n:
+        else:
+            t = (v & -v).bit_length() - 1
+            odd = v >> t
+            if odd <= n:
+                break
             # the t halvings, all above n, and the O-step from odd
-            steps += t + 1
-            if steps >= step_cap:
-                raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+            k = t + 1
             v = 3 * odd + 1
-            continue
-        s = v.bit_length() - bits
-        if v >> s > n:
-            s += 1
-        # the values before the landing halving are above n
-        if steps + s - 1 >= step_cap:
+        steps += k
+        if steps >= step_cap:
             raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
-        if v >> s == n:
-            raise CycleDetected(f"trajectory of {n} returned to its start after {steps + s} steps")
-        return steps + s
+    s = v.bit_length() - n.bit_length()
+    if v >> s > n:
+        s += 1
+    # the values before the landing halving are above n
+    if steps + s - 1 >= step_cap:
+        raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+    if v >> s == n:
+        raise CycleDetected(f"trajectory of {n} returned to its start after {steps + s} steps")
+    return steps + s
 
 
 def chain_descents(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[DescentTrace]:

@@ -131,20 +131,18 @@ def feasibility_table(max_length: int) -> list[FeasibilityRow]:
     turns positive (that unique split is the only one a minimal descent
     of that i can use, since its length-minus-one prefix must still sit
     above the start).  Short lengths (<= 11) are listed densely, starting
-    from j = max(i+1, previous feasible j); afterwards each i starts one
-    past the previous feasible j.  Rows are ordered by length.
+    from j = max(i+1, previous feasible j), with 0 as the previous at
+    i = 0; afterwards each i starts one past the previous feasible j.
+    Rows are ordered by length.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     rows: list[FeasibilityRow] = []
-    prev_jmin: int | None = None
+    prev_jmin = 0
     for i in range(0, max_length + 1):
         jmin = _min_descending_j(i)
-        if i == 0:
-            j_lo = 1
-        else:
-            dense_lo = max(i + 1, prev_jmin)
-            j_lo = dense_lo if i + dense_lo <= _DENSE_LENGTH_LIMIT else prev_jmin + 1
+        dense_lo = max(i + 1, prev_jmin)
+        j_lo = dense_lo if i + dense_lo <= _DENSE_LENGTH_LIMIT else prev_jmin + 1
         if i + j_lo > max_length:
             break
         for j in range(j_lo, jmin + 1):

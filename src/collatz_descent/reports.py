@@ -178,10 +178,8 @@ _CLASS_COLUMNS = [
 
 def _class_row(text: str, i: int, j: int, m: int, x: int, y0: int) -> list[Cell]:
     """One row of _CLASS_COLUMNS for the class 2^j*k + x with pattern text."""
-    if x == 0:
-        subset = f"2^{j}*k" if j > 1 else "2*k"
-    else:
-        subset = f"2^{j}*k+{x}"
+    # x is 0 only for the even class E, whose j is 1: every other pattern starts with O
+    subset = f"2^{j}*k+{x}" if x else "2*k"
     return [text, len(text), i, j, 1 << j, x, m, y0, subset]
 
 
@@ -262,27 +260,30 @@ def records_report(records: list[tuple[int, int]]) -> list[Table]:
     return [t]
 
 
+def _step_table(values: Sequence[int]) -> list[Table]:
+    """Step table of a trajectory from values[0] to values[-1].
+
+    A row per step shows the value before it and its letter, read from
+    that value's parity as col_step reads it; a closing row shows the end.
+    """
+    t = Table(title="", columns=["Step", "Value", "Ops"])
+    t.rows = [[step, v, "O" if v & 1 else "E"] for step, v in enumerate(values[:-1], 1)]
+    t.rows.append(["", values[-1], ""])
+    return [t]
+
+
 def trace_descent_report(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[Table]:
     """Step table of n's first descent; the Value column shows the value before each step."""
-    tr = descent_trace(n, step_cap=step_cap)
-    t = Table(title="", columns=["Step", "Value", "Ops"])
-    before = [n] + list(tr.values[:-1])
-    for idx, ch in enumerate(tr.pattern.text):
-        t.rows.append([idx + 1, before[idx], ch])
-    t.rows.append(["", tr.first_lower, ""])
-    return [t]
+    return _step_table((n,) + descent_trace(n, step_cap=step_cap).values)
 
 
 def trace_full_report(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[Table]:
     """Step table of the whole trajectory of n down to 1."""
-    total = total_stopping_time(n, step_cap=step_cap)
-    t = Table(title="", columns=["Step", "Value", "Ops"])
-    v = n
-    for step in range(1, total + 1):
-        t.rows.append([step, v, "O" if v & 1 else "E"])
-        v = 3 * v + 1 if v & 1 else v >> 1
-    t.rows.append(["", v, ""])
-    return [t]
+    values = [n]
+    for _ in range(total_stopping_time(n, step_cap=step_cap)):
+        v = values[-1]
+        values.append(3 * v + 1 if v & 1 else v >> 1)
+    return _step_table(values)
 
 
 def trace_twin_report(

@@ -27,10 +27,12 @@ from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
 
 # The walk holds one level of the parity tree at a time and the pruned
 # classes, in compact arrays: at depth 24, 286,581 open leaves and 81,119
-# classes, two 8-byte words and one or two bytes each.  The bound is kept
-# for classify_depth, whose report replays every class and prints a row
-# for every class and open leaf: the classes grow about 6x per two depths
-# (12,449 at depth 22, 81,119 at 24), the leaves about 1.8x per depth.
+# classes, two 8-byte words and one or two bytes each.  The bound serves
+# two users.  classify_depth's report replays every class and prints a
+# row for every class and open leaf: the classes grow about 6x per two
+# depths (12,449 at depth 22, 81,119 at 24), the leaves about 1.8x per
+# depth.  sieve_scan refuses an explicit depth above it; the depth it
+# picks itself stops at 22.
 MAX_DEPTH = 24
 
 

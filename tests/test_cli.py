@@ -15,6 +15,8 @@ import pytest
 
 from collatz_descent import cli, scanner
 from collatz_descent.cli import main
+from collatz_descent.reports import FORMATS, classify_report, render
+from collatz_descent.scanner import classify_depth
 
 
 def run(capsys, *argv):
@@ -77,6 +79,23 @@ def test_enumerate_json(capsys):
     payload = json.loads(out)
     offsets = [row[5] for row in payload["tables"][0]["rows"]]
     assert offsets == [11, 23]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_classify_command(capsys, fmt):
+    for depth in (1, 5, 12):
+        code, out, err = run(capsys, "classify", "--depth", str(depth), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == render(classify_report(classify_depth(depth)), fmt)
+
+
+def test_classify_depth_out_of_bounds(capsys):
+    assert run(capsys, "classify", "--depth", "0") == (1, "", "error: depth must be >= 1\n")
+    assert run(capsys, "classify", "--depth", "25") == (
+        1,
+        "",
+        "error: depth 25 exceeds the configured maximum 24\n",
+    )
 
 
 def test_scan_json(capsys):
@@ -304,10 +323,12 @@ def test_records_step_cap_hit_inside_a_block(capsys, monkeypatch):
 
 
 def test_step_cap_env_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("COLLATZ_STEP_CAP", "lots")
-    with pytest.raises(SystemExit) as exc:
-        main(["trace", "27"])
-    assert exc.value.code == 2
+    for raw in ("lots", "0"):
+        monkeypatch.setenv("COLLATZ_STEP_CAP", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "27"])
+        assert exc.value.code == 2
+        assert f"COLLATZ_STEP_CAP must be a positive integer, got {raw!r}" in capsys.readouterr().err
 
 
 def test_usage_error_unknown_command():

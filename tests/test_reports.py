@@ -228,6 +228,16 @@ def test_scan_report_tables_roundtrip():
             assert not any(isinstance(c, float) for c in row)
 
 
+def test_scan_failures_table_roundtrip():
+    # 110 leftovers near 10^12 need more than 150 steps
+    rep = sieve_scan(10**12, 10**12 + 300_000, 22, step_cap=150)
+    assert len(rep.failures) == 110
+    summary, failures = scan_report_tables(rep)
+    assert failures.title == "Failures"
+    assert [tuple(row) for row in failures.rows] == list(rep.failures)
+    _csv_roundtrips([summary, failures])
+
+
 def test_enumerate_report_roundtrip():
     tables = classes_report(enumerate_minimal_patterns(8))
     assert [r[5] for r in tables[0].rows] == [11, 23]

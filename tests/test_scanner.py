@@ -118,6 +118,17 @@ def test_sieve_scan_rejects_bad_ranges():
         sieve_scan(10, 2, 1)
 
 
+def test_scan_and_record_search_reject_bad_arguments():
+    with pytest.raises(ValueError, match="^workers must be >= 1$"):
+        sieve_scan(2, 10, 1, workers=0)
+    with pytest.raises(ValueError, match="^block_size must be >= 1$"):
+        sieve_scan(2, 10, 1, block_size=0)
+    with pytest.raises(ValueError, match="^record search starts at 2 or above$"):
+        record_search(1, 5)
+    with pytest.raises(ValueError, match="^empty search range$"):
+        record_search(5, 4)
+
+
 def test_sieve_matches_naive_scan():
     hi = 1 << 16
     # naive route: simulate everything through the public trace API
@@ -604,6 +615,27 @@ def test_record_search_refuses_a_block_failure_that_a_full_walk_does_not_repeat(
     monkeypatch.setattr(scanner, "_scan_block", fail_at_the_start)
     assert scanner._sieve_depth(999) == 8
     with pytest.raises(AssertionError, match="^leftover 28 failed only in its block$"):
+        record_search(2, 1000)
+
+
+def test_a_cycle_in_a_block_is_a_scan_failure_and_a_record_search_error(inline_pools, monkeypatch):
+    # 703 is a leftover at the depth [2, 1000] picks, in the block [702, 801]
+    real = scanner.descent_length
+
+    def cycle_at_703(n, *args):
+        if n == 703:
+            raise CycleDetected("trajectory of 703 returned to its start")
+        return real(n, *args)
+
+    monkeypatch.setattr(scanner, "descent_length", cycle_at_703)
+    depth = scanner._sieve_depth(999)
+    assert 703 & ((1 << depth) - 1) in unresolved_leaves(depth).residues
+    for workers in (1, 2):
+        rep = sieve_scan(2, 1000, depth, workers=workers, block_size=100)
+        assert rep.failures == ((703, "cycle detected"),)
+        assert rep.verified_count + rep.skipped_count == 998
+    assert [p.max_workers for p in inline_pools] == [2]
+    with pytest.raises(CycleDetected, match="^trajectory of 703 returned to its start$"):
         record_search(2, 1000)
 
 
