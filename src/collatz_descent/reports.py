@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import chain
 
-from .core import DEFAULT_STEP_CAP, DescentTrace, descent_trace, total_stopping_time
+from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_trace, total_stopping_time
 from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table
 from .scanner import ScanReport, twin_walk
 
@@ -157,10 +157,8 @@ def paper_sci(x: int) -> str:
 
 
 def feasibility_report(max_length: int) -> list[Table]:
-    t = Table(title="", columns=["E ops", "O ops", "Result", "Cycle length", "Remark"])
-    for row in feasibility_table(max_length):
-        t.rows.append([row.e_ops, row.o_ops, row.result, row.length, row.remark])
-    return [t]
+    columns = ["E ops", "O ops", "Result", "Cycle length", "Remark"]
+    return [Table(title="", columns=columns, rows=feasibility_table(max_length))]
 
 
 _CLASS_COLUMNS = [
@@ -248,42 +246,38 @@ def scan_report_tables(report: ScanReport) -> list[Table]:
     )
     tables = [summary]
     if report.failures:
-        ft = Table(title="Failures", columns=["n", "Reason"])
-        ft.rows = [[n, reason] for n, reason in report.failures]
-        tables.append(ft)
+        tables.append(Table(title="Failures", columns=["n", "Reason"], rows=list(report.failures)))
     return tables
 
 
 def records_report(records: list[tuple[int, int]]) -> list[Table]:
-    t = Table(title="", columns=["n", "Descent steps"])
-    t.rows = [[n, steps] for n, steps in records]
-    return [t]
+    return [Table(title="", columns=["n", "Descent steps"], rows=records)]
 
 
-def _step_table(values: Sequence[int]) -> list[Table]:
-    """Step table of a trajectory from values[0] to values[-1].
+def _step_table(n: int, steps: int) -> list[Table]:
+    """Step table of the first `steps` Collatz steps from n.
 
-    A row per step shows the value before it and its letter, read from
-    that value's parity as col_step reads it; a closing row shows the end.
+    A row per step shows the value before it and the letter col_step
+    gives it; a closing row shows the end.
     """
     t = Table(title="", columns=["Step", "Value", "Ops"])
-    t.rows = [[step, v, "O" if v & 1 else "E"] for step, v in enumerate(values[:-1], 1)]
-    t.rows.append(["", values[-1], ""])
+    v = n
+    for step in range(1, steps + 1):
+        after, letter = col_step(v)
+        t.rows.append([step, v, letter])
+        v = after
+    t.rows.append(["", v, ""])
     return [t]
 
 
 def trace_descent_report(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[Table]:
     """Step table of n's first descent; the Value column shows the value before each step."""
-    return _step_table((n,) + descent_trace(n, step_cap=step_cap).values)
+    return _step_table(n, len(descent_trace(n, step_cap=step_cap)))
 
 
 def trace_full_report(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[Table]:
     """Step table of the whole trajectory of n down to 1."""
-    values = [n]
-    for _ in range(total_stopping_time(n, step_cap=step_cap)):
-        v = values[-1]
-        values.append(3 * v + 1 if v & 1 else v >> 1)
-    return _step_table(values)
+    return _step_table(n, total_stopping_time(n, step_cap=step_cap))
 
 
 def trace_twin_report(
@@ -296,24 +290,23 @@ def trace_twin_report(
     the class adder m; the per-step adders sum to m.  paper_style renders
     those cells in rounded spreadsheet notation instead of exact integers.
     """
-    tr, twin_values = twin_walk(n, step_cap=step_cap)
+    tr, twin_path = twin_walk(n, step_cap=step_cap)
     i, j = tr.pattern.i, tr.pattern.j
     fmt = paper_sci if paper_style else str
     t = Table(title=title, columns=["Step", "Value", "Ops", "Adder value", "Subsequent"])
-    before = (n,) + tr.values
-    twin_before = (n + (1 << j),) + twin_values
     a = b = 0
     adder_total = 0
-    for idx, ch in enumerate(tr.pattern.text):
+    for step, (v, ch, v2) in enumerate(zip((n,) + tr.values, tr.pattern.text, twin_path), 1):
+        cell = ""
         if ch == "O":
             adder = 3 ** (i - a - 1) * (1 << b)
             adder_total += adder
-            t.rows.append([idx + 1, before[idx], ch, fmt(adder), twin_before[idx]])
+            cell = fmt(adder)
             a += 1
         else:
-            t.rows.append([idx + 1, before[idx], ch, "", twin_before[idx]])
             b += 1
-    t.rows.append(["", tr.first_lower, "", "", twin_values[-1]])
+        t.rows.append([step, v, ch, cell, v2])
+    t.rows.append(["", tr.first_lower, "", "", twin_path[-1]])
     t.rows.append(["Total", len(tr.pattern), "Adder", fmt(adder_total), ""])
     t.rows.append(["O steps", i, "", "", ""])
     t.rows.append(["E steps", j, "", "", ""])

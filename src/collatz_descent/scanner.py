@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
-from .core import DEFAULT_STEP_CAP, DescentTrace, descent_length, descent_trace
+from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_length, descent_trace
 from .errors import CollatzDescentError, CycleDetected, DepthTooLarge, StepCapExceeded
 from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
 
@@ -41,7 +41,9 @@ class ScanReport:
     """Outcome of one sieve-accelerated range scan.
 
     failures holds (n, reason) rows and is expected to stay empty; a
-    nonempty list is a headline result, not an error.  max_descent_steps
+    nonempty list is a headline result, not an error.  Only simulated
+    numbers are walked, so a step cap below the longest class length
+    makes the failures depend on the depth.  max_descent_steps
     tracks the simulated (non-skipped) numbers only, so it depends on the
     depth where the range's longest descent is a skipped one; skipped
     numbers have class-certified descents of i + j <= depth +
@@ -295,7 +297,11 @@ def sieve_scan(
     size: bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
     numbers, 22 from 2^23 up); the report records it.  For a given depth
     the report is deterministic for any worker count and block size:
-    blocks are merged in range order, each as it arrives.  Without a
+    blocks are merged in range order, each as it arrives.  The step cap
+    applies to the simulated numbers alone, since a skipped number is
+    never walked, so a cap below the longest class length makes the
+    failures depend on the depth: a cap of 5 on [2, 100] fails 25, 25
+    and 12 numbers at depths 0, 2 and 5.  Without a
     block_size, a block holds about 1/8 of a worker's share of the range,
     but never fewer than 2^16 or more than 2^20 numbers.  Every worker
     count draws its blocks lazily, and a pool holds at most two blocks per
@@ -394,43 +400,40 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
 
 
 def twin_walk(n: int, step_cap: int = DEFAULT_STEP_CAP) -> tuple[DescentTrace, tuple[int, ...]]:
-    """n's first descent and the values its twin n + 2^j takes alongside it.
+    """n's first descent and the path of its twin n + 2^j alongside it.
 
-    The twin must repeat n's pattern exactly.  Only the twin is stepped:
-    n's value before each step is read from its trace, whose letters
-    follow n's parities, so the twin's parity is checked against the
-    letter.  The value gap is checked before every step: after a O-steps
-    and b E-steps it must equal 3^a * 2^(j-b), which lands on 3^i once
-    both descents finish, below the twin.
+    The path is the twin, its value after each step and, last, its first
+    lower value.  The twin must repeat n's pattern exactly.  Only the twin
+    is stepped (by col_step): n's value before each step is read from its
+    trace, whose letters follow n's parities, so the letter col_step
+    returns for the twin must match n's.  The value gap is checked before
+    every step: after a O-steps and b E-steps it must equal 3^a * 2^(j-b),
+    which lands on 3^i once both descents finish, below the twin.
     """
     tr = descent_trace(n, step_cap=step_cap)
     i, j = tr.pattern.i, tr.pattern.j
-    twin = n + (1 << j)
-    v2 = twin
+    path = [n + (1 << j)]
     a = b = 0
-    twin_values = []
     for v, ch in zip((n,) + tr.values, tr.pattern.text):
-        gap = 3**a * (1 << (j - b))
-        if v2 - v != gap:
-            raise AssertionError(f"twin gap {v2 - v} != 3^{a}*2^{j - b} before step {a + b + 1}")
-        if (ch == "O") != bool(v2 & 1):
+        gap = path[-1] - v
+        if gap != 3**a * (1 << (j - b)):
+            raise AssertionError(f"twin gap {gap} != 3^{a}*2^{j - b} before step {a + b + 1}")
+        v2, letter = col_step(path[-1])
+        if letter != ch:
             raise AssertionError(f"parity mismatch at step {a + b + 1} of twin of {n}")
+        path.append(v2)
         if ch == "O":
-            v2 = 3 * v2 + 1
             a += 1
         else:
-            v2 >>= 1
             b += 1
-        twin_values.append(v2)
-    if v2 - tr.first_lower != 3**i or v2 >= twin:
+    if path[-1] - tr.first_lower != 3**i or path[-1] >= path[0]:
         raise AssertionError(f"twin of {n} did not land at first_lower + 3^{i}")
-    return tr, tuple(twin_values)
+    return tr, tuple(path)
 
 
 def twin_check(n: int, step_cap: int = DEFAULT_STEP_CAP) -> TwinRecord:
     """Verify that the odd n's twin n + 2^j repeats n's descent pattern exactly."""
     if n < 3 or n % 2 == 0:
         raise ValueError("twin check is defined for odd n >= 3")
-    tr, twin_values = twin_walk(n, step_cap=step_cap)
-    i, j = tr.pattern.i, tr.pattern.j
-    return TwinRecord(n, n + (1 << j), tr.pattern, i, j, tr.first_lower, twin_values[-1])
+    tr, path = twin_walk(n, step_cap=step_cap)
+    return TwinRecord(n, path[0], tr.pattern, tr.pattern.i, tr.pattern.j, tr.first_lower, path[-1])

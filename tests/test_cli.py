@@ -53,6 +53,14 @@ def test_class_domain_error_on_unrealizable_pattern(capsys):
     assert "error:" in err and out == ""
 
 
+def test_class_domain_error_on_a_smallest_member_that_does_not_descend(capsys):
+    assert run(capsys, "class", "OEEOEOEEEOEOE") == (
+        1,
+        "",
+        "error: 'OEEOEOEEEOEOE': smallest member 25 ends at 26 >= 25\n",
+    )
+
+
 def test_trace_domain_error(capsys):
     code, _, err = run(capsys, "trace", "1")
     assert code == 1
@@ -305,6 +313,20 @@ def test_step_cap_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "trace", "27")
     assert code == 1
     assert "10 steps" in err
+
+
+def test_trace_full_step_cap(capsys, monkeypatch):
+    # 27 reaches 1 in 111 steps
+    monkeypatch.setenv("COLLATZ_STEP_CAP", "100")
+    assert run(capsys, "trace", "27", "--mode", "full") == (
+        1,
+        "",
+        "error: 27 did not reach 1 within 100 steps\n",
+    )
+    monkeypatch.setenv("COLLATZ_STEP_CAP", "111")
+    code, out, err = run(capsys, "trace", "27", "--mode", "full", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[-3:] == ["111,2,E", ",1,", ""]
 
 
 def test_records_step_cap_env_override(capsys, monkeypatch):

@@ -266,6 +266,13 @@ def test_total_stopping_time_examples():
     assert total_stopping_time(27) == 111
 
 
+def test_whole_trajectories_reject_starts_below_their_domain():
+    with pytest.raises(ValueError, match="^chained descent is defined for n >= 2$"):
+        chain_descents(1)
+    with pytest.raises(ValueError, match="^stopping time is defined for n >= 1$"):
+        total_stopping_time(0)
+
+
 def test_decomposition_on_a_small_range():
     for n in range(2, 500):
         assert total_stopping_time(n) == sum(len(s) for s in chain_descents(n))

@@ -137,6 +137,12 @@ def test_residue_rejects_non_descents():
         residue_for_pattern("OEOE")
 
 
+def test_residue_rejects_a_class_whose_smallest_member_does_not_descend():
+    # 2^8 > 3^5, so the class's large members descend, but 25 ends at 26
+    with pytest.raises(NotADescent, match=r"^'OEEOEOEEEOEOE': smallest member 25 ends at 26 >= 25$"):
+        residue_for_pattern("OEEOEOEEEOEOE")
+
+
 def test_even_class_convention():
     c = residue_for_pattern("E")
     assert (c.x, c.modulus, c.y0, c.m, c.i, c.j) == (0, 2, 0, 0, 0, 1)
@@ -394,6 +400,19 @@ def test_alternating_family_closed_form_deep():
             j += 1
         assert pattern_constants(c.pattern) == (i, j, 3**i - 2**i)
         assert (c.i, c.j, c.m) == (i, j, 3**i - 2**i)
+
+
+def test_pattern_functions_reject_out_of_range_arguments():
+    with pytest.raises(ValueError, match="^max_length must be >= 1$"):
+        feasibility_table(0)
+    with pytest.raises(ValueError, match="^max_j must be >= 1$"):
+        next(iter_minimal_pattern_texts(0))
+    with pytest.raises(ValueError, match="^length must be >= 1$"):
+        enumerate_minimal_patterns(0)
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        first_lower_value(residue_for_pattern("OEE"), -1)
+    with pytest.raises(ValueError, match="^i must be >= 1$"):
+        alternating_family(0)
 
 
 def test_class_soundness_small_lengths():

@@ -63,6 +63,22 @@ def test_feasibility_csv_roundtrip_and_exact_rows():
     _csv_roundtrips(tables)
 
 
+def test_report_entry_points_reject_unknown_names():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        render(feasibility_report(8), "xml")
+    with pytest.raises(ValueError, match="^unknown trace mode 'sideways'$"):
+        trace_report(27, "sideways")
+    with pytest.raises(ValueError, match="^unknown report 'nope'$"):
+        named_report("nope")
+
+
+def test_parse_csv_skips_blank_blocks():
+    tables = feasibility_report(8) + named_report("length8")
+    text = render_csv(tables)
+    assert parse_csv("\n\n\n" + text + "\n\n\n\n") == parse_csv(text)
+    assert len(parse_csv(text)) == 3
+
+
 def test_trace_full_575_matches_corrected_reference_column():
     (table,) = trace_report(575, "full")
     values = [row[1] for row in table.rows[:17]]
