@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--paper-style",
         action="store_true",
-        help="render big adder cells in rounded spreadsheet notation instead of exact integers",
+        help="--mode twin only: round big adder cells to spreadsheet notation, not exact integers",
     )
     _add_format(p)
 
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("classify", help="classify residues by descent depth")
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=int, default=5, help="halving depth, 1 to 24 (default: 5)")
     _add_format(p)
 
     p = sub.add_parser("scan", help="verify a range, sieving out class-certified numbers")
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="reproduce one of the reference tables")
     p.add_argument("name", choices=REPORT_NAMES)
-    p.add_argument("--paper-style", action="store_true")
+    p.add_argument("--paper-style", action="store_true", help="seq27 only: round big adder cells")
     _add_format(p)
 
     return parser

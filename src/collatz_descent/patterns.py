@@ -133,7 +133,8 @@ def feasibility_table(max_length: int) -> list[FeasibilityRow]:
     above the start).  Short lengths (<= 11) are listed densely, starting
     from j = max(i+1, previous feasible j), with 0 as the previous at
     i = 0; afterwards each i starts one past the previous feasible j.
-    Rows are ordered by length.
+    Rows come out ordered by length: each i's first length is above the
+    previous i's last.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
@@ -160,7 +161,6 @@ def feasibility_table(max_length: int) -> list[FeasibilityRow]:
                 remark = "Not possible"
             rows.append(FeasibilityRow(j, i, result, length, remark))
         prev_jmin = jmin
-    rows.sort(key=lambda r: r.length)
     return rows
 
 
@@ -236,11 +236,10 @@ def residue_for_pattern(p: PatternLike) -> ResidueClass:
             f"{pat.text!r}: 2^{j} - 3^{i} = {modulus - pow3i} <= 0, end value never drops below start"
         )
     x = -m * pow(pow3i, -1, modulus) % modulus
-    y0 = (pow3i * x + m) >> j
-    if x >= 2 and y0 >= x:
-        # Only x in {0, 1} may fail to drop (the 1-4-2-1 loop).
-        raise NotADescent(f"{pat.text!r}: smallest member {x} ends at {y0} >= {x}")
     c = _resolved_class(*replay_class(x, j, i, m))
+    if x >= 2 and c.y0 >= x:
+        # Only x in {0, 1} may fail to drop (the 1-4-2-1 loop).
+        raise NotADescent(f"{pat.text!r}: smallest member {x} ends at {c.y0} >= {x}")
     if c.pattern.text != pat.text:
         raise UnrealizablePattern(f"{pat.text!r}: residue {x} mod 2^{j} traces {c.pattern.text!r}")
     return c

@@ -270,16 +270,6 @@ def _step_table(n: int, steps: int) -> list[Table]:
     return [t]
 
 
-def trace_descent_report(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[Table]:
-    """Step table of n's first descent; the Value column shows the value before each step."""
-    return _step_table(n, len(descent_trace(n, step_cap=step_cap)))
-
-
-def trace_full_report(n: int, step_cap: int = DEFAULT_STEP_CAP) -> list[Table]:
-    """Step table of the whole trajectory of n down to 1."""
-    return _step_table(n, total_stopping_time(n, step_cap=step_cap))
-
-
 def trace_twin_report(
     n: int, step_cap: int = DEFAULT_STEP_CAP, paper_style: bool = False, title: str = ""
 ) -> list[Table]:
@@ -317,9 +307,9 @@ def trace_report(
     n: int, mode: str, step_cap: int = DEFAULT_STEP_CAP, paper_style: bool = False
 ) -> list[Table]:
     if mode == "descent":
-        return trace_descent_report(n, step_cap=step_cap)
+        return _step_table(n, len(descent_trace(n, step_cap=step_cap)))
     if mode == "full":
-        return trace_full_report(n, step_cap=step_cap)
+        return _step_table(n, total_stopping_time(n, step_cap=step_cap))
     if mode == "twin":
         return trace_twin_report(n, step_cap=step_cap, paper_style=paper_style)
     raise ValueError(f"unknown trace mode {mode!r}")

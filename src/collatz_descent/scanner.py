@@ -309,8 +309,11 @@ def sieve_scan(
     workers are forked from this process, whatever the default start
     method, with SIGINT blocked, so Ctrl-C interrupts the parent alone,
     which lets the blocks in flight finish and raises KeyboardInterrupt.
-    Raises ValueError on a bad range, worker count or block size,
-    DepthTooLarge past MAX_DEPTH, and CollatzDescentError, chained from
+    A pool thus needs the fork start method: on a platform without it
+    (Windows), multiprocessing raises ValueError("cannot find context for
+    'fork'"), and only workers=1 runs.  Raises ValueError on a bad range,
+    worker count or block size, DepthTooLarge past MAX_DEPTH (from
+    classify_depth), and CollatzDescentError, chained from
     the pool's BrokenProcessPool or OSError, when a worker dies or the
     pool cannot start.
     """
@@ -324,11 +327,9 @@ def sieve_scan(
         raise ValueError("block_size must be >= 1")
     if depth is None:
         depth = _sieve_depth(hi - lo + 1)
-    if depth > MAX_DEPTH:
-        raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
 
     t0 = time.perf_counter()
-    leaves = unresolved_leaves(depth)
+    leaves = classify_depth(depth) if depth >= 1 else unresolved_leaves(depth)
     t1 = time.perf_counter()
     verified = 0
     skipped = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -15,8 +16,20 @@ import pytest
 
 from collatz_descent import cli, scanner
 from collatz_descent.cli import main
-from collatz_descent.reports import FORMATS, classify_report, render
-from collatz_descent.scanner import classify_depth
+from collatz_descent.patterns import enumerate_minimal_patterns, residue_for_pattern
+from collatz_descent.reports import (
+    FORMATS,
+    REPORT_NAMES,
+    classes_report,
+    classify_report,
+    feasibility_report,
+    named_report,
+    records_report,
+    render,
+    scan_report_tables,
+    trace_report,
+)
+from collatz_descent.scanner import classify_depth, record_search, sieve_scan
 
 
 def run(capsys, *argv):
@@ -106,6 +119,50 @@ def test_classify_depth_out_of_bounds(capsys):
     )
 
 
+def test_scan_depth_out_of_bounds(capsys):
+    assert run(capsys, "scan", "2", "100", "--depth", "25") == (
+        1,
+        "",
+        "error: depth 25 exceeds the configured maximum 24\n",
+    )
+    assert run(capsys, "scan", "2", "100", "--depth", "-1") == (1, "", "error: depth must be >= 0\n")
+
+
+def _untimed(report):
+    """The report with its timing fields zeroed, so that its Wall ms cell reads 0."""
+    return dataclasses.replace(report, wall_time=0.0, setup_time=0.0)
+
+
+# each command's argv and the library tables its output must render
+COMMANDS = [
+    (["feasibility"], lambda: feasibility_report(37)),
+    *(
+        (["trace", "27", "--mode", mode], lambda mode=mode: trace_report(27, mode))
+        for mode in ("descent", "full", "twin")
+    ),
+    (
+        ["trace", "27", "--mode", "twin", "--paper-style"],
+        lambda: trace_report(27, "twin", paper_style=True),
+    ),
+    (["enumerate", "8"], lambda: classes_report(enumerate_minimal_patterns(8))),
+    (["class", "OEOEEOEE"], lambda: classes_report([residue_for_pattern("OEOEEOEE")])),
+    (["classify", "--depth", "8"], lambda: classify_report(classify_depth(8))),
+    (["records", "2", "3000"], lambda: records_report(record_search(2, 3000))),
+    *((["report", name], lambda name=name: named_report(name)) for name in REPORT_NAMES),
+    (
+        ["scan", "2", "3000", "--workers", "1"],
+        lambda: scan_report_tables(_untimed(sieve_scan(2, 3000, workers=1))),
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv, tables", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_every_command_prints_the_library_tables(capsys, monkeypatch, argv, tables, fmt):
+    monkeypatch.setattr(cli, "sieve_scan", lambda *args, **kwargs: _untimed(sieve_scan(*args, **kwargs)))
+    assert run(capsys, *argv, "--format", fmt) == (0, render(tables(), fmt), "")
+
+
 def test_scan_json(capsys):
     code, out, _ = run(capsys, "scan", "2", "1000", "--depth", "5", "--workers", "1", "--format", "json")
     assert code == 0
@@ -131,6 +188,14 @@ def test_scan_dead_worker_is_a_clean_error(capsys, dead_pools):
 def test_scan_unstartable_pool_is_a_clean_error(capsys, unforkable_pools):
     code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
     assert (code, out, err) == (1, "", "error: [Errno 11] Resource temporarily unavailable\n")
+
+
+def test_scan_without_fork_needs_one_worker(capsys, monkeypatch):
+    # a platform without fork (Windows) lists no "fork" context
+    monkeypatch.delitem(multiprocessing.context._concrete_contexts, "fork")
+    argv = ["scan", "2", "300000", "--depth", "5"]
+    assert run(capsys, *argv, "--workers", "2") == (1, "", "error: cannot find context for 'fork'\n")
+    assert run(capsys, *argv, "--workers", "1")[0] == 0
 
 
 def test_scan_real_worker_death_is_a_clean_error(capsys, monkeypatch):

@@ -88,6 +88,14 @@ def test_feasibility_table_truncations():
     assert tuple(rows8[-1]) == (5, 3, 5, 8, "Possible")
 
 
+def test_feasibility_table_is_one_table_truncated_in_length_order():
+    full = feasibility_table(399)
+    for m in range(1, 399):
+        rows = feasibility_table(m)
+        assert rows == [r for r in full if r.length <= m]
+        assert all(a.length <= b.length for a, b in zip(rows, rows[1:]))
+
+
 def test_pattern_constants_examples():
     assert pattern_constants("OEE") == (1, 2, 1)
     assert pattern_constants("OE" * 6 + "E" * 4) == (6, 10, 665)

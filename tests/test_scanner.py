@@ -361,9 +361,9 @@ def test_leftover_kernel_matches_dense_reference_under_a_step_cap(step_cap):
 
 
 def test_sieve_scan_depth_bounds():
-    with pytest.raises(DepthTooLarge):
+    with pytest.raises(DepthTooLarge, match=r"^depth 25 exceeds the configured maximum 24$"):
         sieve_scan(2, 100, 25)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^depth must be >= 0$"):
         sieve_scan(2, 100, -1)
 
 
