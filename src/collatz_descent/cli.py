@@ -18,6 +18,7 @@ from .patterns import DescentPattern, enumerate_minimal_patterns, residue_for_pa
 from .reports import (
     FORMATS,
     REPORT_NAMES,
+    Table,
     classes_report,
     classify_report,
     feasibility_report,
@@ -30,11 +31,17 @@ from .reports import (
 from .scanner import classify_depth, record_search, sieve_scan
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="markdown", help="output format")
+def _class_tables(parser: argparse.ArgumentParser, text: str) -> list[Table]:
+    """The class command's table; a malformed pattern is a usage error (exit 2)."""
+    try:
+        pattern = DescentPattern.parse(text)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return classes_report([residue_for_pattern(pattern)])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; each command's `tables(args, step_cap)` default builds its tables."""
     parser = argparse.ArgumentParser(
         prog="collatz-descent",
         description="First-descent patterns, residue classes and range verification for the 3n+1 map.",
@@ -43,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasibility", help="which pattern lengths can reach a lower number")
     p.add_argument("--max-length", type=int, default=37)
-    _add_format(p)
+    p.set_defaults(tables=lambda args, cap: feasibility_report(args.max_length))
 
     p = sub.add_parser("trace", help="trajectory table for one starting number")
     p.add_argument("n", type=int)
@@ -53,19 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="--mode twin only: round big adder cells to spreadsheet notation, not exact integers",
     )
-    _add_format(p)
+    p.set_defaults(tables=lambda args, cap: trace_report(args.n, args.mode, cap, args.paper_style))
 
     p = sub.add_parser("enumerate", help="all minimal descent classes of one length")
     p.add_argument("length", type=int)
-    _add_format(p)
+    p.set_defaults(tables=lambda args, cap: classes_report(enumerate_minimal_patterns(args.length)))
 
     p = sub.add_parser("class", help="solve the residue class of a pattern string such as OEOEEE")
     p.add_argument("pattern")
-    _add_format(p)
+    p.set_defaults(tables=lambda args, cap: _class_tables(parser, args.pattern))
 
     p = sub.add_parser("classify", help="classify residues by descent depth")
     p.add_argument("--depth", type=int, default=5, help="halving depth, 1 to 24 (default: 5)")
-    _add_format(p)
+    p.set_defaults(tables=lambda args, cap: classify_report(classify_depth(args.depth)))
 
     p = sub.add_parser("scan", help="verify a range, sieving out class-certified numbers")
     p.add_argument("lo", type=int)
@@ -73,18 +80,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, help="sieve depth (default: from the range size)")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     p.add_argument("--workers", type=int, default=cpus or 1)
-    _add_format(p)
+    p.set_defaults(tables=lambda args, cap: scan_report_tables(
+        sieve_scan(args.lo, args.hi, args.depth, workers=args.workers, step_cap=cap)))
 
     p = sub.add_parser("records", help="running maxima of descent length over a range")
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
-    _add_format(p)
+    p.set_defaults(tables=lambda args, cap: records_report(record_search(args.lo, args.hi, cap)))
 
     p = sub.add_parser("report", help="reproduce one of the reference tables")
     p.add_argument("name", choices=REPORT_NAMES)
     p.add_argument("--paper-style", action="store_true", help="seq27 only: round big adder cells")
-    _add_format(p)
+    p.set_defaults(tables=lambda args, cap: named_report(args.name, cap, args.paper_style))
 
+    # last, so every command's help lists it last
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=FORMATS, default="markdown", help="output format")
     return parser
 
 
@@ -107,31 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     step_cap = _step_cap(parser)
 
     try:
-        if args.command == "feasibility":
-            tables = feasibility_report(args.max_length)
-        elif args.command == "trace":
-            tables = trace_report(
-                args.n, args.mode, step_cap=step_cap, paper_style=args.paper_style
-            )
-        elif args.command == "enumerate":
-            tables = classes_report(enumerate_minimal_patterns(args.length))
-        elif args.command == "class":
-            try:
-                pattern = DescentPattern.parse(args.pattern)
-            except ValueError as exc:
-                parser.error(str(exc))
-            tables = classes_report([residue_for_pattern(pattern)])
-        elif args.command == "classify":
-            tables = classify_report(classify_depth(args.depth))
-        elif args.command == "scan":
-            report = sieve_scan(
-                args.lo, args.hi, args.depth, workers=args.workers, step_cap=step_cap
-            )
-            tables = scan_report_tables(report)
-        elif args.command == "records":
-            tables = records_report(record_search(args.lo, args.hi, step_cap=step_cap))
-        else:  # report
-            tables = named_report(args.name, step_cap=step_cap, paper_style=args.paper_style)
+        tables = args.tables(args, step_cap)
     except (CollatzDescentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,7 @@ makes exhaustive verification sievable.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -93,6 +94,8 @@ class ResidueClass:
 
     def member(self, k: int) -> int:
         """The k-th starting number of this class."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         return self.modulus * k + self.x
 
 
@@ -259,31 +262,19 @@ def iter_minimal_pattern_texts(max_j: int) -> Iterator[str]:
     """
     if max_j < 1:
         raise ValueError("max_j must be >= 1")
-
-    yield "E"  # the even class, the only valid non-O start
-
-    # chars, O count, E count, 3^a, 2^b; every stacked prefix has margin <= 0
-    stack: list[tuple[str, int, int, int, int]] = [("O", 1, 0, 3, 1)]
+    limit = 1 << max_j
+    # prefixes ending in E, from the empty root, with 3^(O count) and 2^(E
+    # count); each has margin <= 0.  An O always takes its forced E along.
+    stack = [("", 1, 1)]
     while stack:
-        text, a, b, pow3a, pow2b = stack.pop()
-        if b >= max_j:
-            continue
-        if text[-1] == "O":
-            # forced E after an O
-            children = "E"
-        else:
-            children = "OE"
-        for ch in children:
-            if ch == "E":
-                na, nb, n3, n2 = a, b + 1, pow3a, pow2b << 1
-            else:
-                na, nb, n3, n2 = a + 1, b, pow3a * 3, pow2b
-            child = text + ch
-            if n2 > n3:
+        text, pow3a, pow2b = stack.pop()
+        if pow2b < limit:
+            stack.append((text + "OE", 3 * pow3a, 2 * pow2b))
+            if 2 * pow2b > pow3a:
                 # first positive margin: a complete minimal descent pattern
-                yield child
-                continue
-            stack.append((child, na, nb, n3, n2))
+                yield text + "E"
+            else:
+                stack.append((text + "E", pow3a, 2 * pow2b))
 
 
 @dataclass(frozen=True)
@@ -449,9 +440,8 @@ def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    i = 0
-    while i + _min_descending_j(i) < length:
-        i += 1
+    # i + bitlen(3^i) strictly increases, so the first i reaching length is found by bisection
+    i = bisect_left(range(length), length, key=lambda i: i + _min_descending_j(i))
     j = length - i
     if _min_descending_j(i) != j:
         return []
@@ -482,6 +472,8 @@ def first_lower_value(c: ResidueClass, k: int) -> int:
 
 def subsequent_lower_value(y_k: int, i: int) -> int:
     """First-lower value of the next class member: y_{k+1} = y_k + 3^i."""
+    if i < 0:
+        raise ValueError("i must be >= 0")
     return y_k + 3**i
 
 

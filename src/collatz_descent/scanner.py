@@ -98,6 +98,8 @@ def classify_depth(depth: int) -> UnresolvedLeaves:
 
     The walk of the parity tree (patterns.unresolved_leaves) is the
     classification: its pruned classes, their measure and its open leaves.
+    Raises ValueError("depth must be >= 1") below depth 1 and DepthTooLarge
+    above MAX_DEPTH.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -312,8 +314,9 @@ def sieve_scan(
     A pool thus needs the fork start method: on a platform without it
     (Windows), multiprocessing raises ValueError("cannot find context for
     'fork'"), and only workers=1 runs.  Raises ValueError on a bad range,
-    worker count or block size, DepthTooLarge past MAX_DEPTH (from
-    classify_depth), and CollatzDescentError, chained from
+    worker count or block size, ValueError("depth must be >= 0") on a
+    negative depth (from unresolved_leaves), DepthTooLarge past MAX_DEPTH
+    (from classify_depth), and CollatzDescentError, chained from
     the pool's BrokenProcessPool or OSError, when a worker dies or the
     pool cannot start.
     """

@@ -151,6 +151,19 @@ def test_residue_rejects_a_class_whose_smallest_member_does_not_descend():
         residue_for_pattern("OEEOEOEEEOEOE")
 
 
+def test_solver_refuses_a_replay_that_traces_another_word(monkeypatch):
+    real = patterns.replay_class
+
+    def reversed_word(*args):
+        text, *rest = real(*args)
+        return (text[::-1], *rest)
+
+    monkeypatch.setattr(patterns, "replay_class", reversed_word)
+    with pytest.raises(UnrealizablePattern) as exc:
+        residue_for_pattern("OEOEEOEE")
+    assert str(exc.value) == "'OEOEEOEE': residue 11 mod 2^5 traces 'EEOEEOEO'"
+
+
 def test_even_class_convention():
     c = residue_for_pattern("E")
     assert (c.x, c.modulus, c.y0, c.m, c.i, c.j) == (0, 2, 0, 0, 0, 1)
@@ -326,6 +339,66 @@ def test_enumerate_refuses_deep_walks_before_walking(monkeypatch):
         assert enumerate_minimal_patterns(empty_len) == []
 
 
+def test_enumerate_finds_the_o_count_as_a_linear_search_does(monkeypatch):
+    walked = []
+
+    def stand_in_walk(depth):
+        walked.append(depth)
+        return unresolved_leaves(0)  # no classes
+
+    monkeypatch.setattr(patterns, "unresolved_leaves", stand_in_walk)
+    i = 0
+    for length in range(1, 2001):
+        while i + (3**i).bit_length() < length:
+            i += 1
+        j = length - i
+        walked.clear()
+        if (3**i).bit_length() != j:
+            assert enumerate_minimal_patterns(length) == [], length
+            assert walked == [], length
+        elif j > patterns.MAX_ENUMERATE_DEPTH:
+            with pytest.raises(DepthTooLarge, match=f"^length {length} needs {j} halvings, "):
+                enumerate_minimal_patterns(length)
+            assert walked == [], length
+        else:
+            assert enumerate_minimal_patterns(length) == [], length
+            assert walked == [j], length
+
+
+def test_enumerate_bisects_a_long_length(monkeypatch):
+    calls = []
+    real = patterns._min_descending_j
+
+    def counting(i):
+        calls.append(i)
+        return real(i)
+
+    monkeypatch.setattr(patterns, "_min_descending_j", counting)
+    assert enumerate_minimal_patterns(10**6) == []
+    assert len(calls) <= 25
+
+
+def test_word_route_order_is_depth_first_with_e_before_o():
+    assert list(iter_minimal_pattern_texts(6)) == ["E", "OEE", "OEOEEE", "OEOEEOEE", "OEOEOEEE"]
+    assert list(iter_minimal_pattern_texts(max_j=8)) == [
+        "E",
+        "OEE",
+        "OEOEEE",
+        "OEOEEOEE",
+        "OEOEEOEOEEE",
+        "OEOEEOEOEEOEE",
+        "OEOEEOEOEOEEE",
+        "OEOEOEEE",
+        "OEOEOEEOEEE",
+        "OEOEOEEOEEOEE",
+        "OEOEOEEOEOEEE",
+        "OEOEOEOEEEE",
+        "OEOEOEOEEEOEE",
+        "OEOEOEOEEOEEE",
+        "OEOEOEOEOEEEE",
+    ]
+
+
 def test_enumerate_matches_the_word_route_to_length_34():
     # the depth-first word route, solved and grouped by length; a minimal
     # pattern of length <= 34 has i <= 13 O-steps, so j <= bitlen(3^13) = 21
@@ -421,6 +494,10 @@ def test_pattern_functions_reject_out_of_range_arguments():
         first_lower_value(residue_for_pattern("OEE"), -1)
     with pytest.raises(ValueError, match="^i must be >= 1$"):
         alternating_family(0)
+    with pytest.raises(ValueError, match="^i must be >= 0$"):
+        subsequent_lower_value(10, -1)
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        residue_for_pattern("OEOEEOEE").member(-1)
 
 
 def test_class_soundness_small_lengths():

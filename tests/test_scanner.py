@@ -7,7 +7,7 @@ import errno
 import math
 import time
 import tracemalloc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
@@ -29,6 +29,7 @@ from collatz_descent import (
     unresolved_leaves,
 )
 from collatz_descent import scanner
+from collatz_descent.core import col_step
 from collatz_descent.reports import scan_report_tables
 from dense_reference import dense_classification, descent_length_reference
 
@@ -606,6 +607,23 @@ def test_record_search_near_10_12_matches_a_running_maximum_over_every_n():
     assert record_search(lo, hi) == reference_records(lo, hi, DEFAULT_STEP_CAP)
 
 
+def test_block_refuses_a_leftover_count_off_its_leaf_arrays(monkeypatch):
+    # one leaf too few at the block's start: a depth-22 period spans the block
+    monkeypatch.setattr(scanner, "bisect_left", lambda *args: bisect_left(*args) + 1)
+    with pytest.raises(
+        AssertionError,
+        match=r"^block \[1000000000000, 1000000065535\] visited 1478 leftovers, expected 1479$",
+    ):
+        sieve_scan(10**12, 10**12 + 99_999, 22)
+
+
+def test_scan_refuses_blocks_that_do_not_cover_the_range(monkeypatch):
+    real = scanner._block_results
+    monkeypatch.setattr(scanner, "_block_results", lambda *args: list(real(*args))[:-1])
+    with pytest.raises(AssertionError, match="^scan accounting does not cover the range$"):
+        sieve_scan(2, 300_000, 16)
+
+
 def test_record_search_refuses_a_block_failure_that_a_full_walk_does_not_repeat(monkeypatch):
     def fail_at_the_start(a, b, *rest):
         return 0, 0, [(a, "cycle detected")], []
@@ -702,6 +720,29 @@ def test_twin_walk_rejects_a_twin_that_leaves_the_pattern(monkeypatch):
     for n, step in ((3, 6), (7, 11), (27, 96), (97, 3)):
         with pytest.raises(AssertionError, match=f"parity mismatch at step {step} of twin of {n}$"):
             twin_check(n)
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (5, r"^twin gap 648518346341351426 != 3\^2\*2\^56 before step 6$"),
+        (96, r"^twin of 27 did not land at first_lower \+ 3\^37$"),
+    ],
+)
+def test_twin_walk_checks_the_gap_and_the_landing(monkeypatch, step, message):
+    # the twin's value is pushed 2 off its path after the given step, which
+    # keeps its parity, so only the gap before the next step, or the landing
+    # after the last, can catch it
+    steps = []
+
+    def drift(v):
+        steps.append(v)
+        v2, letter = col_step(v)
+        return v2 + 2 * (len(steps) == step), letter
+
+    monkeypatch.setattr(scanner, "col_step", drift)
+    with pytest.raises(AssertionError, match=message):
+        twin_check(27)
 
 
 def test_twin_law_holds_up_to_10k():
