@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on domain errors (a scan's dead worker
-process among them) or an interrupt (Ctrl-C), 2 on usage errors.
+process among them) or an interrupt (Ctrl-C or SIGTERM, which print
+"interrupted"), 2 on usage errors.
 Tables go to stdout, diagnostics to stderr.  COLLATZ_STEP_CAP overrides
 the per-descent step cap.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from .core import DEFAULT_STEP_CAP
@@ -112,11 +114,18 @@ def _step_cap(parser: argparse.ArgumentParser) -> int:
     return cap
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     step_cap = _step_cap(parser)
 
+    # a SIGTERM takes Ctrl-C's path: a scan's pool lets its blocks in flight
+    # finish and leaves no worker behind
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         tables = args.tables(args, step_cap)
     except (CollatzDescentError, ValueError) as exc:
@@ -125,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
     sys.stdout.write(render(tables, args.format))
     return 0

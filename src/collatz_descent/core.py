@@ -11,52 +11,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleDetected, StepCapExceeded
-from .patterns import DescentPattern
+from .patterns import _HALVING_WORDS, DescentPattern, _WORD_K as _JUMP_K
 
 # Far above the 96 steps of 27; guards against nontermination only.
 DEFAULT_STEP_CAP = 100_000
 
-# Halvings per jump of descent_length.  Swept over K = 4..10 with the
-# scan-d16 and scan-deep benchmark workloads (3 runs of 5 s each, Python
-# 3.11 on a 2-vCPU machine): scan-d16's median wall was 0.33-0.35 s at
-# every K, against 0.41 s without jumps; scan-deep's was 0.208 s at K = 8
-# and 0.219-0.233 s at the others, against 0.261 s.
-_JUMP_K = 8
 _JUMP_MASK = (1 << _JUMP_K) - 1
 
 
-def _jump_table(k: int) -> list[tuple[int, int, int, int]]:
-    """The jumps of k halvings, one (g, 3^c, e, k + c) per residue l mod 2^k.
+def _jump(word: str, p: int, e: int) -> tuple[int, int, int, int]:
+    """The jump over a word of k halvings from patterns._HALVING_WORDS, as (g, 3^c, e, k + c).
 
-    From any v = 2^k*h + l, the steps up to and including the k-th
-    halving follow l's parities alone: they are k + c steps, c of them
-    O-steps, and end at 3^c*h + e.  After its t-th halving, with c_t
-    O-steps before it, the walk is at (3^c_t*v + b)/2^t for some b >= 0,
-    and values after an O-step exceed the one before it.  The guard g is
-    the smallest integer with 2^g*3^c_t >= 2^t at every t <= k, so
-    v >> g > n, that is v >= 2^g*(n + 1), keeps every value of the jump
-    above n.  Bit lengths give it: the smallest g with 2^g*3^c >= 2^t is
-    t + 1 less the bit length of 3^c, since 3^c is a power of 2 only at
-    c = 0.  Built level by level, each level doubling the one before: the
-    residues l and l + 2^b share their first b halvings.
+    From any v = 2^k*h + l, the word of l spells the steps up to and
+    including the k-th halving: k + c steps, c of them O-steps, ending at
+    3^c*h + e.  After its t-th halving, with c_t O-steps before it, the
+    walk is at (3^c_t*v + b)/2^t for some b >= 0, and values after an
+    O-step exceed the one before it.  The guard g is the smallest integer
+    with 2^g*3^c_t >= 2^t at every t <= k, so v >> g > n, that is
+    v >= 2^g*(n + 1), keeps every value of the jump above n.  Bit lengths
+    give it: the smallest g with 2^g*3^c >= 2^t is t + 1 less the bit
+    length of 3^c, since 3^c is a power of 2 only at c = 0.
     """
-    pow3 = [3**c for c in range(k + 1)]
-    # level b: (c, e, g) of the first b halvings of each residue mod 2^b, in order
-    level = [(0, 0, 0)]
-    for b in range(k):
-        children = []
-        for bit in (0, 1):
-            for c, e, g in level:
-                # 2^(b+1)*h' + l + bit*2^b is at 2*3^c*h' + w after b halvings
-                w = e + bit * pow3[c]
-                if w & 1:
-                    c, w = c + 1, 3 * w + 1
-                children.append((c, w >> 1, max(g, b + 2 - pow3[c].bit_length())))
-        level = children
-    return [(g, pow3[c], e, k + c) for c, e, g in level]
+    g = t = c = 0
+    for step in word:
+        if step == "O":
+            c += 1
+        else:
+            t += 1
+            g = max(g, t + 1 - (3**c).bit_length())
+    return g, p, e, len(word)
 
 
-_JUMPS = _jump_table(_JUMP_K)
+_JUMPS = [_jump(*w) for w in _HALVING_WORDS[_JUMP_K]]
 
 
 def col_step(n: int) -> tuple[int, str]:
@@ -131,7 +117,7 @@ def descent_length(
 
     Each loop turn takes one stride whose values all lie above n.  A jump
     of _JUMP_K halvings comes first: the entry of v mod 2^_JUMP_K (see
-    _jump_table) gives the value after them, the steps they take and a
+    _jump) gives the value after them, the steps they take and a
     guard g, and v >> g > n keeps every value of the jump above n.
     Otherwise the stride is the run of halvings of v, stripped with one
     trailing-zero count t (0 for an odd v that a jump or a resume left),

@@ -8,13 +8,9 @@ A row is a list or a tuple of cells.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from decimal import Decimal
-from itertools import chain
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_trace, total_stopping_time
 from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table
@@ -42,11 +38,11 @@ def _int_column(rows: list[Sequence[Cell]]) -> list[int] | None:
     Such a cell is a CSV line of its digits alone: an integer never needs
     quoting, and a single cell needs no delimiter.
     """
-    if set(map(len, rows)) <= {1}:
-        cells = list(chain.from_iterable(rows))
-        if set(map(type, cells)) <= {int}:
-            return cells
-    return None
+    try:
+        cells = [c for (c,) in rows]
+    except ValueError:  # a row of another length
+        return None
+    return cells if set(map(type, cells)) <= {int} else None
 
 
 def render_markdown(tables: list[Table]) -> str:
@@ -64,6 +60,8 @@ def render_markdown(tables: list[Table]) -> str:
 
 
 def render_csv(tables: list[Table]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for idx, t in enumerate(tables):
@@ -89,6 +87,8 @@ def _json_rows(rows: list[Sequence[Cell]]) -> str:
     and a cell never ends in "]" or starts with "[": so "]\\n[" parts two
     rows and every other newline parts two cells.
     """
+    import json
+
     if not rows or not all(rows):
         return json.dumps(rows, indent=2)
     body = json.dumps(rows, separators=("\n", ": "))[2:-2]
@@ -98,6 +98,7 @@ def _json_rows(rows: list[Sequence[Cell]]) -> str:
 
 def render_json(tables: list[Table]) -> str:
     """json.dumps of {"tables": [{"title", "columns", "rows"}, ...]} with indent=2, plus a newline."""
+    import json
 
     def indented(text: str) -> str:  # a table's fields sit three levels deep
         return text.replace("\n", "\n      ")
@@ -124,6 +125,8 @@ def render(tables: list[Table], fmt: str) -> str:
 
 def parse_csv(text: str) -> list[Table]:
     """Inverse of render_csv, up to every cell coming back as a string."""
+    import csv
+
     tables: list[Table] = []
     for block in text.split("\n\n"):
         lines = [ln for ln in block.split("\n") if ln != ""]
@@ -147,6 +150,8 @@ def paper_sci(x: int) -> str:
     """
     if x < 10**12:
         return str(x)
+    from decimal import Decimal
+
     mantissa, exp = f"{Decimal(x):.5E}".split("E")
     mantissa = mantissa.rstrip("0").rstrip(".")
     return f"{mantissa.replace('.', ',')}E{exp}"

@@ -15,7 +15,6 @@ running maximum passes the longest class.  No 2^J table is built anywhere.
 
 from __future__ import annotations
 
-import json
 import time
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -77,6 +76,8 @@ class ScanReport:
         }
 
     def canonical_json(self) -> str:
+        import json
+
         return json.dumps(self.canonical(), sort_keys=True)
 
 
@@ -254,9 +255,9 @@ def _block_results(
                     yield in_flight.popleft().result()
                 # the workers are forked from this process inside submit, whatever
                 # the default start method, and keep its signal mask: with SIGINT
-                # blocked in them, a Ctrl-C interrupts the parent alone, which
-                # lets the blocks in flight finish before it exits
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                # and SIGTERM blocked in them, a Ctrl-C or a SIGTERM interrupts the
+                # parent alone, which lets the blocks in flight finish before it exits
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
                 try:
                     in_flight.append(pool.submit(_scan_worker, block))
                 finally:
@@ -309,8 +310,9 @@ def sieve_scan(
     count draws its blocks lazily, and a pool holds at most two blocks per
     worker in flight, so memory stays flat in the range size.  A pool's
     workers are forked from this process, whatever the default start
-    method, with SIGINT blocked, so Ctrl-C interrupts the parent alone,
-    which lets the blocks in flight finish and raises KeyboardInterrupt.
+    method, with SIGINT and SIGTERM blocked, so Ctrl-C interrupts the
+    parent alone, which lets the blocks in flight finish and raises
+    KeyboardInterrupt; the CLI turns a SIGTERM into the same interrupt.
     A pool thus needs the fork start method: on a platform without it
     (Windows), multiprocessing raises ValueError("cannot find context for
     'fork'"), and only workers=1 runs.  Raises ValueError on a bad range,

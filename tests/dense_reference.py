@@ -11,7 +11,9 @@ equals the enumerated text.
 
 descent_length_reference is the descent kernel before the halving runs:
 one step per loop turn, with the descent, cycle and cap checks after
-each step.
+each step.  jump_table_reference builds the kernel's jumps level by level
+without words, and replay_reference replays a class one halving per loop
+turn, as the package did before its table of halving words.
 """
 
 from __future__ import annotations
@@ -85,3 +87,45 @@ def descent_length_reference(n, step_cap=DEFAULT_STEP_CAP, v=0, steps=0):
             raise CycleDetected(f"trajectory of {n} returned to its start after {steps} steps")
         if steps >= step_cap:
             raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+
+
+def jump_table_reference(k):
+    """core._JUMPS built level by level from (c, e, g), without the halving words.
+
+    Level b holds the first b halvings of each residue mod 2^b; the residues
+    l and l + 2^b share them.  g rises to t + 1 - bitlen(3^c_t) at the t-th
+    halving, c_t being the O-steps before it.
+    """
+    pow3 = [3**c for c in range(k + 1)]
+    level = [(0, 0, 0)]
+    for b in range(k):
+        children = []
+        for bit in (0, 1):
+            for c, e, g in level:
+                # 2^(b+1)*h' + l + bit*2^b is at 2*3^c*h' + w after b halvings
+                w = e + bit * pow3[c]
+                if w & 1:
+                    c, w = c + 1, 3 * w + 1
+                children.append((c, w >> 1, max(g, b + 2 - pow3[c].bit_length())))
+        level = children
+    return [(g, pow3[c], e, k + c) for c, e, g in level]
+
+
+def replay_reference(x, j):
+    """x's first j halvings one per loop turn, as replay_class returns them.
+
+    The tuple is (word, i, j, m, x, y0): the O-count i and adder m are folded
+    along the word as pattern_constants folds them, and y0 is where the
+    halvings end.
+    """
+    word, i, m, v = "", 0, 0, x
+    for b in range(j):
+        if v & 1:
+            word += "OE"
+            i += 1
+            m = 3 * m + (1 << b)
+            v = (3 * v + 1) >> 1
+        else:
+            word += "E"
+            v >>= 1
+    return word, i, j, m, x, v

@@ -234,6 +234,24 @@ def test_cli_import_leaves_the_process_pool_out():
     assert out == "[]\n"
 
 
+def test_start_up_imports_only_what_the_command_uses():
+    # json, csv, fractions and decimal load inside the functions that use them
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys, collatz_descent.cli\n"
+        "lazy = {'json', 'csv', 'fractions', 'decimal'}\n"
+        "print(sorted(lazy & set(sys.modules)))\n"
+        "collatz_descent.cli.main(['class', 'E'])\n"
+        "print(sorted(lazy & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    lines = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert lines[3].startswith("| E | 1 | 0 | 1 | 2 |")
+
+
 def test_scan_workers_default_to_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli.build_parser().parse_args(["scan", "2", "3"]).workers == 1
@@ -277,11 +295,20 @@ def wait_for_workers(pid, count, timeout=60):
         time.sleep(0.01)
 
 
-def sigint_blocked(pid):
-    """Whether process pid's signal mask blocks SIGINT."""
+def signal_blocked(pid, sig):
+    """Whether process pid's signal mask blocks signal sig."""
     status = Path(f"/proc/{pid}/status").read_text()
     mask = next(line for line in status.splitlines() if line.startswith("SigBlk:"))
-    return bool(int(mask.split()[1], 16) >> (signal.SIGINT - 1) & 1)
+    return bool(int(mask.split()[1], 16) >> (sig - 1) & 1)
+
+
+def alive(pid):
+    """Whether process pid exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 FORKSERVER = "multiprocessing.set_start_method('forkserver', force=True)"
@@ -324,7 +351,7 @@ def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group, prelude):
     )
     try:
         workers = wait_for_workers(proc.pid, 2)
-        blocked = [sigint_blocked(w) for w in workers]
+        blocked = [signal_blocked(w, signal.SIGINT) for w in workers]
         sent = time.monotonic()
         if to_the_group:
             os.killpg(proc.pid, signal.SIGINT)
@@ -339,6 +366,49 @@ def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group, prelude):
     assert blocked == [True, True]
     assert (proc.returncode, out, err) == (1, "", "interrupted\n")
     assert waited < 5
+
+
+@pytest.mark.parametrize("target", ["parent", "worker"])
+def test_scan_real_sigterm_is_a_clean_exit(target):
+    # kill PID, as a job scheduler sends it, signals the parent alone: it
+    # takes Ctrl-C's path.  A worker killed outright breaks the pool; the
+    # other worker, deaf to the pool's SIGTERM, must still exit
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatz_descent", "scan", "2", "300000000", "--workers", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    workers = []
+    try:
+        workers = wait_for_workers(proc.pid, 2)
+        blocked = [signal_blocked(w, signal.SIGTERM) for w in workers]
+        if target == "parent":
+            os.kill(proc.pid, signal.SIGTERM)
+        else:
+            os.kill(int(workers[0]), signal.SIGKILL)
+        out, err = proc.communicate(timeout=30)
+        deadline = time.monotonic() + 5
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [w for w in workers if alive(w)]
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        for w in workers:
+            if alive(w):
+                os.kill(int(w), signal.SIGKILL)
+    assert blocked == [True, True]
+    assert survivors == []
+    assert (proc.returncode, out) == (1, "")
+    if target == "parent":
+        assert err == "interrupted\n"
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_scan_bad_range(capsys):

@@ -16,7 +16,7 @@ from collatz_descent import (
 )
 from collatz_descent import core
 from collatz_descent.core import DEFAULT_STEP_CAP, descent_length
-from dense_reference import descent_length_reference
+from dense_reference import descent_length_reference, jump_table_reference
 
 
 def test_col_step_examples():
@@ -181,6 +181,10 @@ def test_jump_table_matches_k_halvings_and_its_guard_is_sound():
             # 2^g*3^c_t >= 2^t at every halving t, and g - 1 fails at one
             assert all(2**g * 3**c_t >= 2**t for t, c_t in enumerate(before, 1)), (low, h)
             assert any(2**g * 3**c_t < 2 ** (t + 1) for t, c_t in enumerate(before, 1)), (low, h)
+
+
+def test_jumps_from_the_halving_words_equal_the_level_by_level_builder():
+    assert core._JUMPS == jump_table_reference(core._JUMP_K)
 
 
 def test_descent_length_around_a_jump_matches_the_reference():

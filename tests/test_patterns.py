@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from collatz_descent import (
 from collatz_descent import patterns
 from collatz_descent.core import col_step
 from collatz_descent.scanner import classify_depth
-from dense_reference import dense_classification
+from dense_reference import dense_classification, replay_reference
 
 # The full reference feasibility table up to length 37, frozen row by row.
 EXPECTED_FEASIBILITY_37 = [
@@ -162,6 +163,46 @@ def test_solver_refuses_a_replay_that_traces_another_word(monkeypatch):
     with pytest.raises(UnrealizablePattern) as exc:
         residue_for_pattern("OEOEEOEE")
     assert str(exc.value) == "'OEOEEOEE': residue 11 mod 2^5 traces 'EEOEEOEO'"
+
+
+def test_table_replay_equals_the_one_halving_replay_on_the_walk():
+    # the walk to 18 halvings prunes every class with j <= 18, the E class included
+    leaves = unresolved_leaves(18)
+    count = 0
+    for x, j, i, m in zip(leaves.class_x, leaves.class_j, leaves.class_i, leaves.class_m):
+        expected = replay_reference(x, j)
+        _, ref_i, _, ref_m, _, y0 = expected
+        assert (ref_i, ref_m, y0) == (i, m, (3**i * x + m) >> j), (x, j)
+        assert patterns.replay_class(x, j, i, m) == expected, (x, j)
+        count += 1
+    assert count == len(leaves.class_x) > 1000
+
+
+def test_table_replay_equals_the_one_halving_replay_on_random_residues():
+    # every j from 1 to 60: each number 0-7 of leading halvings, and up to
+    # seven lookups of 8; the reference's own i and m make y0 exact
+    rng = random.Random(20231)
+    for j in range(1, 61):
+        for x in [0, (1 << j) - 1] + [rng.randrange(1 << j) for _ in range(40)]:
+            expected = replay_reference(x, j)
+            _, i, _, m, _, _ = expected
+            assert patterns.replay_class(x, j, i, m) == expected, (x, j)
+
+
+@pytest.mark.parametrize("level, field", [(8, 2), (5, 0)])
+def test_a_corrupted_halving_word_fails_the_replay_check(monkeypatch, level, field):
+    # 2^13*k + x replays 5 leading halvings and then one word of 8
+    c = next(c for c in enumerate_minimal_patterns(21) if c.j == 13)
+    x, v = c.x, replay_reference(c.x, 5)[5]
+    index = (x if level == 5 else v) & ((1 << level) - 1)
+    words = [list(level_words) for level_words in patterns._HALVING_WORDS]
+    entry = list(words[level][index])
+    entry[field] = entry[field] + 1 if field else entry[field][1:]
+    words[level][index] = tuple(entry)
+    monkeypatch.setattr(patterns, "_HALVING_WORDS", words)
+    with pytest.raises(AssertionError) as exc:
+        patterns.replay_class(c.x, c.j, c.i, c.m)
+    assert str(exc.value) == f"replay of {x} mod 2^13 leaves its class"
 
 
 def test_even_class_convention():
