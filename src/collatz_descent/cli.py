@@ -13,6 +13,7 @@ import argparse
 import os
 import signal
 import sys
+import threading
 
 from .core import DEFAULT_STEP_CAP
 from .errors import CollatzDescentError
@@ -124,8 +125,10 @@ def main(argv: list[str] | None = None) -> int:
     step_cap = _step_cap(parser)
 
     # a SIGTERM takes Ctrl-C's path: a scan's pool lets its blocks in flight
-    # finish and leaves no worker behind
-    previous = signal.signal(signal.SIGTERM, _interrupt)
+    # finish and leaves no worker behind.  Only the main thread may set a
+    # handler, and a handler set from C (None here) cannot be put back
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if on_main else None
     try:
         tables = args.tables(args, step_cap)
     except (CollatzDescentError, ValueError) as exc:
@@ -135,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         print("interrupted", file=sys.stderr)
         return 1
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
     sys.stdout.write(render(tables, args.format))
     return 0

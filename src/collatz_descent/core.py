@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleDetected, StepCapExceeded
-from .patterns import _HALVING_WORDS, DescentPattern, _WORD_K as _JUMP_K
+from .patterns import _HALVING_WORDS, _WORD_K, _WORD_MASK, DescentPattern
 
 # Far above the 96 steps of 27; guards against nontermination only.
 DEFAULT_STEP_CAP = 100_000
-
-_JUMP_MASK = (1 << _JUMP_K) - 1
 
 
 def _jump(word: str, p: int, e: int) -> tuple[int, int, int, int]:
@@ -42,7 +40,7 @@ def _jump(word: str, p: int, e: int) -> tuple[int, int, int, int]:
     return g, p, e, len(word)
 
 
-_JUMPS = [_jump(*w) for w in _HALVING_WORDS[_JUMP_K]]
+_JUMPS = [_jump(*w) for w in _HALVING_WORDS[_WORD_K]]
 
 
 def col_step(n: int) -> tuple[int, str]:
@@ -116,7 +114,7 @@ def descent_length(
     steps = 0, v is ignored and the walk starts at n.
 
     Each loop turn takes one stride whose values all lie above n.  A jump
-    of _JUMP_K halvings comes first: the entry of v mod 2^_JUMP_K (see
+    of _WORD_K halvings comes first: the entry of v mod 2^_WORD_K (see
     _jump) gives the value after them, the steps they take and a
     guard g, and v >> g > n keeps every value of the jump above n.
     Otherwise the stride is the run of halvings of v, stripped with one
@@ -141,10 +139,10 @@ def descent_length(
             return 1
         v, steps = 3 * n + 1, 1
     while True:
-        g, p, e, k = _JUMPS[v & _JUMP_MASK]
+        g, p, e, k = _JUMPS[v & _WORD_MASK]
         if v >> g > n:
             # every value of the jump is above n
-            v = p * (v >> _JUMP_K) + e
+            v = p * (v >> _WORD_K) + e
         else:
             t = (v & -v).bit_length() - 1
             odd = v >> t

@@ -199,6 +199,13 @@ _WORKER_STATE: dict = {}
 
 
 def _scan_worker_init(leaves: UnresolvedLeaves, step_cap: int) -> None:
+    # forked with SIGTERM blocked, so the parent's handler (the CLI's turns a
+    # SIGTERM into KeyboardInterrupt) never ran here: restore the default and
+    # unblock it, so the pool's terminate() of a broken pool ends this worker
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     _WORKER_STATE["args"] = (leaves, step_cap)
 
 
@@ -255,8 +262,9 @@ def _block_results(
                     yield in_flight.popleft().result()
                 # the workers are forked from this process inside submit, whatever
                 # the default start method, and keep its signal mask: with SIGINT
-                # and SIGTERM blocked in them, a Ctrl-C or a SIGTERM interrupts the
-                # parent alone, which lets the blocks in flight finish before it exits
+                # blocked in them, a Ctrl-C interrupts the parent alone, which lets
+                # the blocks in flight finish before it exits.  SIGTERM stays
+                # blocked only until _scan_worker_init restores its default
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
                 try:
                     in_flight.append(pool.submit(_scan_worker, block))
@@ -310,9 +318,11 @@ def sieve_scan(
     count draws its blocks lazily, and a pool holds at most two blocks per
     worker in flight, so memory stays flat in the range size.  A pool's
     workers are forked from this process, whatever the default start
-    method, with SIGINT and SIGTERM blocked, so Ctrl-C interrupts the
-    parent alone, which lets the blocks in flight finish and raises
-    KeyboardInterrupt; the CLI turns a SIGTERM into the same interrupt.
+    method, with SIGINT blocked, so Ctrl-C interrupts the parent alone,
+    which lets the blocks in flight finish and raises KeyboardInterrupt;
+    the CLI turns a SIGTERM to the parent into the same interrupt.  The
+    workers keep SIGTERM's default action, so a broken pool's terminate()
+    ends them.
     A pool thus needs the fork start method: on a platform without it
     (Windows), multiprocessing raises ValueError("cannot find context for
     'fork'"), and only workers=1 runs.  Raises ValueError on a bad range,

@@ -368,11 +368,12 @@ def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group, prelude):
     assert waited < 5
 
 
-@pytest.mark.parametrize("target", ["parent", "worker"])
+@pytest.mark.parametrize("target", ["parent", "worker", "worker-term"])
 def test_scan_real_sigterm_is_a_clean_exit(target):
     # kill PID, as a job scheduler sends it, signals the parent alone: it
-    # takes Ctrl-C's path.  A worker killed outright breaks the pool; the
-    # other worker, deaf to the pool's SIGTERM, must still exit
+    # takes Ctrl-C's path.  A worker killed outright, or sent a SIGTERM,
+    # breaks the pool, whose terminate() must then end the other worker:
+    # neither runs the parent's SIGTERM handler
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.Popen(
         [sys.executable, "-m", "collatz_descent", "scan", "2", "300000000", "--workers", "2"],
@@ -385,11 +386,10 @@ def test_scan_real_sigterm_is_a_clean_exit(target):
     workers = []
     try:
         workers = wait_for_workers(proc.pid, 2)
-        blocked = [signal_blocked(w, signal.SIGTERM) for w in workers]
         if target == "parent":
             os.kill(proc.pid, signal.SIGTERM)
         else:
-            os.kill(int(workers[0]), signal.SIGKILL)
+            os.kill(int(workers[0]), signal.SIGKILL if target == "worker" else signal.SIGTERM)
         out, err = proc.communicate(timeout=30)
         deadline = time.monotonic() + 5
         while any(map(alive, workers)) and time.monotonic() < deadline:
@@ -402,13 +402,26 @@ def test_scan_real_sigterm_is_a_clean_exit(target):
         for w in workers:
             if alive(w):
                 os.kill(int(w), signal.SIGKILL)
-    assert blocked == [True, True]
     assert survivors == []
     assert (proc.returncode, out) == (1, "")
     if target == "parent":
         assert err == "interrupted\n"
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_runs_off_the_main_thread():
+    # only the main thread may set a signal handler: elsewhere main leaves
+    # SIGTERM's alone
+    import threading
+
+    before = signal.getsignal(signal.SIGTERM)
+    result = []
+    thread = threading.Thread(target=lambda: result.append(main(["class", "E", "--format", "csv"])))
+    thread.start()
+    thread.join()
+    assert result == [0]
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_scan_bad_range(capsys):

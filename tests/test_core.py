@@ -171,7 +171,7 @@ def _to_kth_halving(v, k):
 
 
 def test_jump_table_matches_k_halvings_and_its_guard_is_sound():
-    k = core._JUMP_K
+    k = core._WORD_K
     assert len(core._JUMPS) == 1 << k
     for low, (g, p, e, s) in enumerate(core._JUMPS):
         for h in (0, 1, 10**12 + 7, 2**70 + 3):
@@ -184,14 +184,14 @@ def test_jump_table_matches_k_halvings_and_its_guard_is_sound():
 
 
 def test_jumps_from_the_halving_words_equal_the_level_by_level_builder():
-    assert core._JUMPS == jump_table_reference(core._JUMP_K)
+    assert core._JUMPS == jump_table_reference(core._WORD_K)
 
 
 def test_descent_length_around_a_jump_matches_the_reference():
     # every resume below starts with a jump: n << t lands back on n, a cycle,
     # t - k halvings after it, and 27's peak jumps on its way down; the caps
     # fall before, inside and after the jump
-    k = core._JUMP_K
+    k = core._WORD_K
     tr = descent_trace(27)
     peak = max(tr.values)
     resumes = [(27, peak, tr.values.index(peak) + 1, len(tr) + 1)]
@@ -200,7 +200,7 @@ def test_descent_length_around_a_jump_matches_the_reference():
             for steps in (1, 30):
                 resumes.append((n, n << t, steps, steps + t + 2))
     for n, v, steps, last_cap in resumes:
-        g = core._JUMPS[v & core._JUMP_MASK][0]
+        g = core._JUMPS[v & core._WORD_MASK][0]
         assert v >> g > n, (n, v)
         for cap in range(steps, last_cap + 1):
             expected = _outcome(descent_length_reference, n, cap, v, steps)
@@ -219,7 +219,7 @@ def test_a_jump_that_reaches_the_cap_ends_the_walk(monkeypatch):
 
     monkeypatch.setattr(core, "_JUMPS", CountedReads(core._JUMPS))
     with pytest.raises(StepCapExceeded):
-        descent_length(27, 5, 27 << (100 * core._JUMP_K), 1)
+        descent_length(27, 5, 27 << (100 * core._WORD_K), 1)
     assert reads == [0]
 
 
