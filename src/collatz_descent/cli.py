@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on domain errors (a scan's dead worker
-process among them) or an interrupt (Ctrl-C or SIGTERM, which print
-"interrupted"), 2 on usage errors.
-Tables go to stdout, diagnostics to stderr.  COLLATZ_STEP_CAP overrides
-the per-descent step cap.
+process among them), an interrupt (Ctrl-C or SIGTERM, which print
+"interrupted") or a stdout closed before the tables were written (as
+`| head` closes it, which prints nothing), 2 on usage errors.
+Tables go to stdout a chunk of rows at a time, diagnostics to stderr.
+COLLATZ_STEP_CAP overrides the per-descent step cap.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .reports import (
     feasibility_report,
     named_report,
     records_report,
-    render,
     scan_report_tables,
     trace_report,
+    write,
 )
 from .scanner import classify_depth, record_search, sieve_scan
 
@@ -131,17 +132,22 @@ def main(argv: list[str] | None = None) -> int:
     previous = signal.signal(signal.SIGTERM, _interrupt) if on_main else None
     try:
         tables = args.tables(args, step_cap)
+        write(tables, args.format, sys.stdout)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
     except (CollatzDescentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull, or
+        # the interpreter's last flush of stdout would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
-
-    sys.stdout.write(render(tables, args.format))
     return 0
 
 

@@ -3,14 +3,22 @@
 Every command's output is a list of Tables whose cells are exact integers
 or plain strings; no floating point ever reaches a numeric cell.  CSV
 output re-parses to the same tables, which the test suite exercises.
-A row is a list or a tuple of cells.
+A row is a list or a tuple of cells.  A table's rows are a list, or a
+Rows view that makes them afresh on each iteration from the data it is
+built over: classify_report's two big tables are such views, so their
+rows exist only a chunk at a time.  write() formats CHUNK_ROWS rows at a
+time and hands each chunk's text to the stream in one write, so the
+rendered output never exists whole; render returns the same text as one
+string.
 """
 
 from __future__ import annotations
 
 import io
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import islice, starmap
+from typing import TextIO
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_trace, total_stopping_time
 from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table
@@ -20,16 +28,41 @@ Cell = int | str
 
 FORMATS = ("markdown", "csv", "json")
 
+# Rows formatted per write.  On classify --depth 22, 256 or 4096 rows ran no
+# faster, and 4096 peaked 2.7 MB higher; 1024 class rows are 213 kB of JSON.
+CHUNK_ROWS = 1024
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A sized, re-iterable view of `size` rows; each iteration calls make() afresh."""
+
+    size: int
+    make: Callable[[], Iterable[Sequence[Cell]]]
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[Sequence[Cell]]:
+        return iter(self.make())
+
 
 @dataclass
 class Table:
     title: str
     columns: list[str]
-    rows: list[Sequence[Cell]] = field(default_factory=list)
+    rows: list[Sequence[Cell]] | Rows = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def _chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[list[Sequence[Cell]]]:
+    """The rows as lists of CHUNK_ROWS, the last one shorter; none for no rows."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        yield chunk
 
 
 def _int_column(rows: list[Sequence[Cell]]) -> list[int] | None:
@@ -45,80 +78,111 @@ def _int_column(rows: list[Sequence[Cell]]) -> list[int] | None:
     return cells if set(map(type, cells)) <= {int} else None
 
 
-def render_markdown(tables: list[Table]) -> str:
-    parts: list[str] = []
-    for t in tables:
-        lines: list[str] = []
-        if t.title:
-            lines.append(f"**{t.title}**")
-            lines.append("")
-        lines.append("| " + " | ".join(t.columns) + " |")
-        lines.append("|" + "|".join(" --- " for _ in t.columns) + "|")
-        lines.extend("| " + " | ".join(map(str, row)) + " |" for row in t.rows)
-        parts.append("\n".join(lines))
-    return "\n\n".join(parts) + "\n"
+def _markdown(tables: list[Table]) -> Iterator[str]:
+    for idx, t in enumerate(tables):
+        head = "| " + " | ".join(t.columns) + " |\n|" + "|".join(" --- " for _ in t.columns) + "|\n"
+        yield ("\n" if idx else "") + (f"**{t.title}**\n\n" if t.title else "") + head
+        for chunk in _chunks(t.rows):
+            yield "".join(["| " + " | ".join(map(str, row)) + " |\n" for row in chunk])
+    if not tables:
+        yield "\n"
 
 
-def render_csv(tables: list[Table]) -> str:
+def _csv(tables: list[Table]) -> Iterator[str]:
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+
+    def written() -> str:
+        text = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        return text
+
     for idx, t in enumerate(tables):
         if idx:
             buf.write("\n")
         if t.title:
             buf.write(f"# {t.title}\n")
         writer.writerow(t.columns)
-        column = _int_column(t.rows)
-        if column is None:
-            writer.writerows(t.rows)
-        elif column:
-            buf.write("\n".join(map(str, column)) + "\n")
+        yield written()
+        for chunk in _chunks(t.rows):
+            column = _int_column(chunk)
+            if column is None:
+                writer.writerows(chunk)
+                yield written()
+            else:
+                yield "\n".join(map(str, column)) + "\n"
+
+
+def _json(tables: list[Table]) -> Iterator[str]:
+    import json
+
+    def rows_json(rows: list[Sequence[Cell]]) -> str:
+        """json.dumps(rows, indent=2) less its brackets, indented to sit in a table.
+
+        json.dumps runs its pure-Python encoder whenever it indents.  When
+        every row has a cell, the compact encoding here goes through the C
+        encoder instead.  It separates items with a bare newline, which no
+        encoded string holds (non-ASCII and control characters are
+        escaped), and a cell never ends in "]" or starts with "[": so
+        "]\\n[" parts two rows and every other newline parts two cells.
+        """
+        if not all(rows):
+            return "      " + json.dumps(rows, indent=2)[2:-2].replace("\n", "\n      ")
+        body = json.dumps(rows, separators=("\n", ": "))[2:-2]
+        body = body.replace("]\n[", "\0").replace("\n", ",\n          ")
+        body = body.replace("\0", "\n        ],\n        [\n          ")
+        return "        [\n          " + body + "\n        ]"
+
+    if not tables:
+        yield '{\n  "tables": []\n}\n'
+        return
+    for idx, t in enumerate(tables):
+        columns = json.dumps(t.columns, indent=2).replace("\n", "\n      ")
+        yield '%s{\n      "title": %s,\n      "columns": %s,\n      "rows": ' % (
+            ",\n    " if idx else '{\n  "tables": [\n    ',
+            json.dumps(t.title),
+            columns,
+        )
+        opening = "[\n"
+        for chunk in _chunks(t.rows):
+            yield opening + rows_json(chunk)
+            opening = ",\n"
+        yield ("\n      ]" if t.rows else "[]") + "\n    }"
+    yield "\n  ]\n}\n"
+
+
+_FORMATTERS = {"markdown": _markdown, "csv": _csv, "json": _json}
+
+
+def write(tables: list[Table], fmt: str, out: TextIO) -> None:
+    """Write the tables to out in format fmt: one out.write per chunk of rows, and a few per table."""
+    if fmt not in _FORMATTERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    for text in _FORMATTERS[fmt](tables):
+        out.write(text)
+
+
+def render(tables: list[Table], fmt: str) -> str:
+    """What write() writes, as one string."""
+    buf = io.StringIO()
+    write(tables, fmt, buf)
     return buf.getvalue()
+
+
+def render_markdown(tables: list[Table]) -> str:
+    return render(tables, "markdown")
+
+
+def render_csv(tables: list[Table]) -> str:
+    return render(tables, "csv")
 
 
 def render_json(tables: list[Table]) -> str:
     """json.dumps of {"tables": [{"title", "columns", "rows"}, ...]} with indent=2, plus a newline."""
-    import json
-
-    def indented(text: str) -> str:  # a table's fields sit three levels deep
-        return text.replace("\n", "\n      ")
-
-    def rows_json(rows: list[Sequence[Cell]]) -> str:
-        """json.dumps(rows, indent=2), through the C encoder when every row has a cell.
-
-        json.dumps runs its pure-Python encoder whenever it indents.  The
-        compact encoding here separates items with a bare newline, which no
-        encoded string holds (non-ASCII and control characters are escaped),
-        and a cell never ends in "]" or starts with "[": so "]\\n[" parts two
-        rows and every other newline parts two cells.
-        """
-        if not rows or not all(rows):
-            return json.dumps(rows, indent=2)
-        body = json.dumps(rows, separators=("\n", ": "))[2:-2]
-        body = body.replace("]\n[", "\0").replace("\n", ",\n    ")
-        body = body.replace("\0", "\n  ],\n  [\n    ")
-        return "[\n  [\n    " + body + "\n  ]\n]"
-
-    encoded = [
-        '{\n      "title": %s,\n      "columns": %s,\n      "rows": %s\n    }'
-        % (json.dumps(t.title), indented(json.dumps(t.columns, indent=2)), indented(rows_json(t.rows)))
-        for t in tables
-    ]
-    if not encoded:
-        return '{\n  "tables": []\n}\n'
-    return '{\n  "tables": [\n    ' + ",\n    ".join(encoded) + "\n  ]\n}\n"
-
-
-def render(tables: list[Table], fmt: str) -> str:
-    if fmt == "markdown":
-        return render_markdown(tables)
-    if fmt == "csv":
-        return render_csv(tables)
-    if fmt == "json":
-        return render_json(tables)
-    raise ValueError(f"unknown format {fmt!r}")
+    return render(tables, "json")
 
 
 def parse_csv(text: str) -> list[Table]:
@@ -193,9 +257,12 @@ def classes_report(classes: list[ResidueClass]) -> list[Table]:
 def classify_report(report: UnresolvedLeaves) -> list[Table]:
     """Summary, classes and unresolved residues, read straight off the walk's arrays.
 
-    Each class is replayed once (UnresolvedLeaves.replayed_classes, which
-    checks its pattern against i, j and y0 and fixes the row order) and
-    becomes a row; no ResidueClass is built.
+    Each class is replayed once, here (UnresolvedLeaves.replayed_classes,
+    which checks its pattern against i, j and y0 and fixes the row order),
+    so a failed check raises before any output.  The classes and residues
+    tables are Rows views over the replayed tuples and the residue array:
+    a row is made only as its chunk is written, and no ResidueClass is
+    built.
     """
     summary = Table(
         title="Classification summary",
@@ -209,12 +276,16 @@ def classify_report(report: UnresolvedLeaves) -> list[Table]:
             len(report.residues),
         ]
     )
-    rows = [_class_row(*c) for c in report.replayed_classes()]
-    classes = Table(title="Classes", columns=list(_CLASS_COLUMNS), rows=rows)
+    replayed = report.replayed_classes()
+    classes = Table(
+        title="Classes",
+        columns=list(_CLASS_COLUMNS),
+        rows=Rows(len(replayed), lambda: starmap(_class_row, replayed)),
+    )
     unresolved = Table(
         title=f"Unresolved residues mod 2^{report.depth}",
         columns=["Residue"],
-        rows=list(zip(report.residues)),
+        rows=Rows(len(report.residues), lambda: zip(report.residues)),
     )
     return [summary, classes, unresolved]
 

@@ -252,6 +252,35 @@ def test_start_up_imports_only_what_the_command_uses():
     assert lines[3].startswith("| E | 1 | 0 | 1 | 2 |")
 
 
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_closed_stdout_is_a_clean_exit(unbuffered):
+    # a reader that stops early (`| head`) closes the pipe while the
+    # command still writes: exit 1, and nothing on stderr
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatz_descent", "classify", "--depth", "20", "--format", "csv"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert head.startswith(b"# Classification summary\n")
+    assert b"Traceback" not in err
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_scan_workers_default_to_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli.build_parser().parse_args(["scan", "2", "3"]).workers == 1

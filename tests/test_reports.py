@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 from array import array
 
@@ -17,6 +19,7 @@ from collatz_descent import (
     sieve_scan,
 )
 from collatz_descent.reports import (
+    CHUNK_ROWS,
     FORMATS,
     Table,
     _members_trace_table,
@@ -32,8 +35,12 @@ from collatz_descent.reports import (
     render_markdown,
     scan_report_tables,
     trace_report,
+    write,
 )
 from collatz_descent.scanner import classify_depth
+
+# table sizes around the chunk boundaries of the writer
+CHUNK_SIZES = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1)
 
 # Trajectory column for the smallest length-16 class member, frozen from
 # simulation (the reference table's rows 13-14 misprint 3280 and 1640).
@@ -234,6 +241,30 @@ def test_render_keeps_csv_quoting_for_cells_that_are_not_one_integer():
     assert render_markdown(tables[4:]) == "**e**\n\n| n |\n| --- |\n| 4 |\n| 5 |\n"
     _csv_roundtrips(tables[:2] + tables[4:])
 
+    # one integer column is checked a chunk at a time: a chunk of integers
+    # stays plain even when a later chunk holds a cell that needs quoting
+    sized = [Table(title=f"{n} rows", columns=["n"], rows=list(zip(range(n)))) for n in CHUNK_SIZES]
+    for t in sized[4:]:
+        t.rows[CHUNK_ROWS + 1 : CHUNK_ROWS + 1] = [["x,y"], [True], [""], (7, 8)]
+    pairs = [[n, "a,b"] for n in range(CHUNK_ROWS + 1)]
+    sized.append(Table(title="two cells", columns=["n", "s"], rows=pairs))
+    assert render_csv(sized) == standard_csv(sized)
+    _csv_roundtrips(sized)
+
+
+def standard_csv(tables):
+    """render_csv's output through one csv.writer over each table's whole list of rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for idx, t in enumerate(tables):
+        if idx:
+            buf.write("\n")
+        if t.title:
+            buf.write(f"# {t.title}\n")
+        writer.writerow(t.columns)
+        writer.writerows(t.rows)
+    return buf.getvalue()
+
 
 def test_scan_report_tables_roundtrip():
     rep = sieve_scan(2, 500, 5)
@@ -268,8 +299,23 @@ def test_render_json_structure():
 
 def standard_json(tables):
     """render_json's output through json.dumps with indent=2, its pure-Python encoder."""
-    payload = {"tables": [{"title": t.title, "columns": t.columns, "rows": t.rows} for t in tables]}
+    payload = {
+        "tables": [
+            {"title": t.title, "columns": t.columns, "rows": [list(r) for r in t.rows]} for t in tables
+        ]
+    }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _sized_json_tables(n):
+    """A table of n rows, with a row of no cells in its second chunk when it has one."""
+    rows = [[k, str(k)] for k in range(n)]
+    if n > CHUNK_ROWS:
+        rows[CHUNK_ROWS] = []
+    return [
+        Table(title=f"{n} rows", columns=["n", "s"], rows=rows),
+        Table(title="after", columns=["n"], rows=[[n]]),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -292,6 +338,7 @@ def standard_json(tables):
             ),
             Table(title="residues", columns=["Residue"], rows=list(zip(range(5)))),
         ],
+        *map(_sized_json_tables, CHUNK_SIZES),
     ],
 )
 def test_render_json_is_the_indented_standard_encoding(tables):
@@ -314,6 +361,39 @@ def test_random_tables_render_as_the_indented_standard_encoding(tables):
 def test_classify_json_is_the_indented_standard_encoding():
     tables = classify_report(classify_depth(12))
     assert render_json(tables) == standard_json(tables)
+
+
+class RecordingStream:
+    """A text stream that keeps each string written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# the depth 20 tables render to 0.5-1.9 MB, the longest chunk of their rows
+# (1024 classes as JSON) to 213 kB
+MAX_WRITE = 1 << 18
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_write_streams_a_chunk_at_a_time(fmt):
+    tables = classify_report(classify_depth(20))
+    rows = sum(len(t.rows) for t in tables)
+    out = RecordingStream()
+    write(tables, fmt, out)
+    assert "".join(out.writes) == render(tables, fmt)
+    assert len(out.writes) > 1
+    # one write per chunk of rows and a few per table, never one per row
+    assert len(out.writes) <= rows // CHUNK_ROWS + 3 * len(tables) + 1
+    assert max(map(len, out.writes)) <= MAX_WRITE
+    # the views write the same rows again
+    again = RecordingStream()
+    write(tables, fmt, again)
+    assert again.writes == out.writes
 
 
 def test_render_markdown_shape():
