@@ -14,7 +14,6 @@ import argparse
 import os
 import signal
 import sys
-import threading
 
 from .core import DEFAULT_STEP_CAP
 from .errors import CollatzDescentError
@@ -22,6 +21,7 @@ from .patterns import DescentPattern, enumerate_minimal_patterns, residue_for_pa
 from .reports import (
     FORMATS,
     REPORT_NAMES,
+    TRACE_MODES,
     Table,
     classes_report,
     classify_report,
@@ -32,7 +32,7 @@ from .reports import (
     trace_report,
     write,
 )
-from .scanner import classify_depth, record_search, sieve_scan
+from .scanner import MAX_DEPTH, classify_depth, record_search, sieve_scan
 
 
 def _class_tables(parser: argparse.ArgumentParser, text: str) -> list[Table]:
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="trajectory table for one starting number")
     p.add_argument("n", type=int)
-    p.add_argument("--mode", choices=("descent", "full", "twin"), default="descent")
+    p.add_argument("--mode", choices=TRACE_MODES, default="descent")
     p.add_argument(
         "--paper-style",
         action="store_true",
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(tables=lambda args, cap: _class_tables(parser, args.pattern))
 
     p = sub.add_parser("classify", help="classify residues by descent depth")
-    p.add_argument("--depth", type=int, default=5, help="halving depth, 1 to 24 (default: 5)")
+    p.add_argument("--depth", type=int, default=5, help=f"halving depth, 1 to {MAX_DEPTH} (default: 5)")
     p.set_defaults(tables=lambda args, cap: classify_report(classify_depth(args.depth)))
 
     p = sub.add_parser("scan", help="verify a range, sieving out class-certified numbers")
@@ -127,9 +127,12 @@ def main(argv: list[str] | None = None) -> int:
 
     # a SIGTERM takes Ctrl-C's path: a scan's pool lets its blocks in flight
     # finish and leaves no worker behind.  Only the main thread may set a
-    # handler, and a handler set from C (None here) cannot be put back
-    on_main = threading.current_thread() is threading.main_thread()
-    previous = signal.signal(signal.SIGTERM, _interrupt) if on_main else None
+    # handler (elsewhere signal.signal raises ValueError), and a handler set
+    # from C (None here) cannot be put back
+    try:
+        previous = signal.signal(signal.SIGTERM, _interrupt)
+    except ValueError:
+        previous = None
     try:
         tables = args.tables(args, step_cap)
         write(tables, args.format, sys.stdout)

@@ -16,31 +16,8 @@ from .patterns import _HALVING_WORDS, _WORD_K, _WORD_MASK, DescentPattern
 # Far above the 96 steps of 27; guards against nontermination only.
 DEFAULT_STEP_CAP = 100_000
 
-
-def _jump(word: str, p: int, e: int) -> tuple[int, int, int, int]:
-    """The jump over a word of k halvings from patterns._HALVING_WORDS, as (g, 3^c, e, k + c).
-
-    From any v = 2^k*h + l, the word of l spells the steps up to and
-    including the k-th halving: k + c steps, c of them O-steps, ending at
-    3^c*h + e.  After its t-th halving, with c_t O-steps before it, the
-    walk is at (3^c_t*v + b)/2^t for some b >= 0, and values after an
-    O-step exceed the one before it.  The guard g is the smallest integer
-    with 2^g*3^c_t >= 2^t at every t <= k, so v >> g > n, that is
-    v >= 2^g*(n + 1), keeps every value of the jump above n.  Bit lengths
-    give it: the smallest g with 2^g*3^c >= 2^t is t + 1 less the bit
-    length of 3^c, since 3^c is a power of 2 only at c = 0.
-    """
-    g = t = c = 0
-    for step in word:
-        if step == "O":
-            c += 1
-        else:
-            t += 1
-            g = max(g, t + 1 - (3**c).bit_length())
-    return g, p, e, len(word)
-
-
-_JUMPS = [_jump(*w) for w in _HALVING_WORDS[_WORD_K]]
+# the jump over each word of _WORD_K halvings, as (g, 3^c, e, k + c)
+_JUMPS = [(g, p, e, len(word)) for word, p, e, g in _HALVING_WORDS[_WORD_K]]
 
 
 def col_step(n: int) -> tuple[int, str]:
@@ -114,9 +91,10 @@ def descent_length(
     steps = 0, v is ignored and the walk starts at n.
 
     Each loop turn takes one stride whose values all lie above n.  A jump
-    of _WORD_K halvings comes first: the entry of v mod 2^_WORD_K (see
-    _jump) gives the value after them, the steps they take and a
-    guard g, and v >> g > n keeps every value of the jump above n.
+    of _WORD_K halvings comes first: the entry of v mod 2^_WORD_K in
+    _JUMPS gives the value after them, the steps they take and the guard
+    g that patterns._halving_words derives as it builds the word, and
+    v >> g > n keeps every value of the jump above n.
     Otherwise the stride is the run of halvings of v, stripped with one
     trailing-zero count t (0 for an odd v that a jump or a resume left),
     and the O-step after it; it is taken when the run's odd end v >> t is

@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import DepthTooLarge, NotADescent, UnrealizablePattern
 
@@ -68,10 +68,7 @@ class DescentPattern:
         return self.text
 
 
-PatternLike = Union[DescentPattern, str]
-
-
-def _as_pattern(p: PatternLike) -> DescentPattern:
+def _as_pattern(p: DescentPattern | str) -> DescentPattern:
     return p if isinstance(p, DescentPattern) else DescentPattern.parse(p)
 
 
@@ -169,7 +166,7 @@ def feasibility_table(max_length: int) -> list[FeasibilityRow]:
     return rows
 
 
-def pattern_constants(p: PatternLike) -> tuple[int, int, int]:
+def pattern_constants(p: DescentPattern | str) -> tuple[int, int, int]:
     """Fold a pattern into its affine constants (i, j, m).
 
     Maintains value = (3^a * n + c) / 2^b over the steps: an E increments
@@ -188,8 +185,8 @@ def pattern_constants(p: PatternLike) -> tuple[int, int, int]:
     return pat.i, pat.j, c
 
 
-def _halving_words(k: int) -> list[list[tuple[str, int, int]]]:
-    """The first t halvings of every residue, for t = 0..k: levels[t][l] = (word, 3^c, e).
+def _halving_words(k: int) -> list[list[tuple[str, int, int, int]]]:
+    """The first t halvings of every residue, for t = 0..k: levels[t][l] = (word, 3^c, e, g).
 
     From any v = 2^t*h + l, the steps up to and including the t-th halving
     follow l's parities alone: they spell word, c of its letters O (each
@@ -197,17 +194,26 @@ def _halving_words(k: int) -> list[list[tuple[str, int, int]]]:
     doubling the one before: the residues l and l + 2^t share their first
     t halvings, after which 2^(t+1)*h' + l + bit*2^t stands at
     2*3^c*h' + w with w = e + bit*3^c, and w's parity picks the next step.
+
+    g guards descent_length's (core) jump over the word from v toward a
+    lower n.  After its s-th halving, with c_s O-steps before it, the walk
+    is at (3^c_s*v + b)/2^s for some b >= 0, and values after an O-step
+    exceed the one before it.  g is the smallest integer with
+    2^g*3^c_s >= 2^s at every s <= t, so v >> g > n, that is
+    v >= 2^g*(n + 1), keeps every value of the word above n.  Bit lengths
+    give it: the smallest g with 2^g*3^c >= 2^s is s + 1 less the bit
+    length of 3^c, since 3^c is a power of 2 only at c = 0.
     """
-    levels = [[("", 1, 0)]]
+    levels = [[("", 1, 0, 0)]]
     for t in range(k):
         level = []
         for bit in (0, 1):
-            for word, p, e in levels[t]:
+            for word, p, e, g in levels[t]:
                 w = e + bit * p
                 if w & 1:
-                    level.append((word + "OE", 3 * p, (3 * w + 1) >> 1))
-                else:
-                    level.append((word + "E", p, w >> 1))
+                    word, p, w = word + "O", 3 * p, 3 * w + 1
+                # halving t + 1, after the word's O-steps so far
+                level.append((word + "E", p, w >> 1, max(g, t + 2 - p.bit_length())))
         levels.append(level)
     return levels
 
@@ -234,11 +240,11 @@ def replay_class(x: int, j: int, i: int, m: int) -> tuple[str, int, int, int, in
     first lower value y0 = (3^i*x + m) / 2^j.
     """
     t = j % _WORD_K
-    text, p, e = _HALVING_WORDS[t][x & ((1 << t) - 1)]
+    text, p, e, _ = _HALVING_WORDS[t][x & ((1 << t) - 1)]
     v = p * (x >> t) + e
     words = _HALVING_WORDS[_WORD_K]
     for _ in range(j // _WORD_K):
-        word, p, e = words[v & _WORD_MASK]
+        word, p, e, _ = words[v & _WORD_MASK]
         text += word
         v = p * (v >> _WORD_K) + e
     y0 = (3**i * x + m) >> j
@@ -253,7 +259,7 @@ def _resolved_class(text: str, i: int, j: int, m: int, x: int, y0: int) -> Resid
     return ResidueClass(pattern=pattern, i=i, j=j, m=m, x=x, modulus=1 << j, y0=y0)
 
 
-def residue_for_pattern(p: PatternLike) -> ResidueClass:
+def residue_for_pattern(p: DescentPattern | str) -> ResidueClass:
     """Solve for the residue class whose members trace exactly this pattern.
 
     The end value (3^i*x + m) / 2^j must be an integer, so

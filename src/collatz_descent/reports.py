@@ -26,8 +26,6 @@ from .scanner import ScanReport, twin_walk
 
 Cell = int | str
 
-FORMATS = ("markdown", "csv", "json")
-
 # Rows formatted per write.  On classify --depth 22, 256 or 4096 rows ran no
 # faster, and 4096 peaked 2.7 MB higher; 1024 class rows are 213 kB of JSON.
 CHUNK_ROWS = 1024
@@ -117,6 +115,7 @@ def _csv(tables: list[Table]) -> Iterator[str]:
 
 
 def _json(tables: list[Table]) -> Iterator[str]:
+    """json.dumps of {"tables": [{"title", "columns", "rows"}, ...]} with indent=2, plus a newline."""
     import json
 
     def rows_json(rows: list[Sequence[Cell]]) -> str:
@@ -155,6 +154,7 @@ def _json(tables: list[Table]) -> Iterator[str]:
 
 
 _FORMATTERS = {"markdown": _markdown, "csv": _csv, "json": _json}
+FORMATS = tuple(_FORMATTERS)
 
 
 def write(tables: list[Table], fmt: str, out: TextIO) -> None:
@@ -172,21 +172,8 @@ def render(tables: list[Table], fmt: str) -> str:
     return buf.getvalue()
 
 
-def render_markdown(tables: list[Table]) -> str:
-    return render(tables, "markdown")
-
-
-def render_csv(tables: list[Table]) -> str:
-    return render(tables, "csv")
-
-
-def render_json(tables: list[Table]) -> str:
-    """json.dumps of {"tables": [{"title", "columns", "rows"}, ...]} with indent=2, plus a newline."""
-    return render(tables, "json")
-
-
 def parse_csv(text: str) -> list[Table]:
-    """Inverse of render_csv, up to every cell coming back as a string."""
+    """Inverse of render(tables, "csv"), up to every cell coming back as a string."""
     import csv
 
     tables: list[Table] = []
@@ -375,6 +362,9 @@ def trace_twin_report(
     t.rows.append(["O steps", i, "", "", ""])
     t.rows.append(["E steps", j, "", "", ""])
     return [t]
+
+
+TRACE_MODES = ("descent", "full", "twin")
 
 
 def trace_report(

@@ -12,8 +12,9 @@ equals the enumerated text.
 descent_length_reference is the descent kernel before the halving runs:
 one step per loop turn, with the descent, cycle and cap checks after
 each step.  jump_table_reference builds the kernel's jumps level by level
-without words, and replay_reference replays a class one halving per loop
-turn, as the package did before its table of halving words.
+from the O-count, end value and guard alone, without the words that
+patterns._halving_words spells beside them, and replay_reference
+replays a class one halving per loop turn, without that table.
 """
 
 from __future__ import annotations

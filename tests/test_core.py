@@ -242,6 +242,7 @@ def test_parity_soundness_and_o_always_followed_by_e():
         assert all(v > n for v in tr.values[:-1])
         assert tr.first_lower < n
         assert tr.pattern == DescentPattern.parse(tr.pattern.text)
+        assert str(tr.pattern) == tr.pattern.text
 
 
 def test_chain_descents_examples():

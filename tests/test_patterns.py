@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -485,6 +486,9 @@ def test_first_lower_value_examples():
     c11 = residue_for_pattern("OEOEEOEE")
     assert first_lower_value(c11, 0) == 10
     assert first_lower_value(c11, 1) == 37
+    # an adder off by one leaves 3^i*x + m indivisible by 2^j
+    with pytest.raises(AssertionError, match=r"^non-integer first-lower value for 'OEOEEOEE', k=0$"):
+        first_lower_value(dataclasses.replace(c11, m=c11.m + 1), 0)
     even = residue_for_pattern("E")
     assert first_lower_value(even, 5) == 5
 

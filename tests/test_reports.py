@@ -30,9 +30,6 @@ from collatz_descent.reports import (
     paper_sci,
     parse_csv,
     render,
-    render_csv,
-    render_json,
-    render_markdown,
     scan_report_tables,
     trace_report,
     write,
@@ -51,7 +48,7 @@ FIRST_17_OF_575 = [
 
 
 def _csv_roundtrips(tables):
-    text = render_csv(tables)
+    text = render(tables, "csv")
     parsed = parse_csv(text)
     assert len(parsed) == len(tables)
     for orig, back in zip(tables, parsed):
@@ -63,7 +60,7 @@ def _csv_roundtrips(tables):
 def test_feasibility_csv_roundtrip_and_exact_rows():
     tables = feasibility_report(37)
     assert len(tables[0].rows) == 25
-    text = render_csv(tables)
+    text = render(tables, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "E ops,O ops,Result,Cycle length,Remark"
     assert lines[4] == "4,2,7,6,Possible"
@@ -81,7 +78,7 @@ def test_report_entry_points_reject_unknown_names():
 
 def test_parse_csv_skips_blank_blocks():
     tables = feasibility_report(8) + named_report("length8")
-    text = render_csv(tables)
+    text = render(tables, "csv")
     assert parse_csv("\n\n\n" + text + "\n\n\n\n") == parse_csv(text)
     assert len(parse_csv(text)) == 3
 
@@ -235,10 +232,10 @@ def test_render_keeps_csv_quoting_for_cells_that_are_not_one_integer():
         Table(title="d", columns=["n"], rows=[]),
         Table(title="e", columns=["n"], rows=[(4,), (5,)]),
     ]
-    assert render_csv(tables) == (
+    assert render(tables, "csv") == (
         '# a\nn\n1\n"x,y"\n2\n\n# b\nn\nTrue\n3\n\n# c\nn\n""\n\n# d\nn\n\n# e\nn\n4\n5\n'
     )
-    assert render_markdown(tables[4:]) == "**e**\n\n| n |\n| --- |\n| 4 |\n| 5 |\n"
+    assert render(tables[4:], "markdown") == "**e**\n\n| n |\n| --- |\n| 4 |\n| 5 |\n"
     _csv_roundtrips(tables[:2] + tables[4:])
 
     # one integer column is checked a chunk at a time: a chunk of integers
@@ -248,12 +245,12 @@ def test_render_keeps_csv_quoting_for_cells_that_are_not_one_integer():
         t.rows[CHUNK_ROWS + 1 : CHUNK_ROWS + 1] = [["x,y"], [True], [""], (7, 8)]
     pairs = [[n, "a,b"] for n in range(CHUNK_ROWS + 1)]
     sized.append(Table(title="two cells", columns=["n", "s"], rows=pairs))
-    assert render_csv(sized) == standard_csv(sized)
+    assert render(sized, "csv") == standard_csv(sized)
     _csv_roundtrips(sized)
 
 
 def standard_csv(tables):
-    """render_csv's output through one csv.writer over each table's whole list of rows."""
+    """render(tables, "csv") through one csv.writer over each table's whole list of rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for idx, t in enumerate(tables):
@@ -293,12 +290,12 @@ def test_enumerate_report_roundtrip():
 
 def test_render_json_structure():
     tables = [Table(title="t", columns=["a", "b"], rows=[[1, "x"]])]
-    payload = json.loads(render_json(tables))
+    payload = json.loads(render(tables, "json"))
     assert payload == {"tables": [{"title": "t", "columns": ["a", "b"], "rows": [[1, "x"]]}]}
 
 
 def standard_json(tables):
-    """render_json's output through json.dumps with indent=2, its pure-Python encoder."""
+    """render(tables, "json") through json.dumps with indent=2, its pure-Python encoder."""
     payload = {
         "tables": [
             {"title": t.title, "columns": t.columns, "rows": [list(r) for r in t.rows]} for t in tables
@@ -342,7 +339,7 @@ def _sized_json_tables(n):
     ],
 )
 def test_render_json_is_the_indented_standard_encoding(tables):
-    assert render_json(tables) == standard_json(tables)
+    assert render(tables, "json") == standard_json(tables)
 
 
 cells = st.one_of(st.integers(), st.text(), st.booleans())
@@ -355,12 +352,12 @@ cells = st.one_of(st.integers(), st.text(), st.booleans())
     )
 )
 def test_random_tables_render_as_the_indented_standard_encoding(tables):
-    assert render_json(tables) == standard_json(tables)
+    assert render(tables, "json") == standard_json(tables)
 
 
 def test_classify_json_is_the_indented_standard_encoding():
     tables = classify_report(classify_depth(12))
-    assert render_json(tables) == standard_json(tables)
+    assert render(tables, "json") == standard_json(tables)
 
 
 class RecordingStream:
@@ -397,7 +394,7 @@ def test_write_streams_a_chunk_at_a_time(fmt):
 
 
 def test_render_markdown_shape():
-    text = render_markdown(feasibility_report(3))
+    text = render(feasibility_report(3), "markdown")
     lines = text.strip().split("\n")
     assert lines[0].startswith("| E ops | O ops |")
     assert lines[1].startswith("| ---")
