@@ -325,13 +325,18 @@ def iter_minimal_pattern_texts(max_j: int) -> Iterator[str]:
 class UnresolvedLeaves:
     """The parity tree to `depth` halvings: its open leaves and its pruned classes.
 
-    Leaf t is the odd residue residues[t]: every n = residues[t] + 2^depth*k
-    takes o_counts[t] O-steps and depth E-steps with every value strictly
-    above n, and then stands at (3^o_counts[t] * n + adders[t]) / 2^depth,
-    exactly.  Residues are sorted.  Pruned class t is the minimal descent
-    class 2^class_j[t]*k + class_x[t] with class_i[t] O-steps and adder
-    class_m[t], in walk order.  Depth 0 has the single trivial leaf
-    r = 0, a = 0, m = 0 and no class.
+    Leaf t is the odd residue r = residues[t] with a = o_counts[t] and
+    e = ends[t]: every n = 2^depth*h + r takes a O-steps and depth E-steps
+    with every value strictly above n, and then stands at 3^a*h + e.
+    Residues are sorted.  Pruned class t is the minimal descent class
+    2^class_j[t]*k + class_x[t] with class_i[t] O-steps and the paper's
+    adder class_m[t], in walk order.  Depth 0 has the single trivial leaf
+    r = 0, a = 0, e = 0 and no class.
+
+    Building one checks it, so a dataclasses.replace copy is checked too:
+    every leaf has 2^depth <= 3^a, the smallest member x >= 2 of every
+    class ends below x (else NotADescent), and the classes and the leaves
+    partition the residues mod 2^depth.
 
     This is also the classification of the naturals to `depth` halvings.
     replayed_classes reads each class's pattern and y0 off these arrays,
@@ -343,11 +348,28 @@ class UnresolvedLeaves:
     depth: int
     residues: array  # 'Q'
     o_counts: bytes
-    adders: array  # 'Q'
+    ends: array  # 'Q'
     class_x: array  # 'Q'
     class_j: bytes
     class_i: bytes
     class_m: array  # 'Q'
+
+    def __post_init__(self) -> None:
+        depth, count = self.depth, len(self.residues)
+        # 3^a grows with a, so the leaf with the fewest O-steps decides them all
+        a = min(self.o_counts, default=depth)
+        if 3**a < 1 << depth:
+            r = self.residues[self.o_counts.index(a)]
+            raise AssertionError(f"leaf {r} mod 2^{depth} takes {a} O-steps, and 3^{a} < 2^{depth}")
+        for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m):
+            y0 = (3**i * x + m) >> j
+            if y0 >= x >= 2:
+                raise NotADescent(f"smallest member {x} of class mod 2^{j} ends at {y0}")
+        covered = sum(1 << (depth - j) for j in self.class_j)
+        if covered + count != 1 << depth:
+            raise AssertionError(
+                f"classes cover {covered} and {count} leaves are open, not 2^{depth} residues"
+            )
 
     def replayed_classes(self) -> list[tuple[str, int, int, int, int, int]]:
         """The pruned classes as replay_class returns them, sorted by (length, x).
@@ -368,8 +390,8 @@ class UnresolvedLeaves:
     def resolved_measure(self) -> Fraction:
         """The exact density sum(2^-j) of the classes.
 
-        The walk checked that the classes and the open leaves partition the
-        residues mod 2^depth, so the classes cover all but the leaves.
+        The classes and the open leaves partition the residues mod
+        2^depth, so the classes cover all but the leaves.
         """
         from fractions import Fraction
 
@@ -384,85 +406,69 @@ class UnresolvedLeaves:
 def unresolved_leaves(depth: int) -> UnresolvedLeaves:
     """Walk the parity tree to `depth` halvings, level by level.
 
-    A node is a residue x mod 2^b with the affine form (3^a*x + m) / 2^b
-    of the value after its a O-steps and b E-steps.  Bit b of x fixes the
-    parity of that value, so each node has two children, x and x + 2^b,
-    one halving deeper.  Their values differ by the odd 3^a, so one parity
-    test settles both.  The odd child never resolves (2^b <= 3^a gives
-    2^(b+1) < 3^(a+1)); the even child whose prefix first reaches
-    2^(b+1) > 3^a is a resolved class and is pruned, once its smallest
-    member x >= 2 is shown to end below x.  The nodes that reach
-    b = depth are the open leaves.  Each level keeps its x-children ahead
-    of its (x + 2^b)-children, so every level, the leaves included, stays
-    sorted by residue.  This is Terras' parity-vector bijection: the pruned
-    nodes are exactly the minimal classes with j <= depth, the leaves the
+    A node is a residue x mod 2^b whose members n = 2^b*h + x stand at
+    3^a*h + e after their first b halvings, a of them after an O-step.
+    Bit b of n fixes the parity of that value, so each node has two
+    children one halving deeper: x and x + 2^b go on from w = e and
+    w = e + 3^a, an odd w becomes (3w + 1)/2 and an even w is halved, the
+    rule of _halving_words.  As 3^a is odd, one parity test settles both.
+    The odd child never resolves (2^b <= 3^a gives 2^(b+1) < 3^(a+1)); the
+    even child whose prefix first reaches 2^(b+1) > 3^a is a resolved
+    class, pruned with the adder m = (y0 << (b+1)) - 3^a*x of its smallest
+    member x, which ends at y0 = w/2.  The nodes that reach b = depth are
+    the open leaves.  Each level keeps its x-children ahead of its
+    (x + 2^b)-children, so every level, the leaves included, stays sorted
+    by residue.  This is Terras' parity-vector bijection: the pruned nodes
+    are exactly the minimal classes with j <= depth, the leaves the
     unresolved residues.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     pow3 = [3**a for a in range(depth + 1)]
-    # one level: residues x mod 2^b, O-counts a and adders m, each with 2^b <= 3^a
-    xs, o_counts, ms = array("Q", [0]), bytearray(b"\x00"), array("Q", [0])
+    # one level: residues x mod 2^b, O-counts a and ends e, each with 2^b <= 3^a
+    xs, o_counts, ends = array("Q", [0]), bytearray(b"\x00"), array("Q", [0])
     class_x, class_j, class_i, class_m = array("Q"), bytearray(), bytearray(), array("Q")
     for b in range(depth):
         pow2b = 1 << b
-        nb = b + 1
-        pow2nb = 1 << nb
-        lo_x, lo_o, lo_m = array("Q"), bytearray(), array("Q")
-        hi_x, hi_o, hi_m = array("Q"), bytearray(), array("Q")
-        for x, a, m in zip(xs, o_counts, ms):
+        pow2nb = pow2b << 1
+        lo_x, lo_o, lo_e = array("Q"), bytearray(), array("Q")
+        hi_x, hi_o, hi_e = array("Q"), bytearray(), array("Q")
+        for x, a, e in zip(xs, o_counts, ends):
             p = pow3[a]
-            numer = p * x + m
-            odd_m = 3 * m + pow2b
-            if numer >> b & 1:
+            if e & 1:
                 lo_x.append(x)
                 lo_o.append(a + 1)
-                lo_m.append(odd_m)
+                lo_e.append((3 * e + 1) >> 1)
                 x |= pow2b
-                numer += p << b
+                e += p
                 if pow2nb <= p:
                     hi_x.append(x)
                     hi_o.append(a)
-                    hi_m.append(m)
+                    hi_e.append(e >> 1)
                     continue
             else:
                 hi_x.append(x | pow2b)
                 hi_o.append(a + 1)
-                hi_m.append(odd_m)
+                hi_e.append((3 * (e + p) + 1) >> 1)
                 if pow2nb <= p:
                     lo_x.append(x)
                     lo_o.append(a)
-                    lo_m.append(m)
+                    lo_e.append(e >> 1)
                     continue
-            # the even child x first descends here: a resolved class
-            if numer & (pow2nb - 1):
-                raise AssertionError(f"class constant of {x} mod 2^{nb} is not divisible")
-            if x >= 2 and numer >> nb >= x:
-                raise NotADescent(f"smallest member {x} of class mod 2^{nb} ends at {numer >> nb}")
+            # the even child x, at w = e, first descends here: a resolved class
             class_x.append(x)
-            class_j.append(nb)
+            class_j.append(b + 1)
             class_i.append(a)
-            class_m.append(m)
+            class_m.append((e << b) - p * x)
         lo_x.extend(hi_x)
         lo_o += hi_o
-        lo_m.extend(hi_m)
-        xs, o_counts, ms = lo_x, lo_o, lo_m
-    pow2 = 1 << depth
-    for x, a, m in zip(xs, o_counts, ms):
-        p = pow3[a]
-        if pow2 > p or (p * x + m) % pow2:
-            raise AssertionError(f"leaf {x} mod 2^{depth} breaks its affine form")
-    # the classes and the leaves partition the residues mod 2^depth
-    covered = sum(1 << (depth - j) for j in class_j)
-    if covered + len(xs) != pow2:
-        raise AssertionError(
-            f"classes cover {covered} and {len(xs)} leaves are open, not 2^{depth} residues"
-        )
+        lo_e.extend(hi_e)
+        xs, o_counts, ends = lo_x, lo_o, lo_e
     return UnresolvedLeaves(
         depth=depth,
         residues=xs,
         o_counts=bytes(o_counts),
-        adders=ms,
+        ends=ends,
         class_x=class_x,
         class_j=bytes(class_j),
         class_i=bytes(class_i),

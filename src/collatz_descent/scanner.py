@@ -5,12 +5,13 @@ Classification, the scan and the record search stand on one walk of the
 parity tree to J halvings (patterns.unresolved_leaves), which
 classify_depth returns as the classification.  Its pruned nodes are the
 minimal descent classes with at most J halving steps; its open leaves are
-what those classes miss, each an odd residue mod 2^J with the affine form
-of its first J halvings.  The scan visits the members of those leaves
-alone, resumes each from its value after the J halvings, and counts every
-other number as skipped.  Each block returns its running maxima: the
-scan keeps the last, and the record search merges them all once its
-running maximum passes the longest class.  No 2^J table is built anywhere.
+what those classes miss, each an odd residue r mod 2^J with the O-count
+a and the end e of its first J halvings.  The scan visits the members of
+those leaves alone, resumes each n = 2^J*h + r at its value 3^a*h + e
+after the J halvings, and counts every other number as skipped.  Each
+block returns its running maxima: the scan keeps the last, and the record
+search merges them all once its running maximum passes the longest class.
+No 2^J table is built anywhere.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ def _scan_block(
 
     Returns (verified, skipped, failures, maxima): maxima are the running
     maxima of descent length over the verified leftovers, as (n, steps)
-    in increasing n.  This is the one place a leftover is resumed, from
-    its leaf's affine image after depth halvings, leaf by leaf.  A block
+    in increasing n.  This is the one place a leftover is resumed, leaf
+    by leaf: n = 2^depth*h + r of leaf (r, a, e) resumes at 3^a*h + e
+    after its depth halvings, as a jump over a halving word does.  A block
     at most one period long has at most one member per leaf, met in
     increasing n, so one running maximum serves; a longer block puts each
     leaf's maxima, like the failures, back in range order.
@@ -140,7 +142,7 @@ def _scan_block(
     # period-by-period kernel took 3-9% longer at depth 5 and 1.3-1.4x as
     # long at depth 1 (Python 3.11, one core of a 2-vCPU Xeon).
     depth = leaves.depth
-    residues, o_counts, adders = leaves.residues, leaves.o_counts, leaves.adders
+    residues, o_counts, ends = leaves.residues, leaves.o_counts, leaves.ends
     period = 1 << depth
     mask = period - 1
     count = len(residues)
@@ -160,7 +162,7 @@ def _scan_block(
     # a leaf's depth halvings follow at most depth O-steps
     pow3 = [3**a for a in range(depth + 1)]
     for i, j in spans:
-        for r, a, m in zip(residues[i:j], o_counts[i:j], adders[i:j]):
+        for r, a, e in zip(residues[i:j], o_counts[i:j], ends[i:j]):
             if several:
                 best = 0
             p = pow3[a]
@@ -168,7 +170,7 @@ def _scan_block(
             n = lo + ((r - lo) & mask)
             while n <= hi:
                 try:
-                    steps = descent_length(n, step_cap, (p * n + m) >> depth, skipped_steps)
+                    steps = descent_length(n, step_cap, p * (n >> depth) + e, skipped_steps)
                 except CycleDetected:
                     failures.append((n, "cycle detected"))
                 except StepCapExceeded:

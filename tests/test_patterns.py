@@ -303,7 +303,7 @@ def test_leaves_match_the_dense_classification():
         assert report.unresolved_residues == expected.unresolved_residues, depth
         assert tuple(leaves.residues) == expected.unresolved_residues
         assert len(leaves.class_x) == len(expected.classes)
-        assert len(leaves.o_counts) == len(leaves.adders) == len(leaves.residues)
+        assert len(leaves.o_counts) == len(leaves.ends) == len(leaves.residues)
         assert len(leaves.class_j) == len(leaves.class_i) == len(leaves.class_m) == len(leaves.class_x)
         if depth > 16:
             continue
@@ -314,7 +314,7 @@ def test_leaves_match_the_dense_classification():
 
 def test_depth_zero_leaf_is_trivial():
     leaves = unresolved_leaves(0)
-    assert (list(leaves.residues), leaves.o_counts, list(leaves.adders)) == ([0], b"\x00", [0])
+    assert (list(leaves.residues), leaves.o_counts, list(leaves.ends)) == ([0], b"\x00", [0])
     assert leaves.classes == ()
     with pytest.raises(ValueError):
         unresolved_leaves(-1)
@@ -323,7 +323,7 @@ def test_depth_zero_leaf_is_trivial():
 def test_leaf_prefix_stays_above_the_start_and_lands_on_the_affine_image():
     for depth in range(1, 13):
         leaves = unresolved_leaves(depth)
-        for r, a, m in zip(leaves.residues, leaves.o_counts, leaves.adders):
+        for r, a, e in zip(leaves.residues, leaves.o_counts, leaves.ends):
             for k in (0, 1, 2**20 + 3):
                 n = r + (k << depth)
                 if n < 2:
@@ -334,7 +334,52 @@ def test_leaf_prefix_stays_above_the_start_and_lands_on_the_affine_image():
                     halvings += kind == "E"
                     assert v > n, (n, depth)
                 assert halvings == depth
-                assert v == (3**a * n + m) >> depth
+                assert v == 3**a * (n >> depth) + e
+
+
+def test_walk_ends_on_the_halving_words():
+    # both write the value after t halvings of 2^t*h + r as 3^a*h + e
+    words = patterns._HALVING_WORDS
+    for t in range(patterns._WORD_K + 1):
+        leaves = unresolved_leaves(t)
+        for r, a, e in zip(leaves.residues, leaves.o_counts, leaves.ends):
+            assert (3**a, e) == words[t][r][1:3], (t, r)
+        for x, j, i, m in zip(leaves.class_x, leaves.class_j, leaves.class_i, leaves.class_m):
+            assert (3**i, (3**i * x + m) >> j) == words[j][x][1:3], (x, j)
+
+
+def test_leaves_reject_a_leaf_below_its_depth():
+    leaves = unresolved_leaves(10)
+    o_counts = bytearray(leaves.o_counts)
+    o_counts[5] = 6  # 3^6 = 729 < 2^10; every leaf of depth 10 has 7 O-steps or more
+    r = leaves.residues[5]
+    with pytest.raises(AssertionError) as exc:
+        dataclasses.replace(leaves, o_counts=bytes(o_counts))
+    assert str(exc.value) == f"leaf {r} mod 2^10 takes 6 O-steps, and 3^6 < 2^10"
+
+
+def test_leaves_reject_a_class_that_does_not_descend():
+    leaves = unresolved_leaves(10)
+    t = 7
+    x, j, i, m = leaves.class_x[t], leaves.class_j[t], leaves.class_i[t], leaves.class_m[t]
+    class_m = leaves.class_m[:]
+    class_m[t] += (x - ((3**i * x + m) >> j)) << j  # the smallest member now ends at x
+    with pytest.raises(NotADescent) as exc:
+        dataclasses.replace(leaves, class_m=class_m)
+    assert str(exc.value) == f"smallest member {x} of class mod 2^{j} ends at {x}"
+
+
+def test_leaves_reject_a_dropped_leaf():
+    leaves = unresolved_leaves(10)
+    count = len(leaves.residues)
+    residues, ends = leaves.residues[:], leaves.ends[:]
+    del residues[3], ends[3]
+    o_counts = leaves.o_counts[:3] + leaves.o_counts[4:]
+    with pytest.raises(AssertionError) as exc:
+        dataclasses.replace(leaves, residues=residues, o_counts=o_counts, ends=ends)
+    assert str(exc.value) == (
+        f"classes cover {1024 - count} and {count - 1} leaves are open, not 2^10 residues"
+    )
 
 
 def test_enumerate_examples():

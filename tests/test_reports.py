@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 from array import array
@@ -223,6 +224,24 @@ def test_classify_report_replays_against_the_class_adder():
     with pytest.raises(AssertionError, match=r"replay of \d+ mod 2\^\d+ leaves its class"):
         classify_report(dataclasses.replace(leaves, class_m=class_m))
 
+
+def test_outputs_keep_their_golden_digests():
+    # the depth 22 tables in each format and two canonical scans at depth 22,
+    # near 10^12 and 2^70: the walk, the replay and the scan kernel must keep them
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    tables = classify_report(classify_depth(22))
+    assert {fmt: digest(render(tables, fmt)) for fmt in FORMATS} == {
+        "csv": "963818cca7c26904b2e453ab74ed7e0c109e63d7ab955a21a1cc36da7427b729",
+        "markdown": "451de519e4c5731f206a5d833f8cf688c0344390132ec3a1996f2709dbb8c6bb",
+        "json": "df75c1ef50fdb29b3458c5ba45a55e8d44b57519e8c64f5899f48c39e81a63a6",
+    }
+    scans = [(10**12 + 12345, 10**12 + 2012345), (2**70 + 12345, 2**70 + 112345)]
+    assert [digest(sieve_scan(lo, hi, 22).canonical_json()) for lo, hi in scans] == [
+        "d63b1fc87425f4c8a5e5825c89cb0026b39223a113cfaca8ea43c14d6e6fd60b",
+        "b8661256d8a853f795db1e38665419949b2a8bdf529b5301438e81a85a8826d9",
+    ]
 
 def test_render_keeps_csv_quoting_for_cells_that_are_not_one_integer():
     tables = [
