@@ -4,13 +4,15 @@ Exit codes: 0 on success, 1 on domain errors (a scan's dead worker
 process among them), an interrupt (Ctrl-C or SIGTERM, which print
 "interrupted") or a stdout closed before the tables were written (as
 `| head` closes it, which prints nothing), 2 on usage errors.
-Tables go to stdout a chunk of rows at a time, diagnostics to stderr.
+Tables go to stdout a chunk of rows at a time, through a buffered writer
+even under PYTHONUNBUFFERED or -u, diagnostics to stderr.
 COLLATZ_STEP_CAP overrides the per-descent step cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import signal
 import sys
@@ -125,18 +127,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     step_cap = _step_cap(parser)
 
-    # a SIGTERM takes Ctrl-C's path: a scan's pool lets its blocks in flight
-    # finish and leaves no worker behind.  Only the main thread may set a
-    # handler (elsewhere signal.signal raises ValueError), and a handler set
-    # from C (None here) cannot be put back
+    # a SIGTERM takes Ctrl-C's path: a scan ends its workers at once and
+    # leaves none behind.  Only the main thread may set a handler (elsewhere
+    # signal.signal raises ValueError), and a handler set from C (None here)
+    # cannot be put back
     try:
         previous = signal.signal(signal.SIGTERM, _interrupt)
     except ValueError:
         previous = None
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # under PYTHONUNBUFFERED or -u, sys.stdout writes straight to the raw
+        # file and drops, unreported, the tail of a write it takes only in
+        # part (a reader closing mid-write); a buffered writer retries it
+        out = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding, out.errors)
     try:
         tables = args.tables(args, step_cap)
-        write(tables, args.format, sys.stdout)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        write(tables, args.format, out)
+        out.flush()  # a closed stdout raises here, not at exit
     except (CollatzDescentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -151,6 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
+        if out is not sys.stdout:
+            # flushes what is left (to devnull once the reader has gone), and
+            # leaves sys.stdout's raw file open
+            out.detach().detach()
     return 0
 
 

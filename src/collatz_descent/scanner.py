@@ -16,9 +16,10 @@ No 2^J table is built anywhere.
 
 from __future__ import annotations
 
+import marshal
+import os
 import time
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_length, descent_trace
@@ -48,7 +49,7 @@ class ScanReport:
     depth where the range's longest descent is a skipped one; skipped
     numbers have class-certified descents of i + j <= depth +
     floor(depth*log3(2)) steps, since j <= depth and 3^i < 2^j.  wall_time
-    is the scan phase (blocks, their merge and the process pool);
+    is the scan phase (blocks, their merge and the workers);
     setup_time is the sieve build before it.  Neither is part of canonical().
     """
 
@@ -197,23 +198,37 @@ def _scan_block(
     return verified, hi - lo + 1 - leftovers, failures, maxima
 
 
-_WORKER_STATE: dict = {}
-
-
-def _scan_worker_init(leaves: UnresolvedLeaves, step_cap: int) -> None:
-    # forked with SIGTERM blocked, so the parent's handler (the CLI's turns a
-    # SIGTERM into KeyboardInterrupt) never ran here: restore the default and
-    # unblock it, so the pool's terminate() of a broken pool ends this worker
+def _scan_worker(tasks: int, results: int, width: int, block) -> None:
+    """A forked worker's life: scan block(k) for each block number k read
+    from tasks and send (k, result) back on results, as a length-prefixed
+    marshal frame, until the task pipe ends.  A block's exception goes
+    back pickled in place of its result.  Never returns: the worker is a
+    copy of the parent, whose stack must not run on in it.
+    """
     import signal
 
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-    _WORKER_STATE["args"] = (leaves, step_cap)
+    status = 1
+    try:
+        # forked with SIGTERM blocked, so the parent's handler (the CLI's
+        # turns a SIGTERM into KeyboardInterrupt) never ran here: restore the
+        # default, then unblock it.  SIGINT stays blocked
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+        while message := os.read(tasks, width):
+            k = int.from_bytes(message, "little")
+            try:
+                result = block(k)
+            except BaseException as exc:  # forwarded, raised by the parent
+                import pickle
 
-
-def _scan_worker(block: tuple[int, int]):
-    leaves, step_cap = _WORKER_STATE["args"]
-    return _scan_block(block[0], block[1], leaves, step_cap)
+                result = pickle.dumps(exc)
+            frame = marshal.dumps((k, result))
+            frame = memoryview(len(frame).to_bytes(8, "little") + frame)
+            while frame:
+                frame = frame[os.write(results, frame) :]
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _block_results(
@@ -222,18 +237,26 @@ def _block_results(
     """Yield _scan_block's result for each block of [lo, hi], in range order.
 
     A block_size of None picks one from the range and the worker count.
-    Blocks are drawn lazily; an empty range yields nothing.  A pool, never
-    larger than the block count, holds at most two blocks per worker in
-    flight, so the parent's memory stays flat in the range size.  Only a
-    pool imports the process machinery.  A dead worker, or a pool that
-    cannot start, raises CollatzDescentError with the pool's message.
+    Blocks are drawn lazily; an empty range yields nothing.  On more than
+    one worker, and never more workers than blocks, the workers are forked
+    from this process with SIGINT and SIGTERM blocked, then restore
+    SIGTERM's default.  They pull block numbers from one task pipe, of
+    which this process writes at most two per worker ahead of the
+    consumer, and send their results back on a pipe each; this process
+    polls those, reorders the results and yields them in range order, so
+    its memory stays flat in the range size.  A block's exception in a
+    worker is raised here unchanged.  A worker that dies (end of file on
+    its pipe) raises CollatzDescentError naming its pid and exit status,
+    and a pipe or fork that fails one chained from the OSError.  However
+    the generator ends (done, an error, KeyboardInterrupt, close()), it
+    closes the pipes, then SIGTERMs and reaps every worker.  Without
+    os.fork (Windows), more than one worker is a ValueError.
     """
     if block_size is None:
-        # About 8 blocks per worker, so a pool pays few round trips (about
-        # 0.5 ms each) and each leaf's setup once per block, not per 2^16
-        # numbers.  The floor keeps a short range in 2^16 blocks, and in a
-        # pool; the cap bounds what a block holds and how long Ctrl-C waits
-        # for the blocks in flight.  Swept on `scan 2 10^7 --depth 16
+        # About 8 blocks per worker, so the workers pay few round trips and
+        # each leaf's setup once per block, not per 2^16 numbers.  The floor
+        # keeps a short range in 2^16 blocks, and on all its workers; the
+        # cap bounds what a block holds.  Swept on `scan 2 10^7 --depth 16
         # --workers 2`, median CPU over 6-12 runs of bench/run.py: 2^16
         # blocks 0.563 s; 4 / 8 / 16 blocks per worker 0.476 / 0.494 /
         # 0.518 s, 4 and 8 within the noise of 6 alternating pairs (4 won
@@ -241,40 +264,103 @@ def _block_results(
         # 22 on one worker (scan-deep) all gave 0.221-0.229 s wall, 2^16
         # blocks included.
         block_size = min(max(-(-(hi - lo + 1) // (8 * workers)), 1 << 16), 1 << 20)
-    blocks = ((a, min(a + block_size - 1, hi)) for a in range(lo, hi + 1, block_size))
-    workers = min(workers, (hi - lo) // block_size + 1)
-    if workers <= 1:
-        yield from (_scan_block(a, b, leaves, step_cap) for a, b in blocks)
-        return
-    import multiprocessing
-    import signal
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
+    def block(k: int):
+        a = lo + k * block_size
+        return _scan_block(a, min(a + block_size - 1, hi), leaves, step_cap)
+
+    count = (hi - lo) // block_size + 1
+    workers = min(workers, count)
+    if workers <= 1:
+        yield from map(block, range(count))
+        return
+    if not hasattr(os, "fork"):
+        raise ValueError(
+            f"a scan on {workers} workers needs os.fork, which this platform lacks: use --workers 1"
+        )
+    import select
+    import signal
+
+    # block numbers go out in fixed-width words, each written whole (a pipe
+    # write of at most PIPE_BUF bytes is atomic), so each read takes one
+    width = (count - 1).bit_length() // 8 + 1
+    pids: dict[int, int] = {}  # a worker's result pipe -> its pid
+    fds = list(os.pipe())  # the task pipe's ends, then the result pipes'
+    poll = select.poll()
+    both = {signal.SIGINT, signal.SIGTERM}
     try:
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_scan_worker_init,
-            initargs=(leaves, step_cap),
-        ) as pool:
-            in_flight: deque = deque()
-            for block in blocks:
-                if len(in_flight) == 2 * workers:
-                    yield in_flight.popleft().result()
-                # the workers are forked from this process inside submit, whatever
-                # the default start method, and keep its signal mask: with SIGINT
-                # blocked in them, a Ctrl-C interrupts the parent alone, which lets
-                # the blocks in flight finish before it exits.  SIGTERM stays
-                # blocked only until _scan_worker_init restores its default
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        try:
+            for _ in range(workers):
+                read, write = os.pipe()
+                fds.append(read)
+                # a worker keeps the mask: with SIGINT blocked there, a
+                # Ctrl-C to the process group interrupts this process alone
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, both)
                 try:
-                    in_flight.append(pool.submit(_scan_worker, block))
+                    pid = os.fork()
+                    if pid == 0:
+                        # a worker keeps only the task pipe's read end and its
+                        # result pipe's write end: if this process is killed
+                        # outright, the worker meets the task pipe's end or a
+                        # broken result pipe and exits
+                        for fd in fds[1:]:
+                            os.close(fd)
+                        _scan_worker(fds[0], write, width, block)
+                    pids[read] = pid
                 finally:
+                    os.close(write)
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            yield from (future.result() for future in in_flight)
-    except (BrokenProcessPool, OSError) as exc:
-        raise CollatzDescentError(str(exc)) from exc
+                poll.register(read, select.POLLIN)
+        except OSError as exc:
+            raise CollatzDescentError(str(exc)) from exc
+        handed = min(2 * workers, count)
+        for k in range(handed):
+            os.write(fds[1], k.to_bytes(width, "little"))
+        frames = {fd: bytearray() for fd in pids}
+        done: dict = {}
+        for k in range(count):
+            while k not in done:
+                for fd, _ in poll.poll():
+                    data = os.read(fd, 1 << 16)
+                    if not data:
+                        pid = pids.pop(fd)
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        how = f"exit status {code}"
+                        if code < 0:
+                            how = f"killed by {signal.Signals(-code).name}"
+                        raise CollatzDescentError(
+                            f"scan worker {pid} ended with blocks unfinished ({how})"
+                        ) from EOFError(f"end of file on worker {pid}'s result pipe")
+                    frame = frames[fd]
+                    frame += data
+                    while len(frame) >= 8:
+                        end = 8 + int.from_bytes(frame[:8], "little")
+                        if len(frame) < end:
+                            break
+                        key, result = marshal.loads(frame[8:end])
+                        done[key] = result
+                        del frame[:end]
+            result = done.pop(k)
+            if isinstance(result, bytes):
+                import pickle
+
+                raise pickle.loads(result)
+            yield result
+            if handed < count:
+                os.write(fds[1], handed.to_bytes(width, "little"))
+                handed += 1
+    finally:
+        # no signal cuts this short and leaves a worker behind
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, both)
+        try:
+            for fd in fds:
+                os.close(fd)
+            for pid in pids.values():
+                os.kill(pid, signal.SIGTERM)
+            for pid in pids.values():
+                os.waitpid(pid, 0)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _sieve_depth(size: int) -> int:
@@ -317,22 +403,23 @@ def sieve_scan(
     and 12 numbers at depths 0, 2 and 5.  Without a
     block_size, a block holds about 1/8 of a worker's share of the range,
     but never fewer than 2^16 or more than 2^20 numbers.  Every worker
-    count draws its blocks lazily, and a pool holds at most two blocks per
-    worker in flight, so memory stays flat in the range size.  A pool's
-    workers are forked from this process, whatever the default start
-    method, with SIGINT blocked, so Ctrl-C interrupts the parent alone,
-    which lets the blocks in flight finish and raises KeyboardInterrupt;
-    the CLI turns a SIGTERM to the parent into the same interrupt.  The
-    workers keep SIGTERM's default action, so a broken pool's terminate()
-    ends them.
-    A pool thus needs the fork start method: on a platform without it
-    (Windows), multiprocessing raises ValueError("cannot find context for
-    'fork'"), and only workers=1 runs.  Raises ValueError on a bad range,
-    worker count or block size, ValueError("depth must be >= 0") on a
-    negative depth (from unresolved_leaves), DepthTooLarge past MAX_DEPTH
-    (from classify_depth), and CollatzDescentError, chained from
-    the pool's BrokenProcessPool or OSError, when a worker dies or the
-    pool cannot start.
+    count draws its blocks lazily, and more than one worker, never more
+    than the blocks, pull block numbers from a pipe that holds at most two
+    per worker ahead of the merge, so memory stays flat in the range size.
+    The workers are forked from this process with os.fork, with SIGINT
+    blocked, so Ctrl-C interrupts this process alone and raises
+    KeyboardInterrupt; the CLI turns a SIGTERM to it into the same
+    interrupt.  The workers restore SIGTERM's default action, and however
+    the scan ends, this process SIGTERMs and reaps them at once, blocks in
+    flight included.  An exception in a worker's block is raised here
+    unchanged, as on one worker.  Without os.fork (Windows) only workers=1
+    runs.  Raises ValueError on a bad range, worker count or block size,
+    or more than one worker and block without os.fork,
+    ValueError("depth must be >= 0") on a negative depth (from
+    unresolved_leaves), DepthTooLarge past MAX_DEPTH (from
+    classify_depth), and CollatzDescentError when a worker dies (naming
+    its pid and exit status) or cannot be forked (chained from the
+    OSError).
     """
     if lo < 2:
         raise ValueError("scan range must start at 2 or above")

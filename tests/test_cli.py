@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -179,22 +180,29 @@ def _raise(exc):
     return fake_scan
 
 
-def test_scan_dead_worker_is_a_clean_error(capsys, dead_pools):
+def test_scan_dead_worker_is_a_clean_error(capsys, forks, monkeypatch):
+    # the forked workers run the patched kernel and kill themselves
+    monkeypatch.setattr(scanner, "_scan_block", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
     code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
-    assert (code, out, err) == (1, "", "error: a worker died\n")
-    assert [p.max_workers for p in dead_pools] == [2]
+    assert (code, out) == (1, "")
+    assert err in {f"error: scan worker {pid} ended with blocks unfinished (killed by SIGKILL)\n" for pid in forks}
+    assert len(forks) == 2
 
 
-def test_scan_unstartable_pool_is_a_clean_error(capsys, unforkable_pools):
+def test_scan_unstartable_pool_is_a_clean_error(capsys, unforkable):
     code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
     assert (code, out, err) == (1, "", "error: [Errno 11] Resource temporarily unavailable\n")
 
 
 def test_scan_without_fork_needs_one_worker(capsys, monkeypatch):
-    # a platform without fork (Windows) lists no "fork" context
-    monkeypatch.delitem(multiprocessing.context._concrete_contexts, "fork")
+    # a platform without fork (Windows) has no os.fork
+    monkeypatch.delattr(os, "fork")
     argv = ["scan", "2", "300000", "--depth", "5"]
-    assert run(capsys, *argv, "--workers", "2") == (1, "", "error: cannot find context for 'fork'\n")
+    assert run(capsys, *argv, "--workers", "2") == (
+        1,
+        "",
+        "error: a scan on 2 workers needs os.fork, which this platform lacks: use --workers 1\n",
+    )
     assert run(capsys, *argv, "--workers", "1")[0] == 0
 
 
@@ -221,17 +229,23 @@ def test_scan_other_runtime_errors_propagate(monkeypatch):
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # only a scan on more than one worker needs the pool's imports
+    # a scan forks its workers itself: neither the import nor a scan on two
+    # workers loads the standard library's process pool
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
-        "import sys, collatz_descent.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
+        "import sys, collatz_descent.cli\n"
+        "pool = {'concurrent', 'multiprocessing'}\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & pool))\n"
+        "code = collatz_descent.cli.main(['scan', '2', '300000', '--depth', '5', '--workers', '2'])\n"
+        "print(code, sorted({m.split('.')[0] for m in sys.modules} & pool))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
+    lines = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "[]\n"
+    ).stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+    assert lines[5].startswith("| 2 | 300000 | 5 | 37500 | 262499 | 0 |")
 
 
 def test_start_up_imports_only_what_the_command_uses():
@@ -279,6 +293,47 @@ def test_closed_stdout_is_a_clean_exit(unbuffered):
     assert head.startswith(b"# Classification summary\n")
     assert b"Traceback" not in err
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("reader_stays", [True, False], ids=["reader-stays", "reader-closes"])
+def test_short_write_to_an_unbuffered_stdout_is_retried(capsys, monkeypatch, reader_stays):
+    # under PYTHONUNBUFFERED or -u, sys.stdout's buffer is the raw file.  The
+    # pipe takes 23 bytes of the first write, then its reader reads on or
+    # closes it.  `enumerate 2` prints a table head and no rows, in one write
+    read, write = os.pipe()
+
+    class Pipe(io.RawIOBase):
+        short = True
+
+        def writable(self):
+            return True
+
+        def fileno(self):
+            return write
+
+        def write(self, data):
+            if not self.short:
+                return os.write(write, data)
+            self.short = False
+            taken = os.write(write, data[:23])
+            if not reader_stays:
+                os.close(read)
+            return taken
+
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Pipe(), write_through=True))
+    try:
+        code = main(["enumerate", "2"])
+    finally:
+        os.close(write)
+    assert capsys.readouterr().err == ""
+    if reader_stays:
+        with os.fdopen(read, "rb") as reader:
+            received = reader.read()
+        expected = render(classes_report(enumerate_minimal_patterns(2)), "markdown").encode()
+        assert len(expected) > 23
+        assert (code, received) == (0, expected)
+    else:
+        assert code == 1
 
 
 def test_scan_workers_default_to_the_usable_cpus(monkeypatch):
@@ -437,6 +492,36 @@ def test_scan_real_sigterm_is_a_clean_exit(target):
         assert err == "interrupted\n"
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_workers_end_when_the_parent_is_killed_outright():
+    # SIGKILL leaves the parent no cleanup: a worker meets the end of the
+    # task pipe, or a result pipe with no reader, and exits
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatz_descent", "scan", "2", "300000000", "--workers", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    workers = []
+    try:
+        workers = wait_for_workers(proc.pid, 2)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [w for w in workers if alive(w)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for w in workers:
+            if alive(w):
+                os.kill(int(w), signal.SIGKILL)
+    assert survivors == []
 
 
 def test_main_runs_off_the_main_thread():

@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import errno
 import math
+import os
+import signal
 import time
 import tracemalloc
 from bisect import bisect_left, bisect_right
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from collatz_descent import (
 from collatz_descent import scanner
 from collatz_descent.core import col_step
 from collatz_descent.reports import scan_report_tables
+from conftest import reaped
 from dense_reference import dense_classification, descent_length_reference
 
 # resolved measures for depths 1..12, frozen from brute-force simulation
@@ -160,29 +162,71 @@ def test_scan_deterministic_across_worker_counts():
     assert reference.wall_time > 0 and other.wall_time > 0
 
 
-def test_pool_never_outnumbers_the_blocks(inline_pools):
+def test_pool_never_outnumbers_the_blocks(forks):
     rep = sieve_scan(2, 70_000, 5, workers=4096)  # two blocks of 2^16
-    assert [p.max_workers for p in inline_pools] == [2]
+    assert len(forks) == 2
     assert rep.canonical_json() == sieve_scan(2, 70_000, 5).canonical_json()
     sieve_scan(2, 70_000, 5, workers=3, block_size=10_000)  # seven blocks
-    assert [p.max_workers for p in inline_pools] == [2, 3]
+    assert len(forks) == 5
 
 
-def test_pool_names_the_fork_start_method(inline_pools):
-    # the SIGINT mask set around submit reaches only workers forked from the
-    # parent, and Python 3.14 makes forkserver the default on Linux
-    sieve_scan(2, 70_000, 5, workers=2)
-    assert [p.mp_context.get_start_method() for p in inline_pools] == ["fork"]
+def test_pool_workers_block_sigint_and_keep_sigterm_default(forks, monkeypatch):
+    # a Ctrl-C to the process group must interrupt the parent alone, and the
+    # parent's SIGTERM must end a worker, whatever handler the parent set
+    previous = signal.signal(signal.SIGTERM, lambda *args: None)
+    before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    def signals(a, b, *rest):
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+        return 0, b - a + 1, [], [(os.getpid(), signal.SIGINT in blocked, signal.SIGTERM in blocked, default)]
+
+    monkeypatch.setattr(scanner, "_scan_block", signals)
+    try:
+        results = list(scanner._block_results(2, 300_000, None, unresolved_leaves(0), 1, 2))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert {pid for _, _, _, [(pid, *_)] in results} <= set(forks)
+    assert {tuple(masks) for _, _, _, [(_, *masks)] in results} == {(True, False, True)}
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
 
 
-def test_pool_holds_at_most_two_blocks_per_worker_in_flight(inline_pools, monkeypatch):
-    # 96 blocks of 2^20; an eager submission would hold them all at once
+def test_pool_holds_at_most_two_blocks_per_worker_in_flight(forks, monkeypatch):
+    # 96 blocks of 2^20; an eager hand-out would write them all at once.  The
+    # parent writes nothing but block numbers to the task pipe, one per write
     monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], []))
-    rep = sieve_scan(2, 10**8, 0, workers=2)
-    assert rep.skipped_count == 10**8 - 1
-    [pool] = inline_pools
-    assert pool.untaken == 0
-    assert pool.most_untaken == 2 * pool.max_workers == 4
+    parent = os.getpid()
+    handed = []
+    write = os.write
+
+    def counted(fd, data):
+        if os.getpid() == parent:
+            handed.append(data)
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", counted)
+    results = scanner._block_results(2, 10**8, None, unresolved_leaves(0), 1, 2)
+    # blocks handed out but not yet received by the consumer, as each result arrives
+    ahead = []
+    skipped = 0
+    for taken, (_, bs, _, _) in enumerate(results):
+        ahead.append(len(handed) - taken)
+        skipped += bs
+    assert skipped == 10**8 - 1
+    assert len(handed) == len(ahead) == 96
+    assert max(ahead) == 2 * len(forks) == 4
+
+
+def test_pool_yields_blocks_in_range_order_whatever_order_they_finish(forks, monkeypatch):
+    # the first block finishes last: the next three wait for it
+    def slow_first(a, b, *rest):
+        time.sleep(0.3 if a == 2 else 0)
+        return 0, b - a + 1, [], [(a, 1)]
+
+    monkeypatch.setattr(scanner, "_scan_block", slow_first)
+    results = scanner._block_results(2, 2 + 8 * 1000 - 1, 1000, unresolved_leaves(0), 1, 2)
+    assert [maxima for _, _, _, maxima in results] == [[(2 + k * 1000, 1)] for k in range(8)]
+    assert len(forks) == 2
 
 
 class FirstBlock(Exception):
@@ -193,28 +237,55 @@ def stop_at_first_block(*args):
     raise FirstBlock
 
 
-def test_pool_scans_a_range_too_big_to_count_in_a_machine_word(inline_pools, monkeypatch):
-    # [2, 2^80] holds more blocks than len() of a range can report
+def test_pool_scans_a_range_too_big_to_count_in_a_machine_word(forks, monkeypatch):
+    # [2, 2^80] holds more blocks than len() of a range can report; the
+    # workers' stub kernel raises, and the parent raises the same exception
     monkeypatch.setattr(scanner, "_scan_block", stop_at_first_block)
     with pytest.raises(FirstBlock):
         sieve_scan(2, 2**80, 0, workers=2)
-    assert [p.max_workers for p in inline_pools] == [2]
+    assert len(forks) == 2
 
 
-def test_dead_worker_is_a_domain_error_chained_from_the_pool(dead_pools):
-    with pytest.raises(CollatzDescentError) as caught:
-        sieve_scan(2, 300_000, 5, workers=2)
-    assert str(caught.value) == "a worker died"
-    assert isinstance(caught.value.__cause__, BrokenProcessPool)
-    assert [p.max_workers for p in dead_pools] == [2]
+def test_dead_worker_is_a_domain_error_chained_from_the_pool(forks, monkeypatch):
+    deaths = [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
+    ]
+    for die, how in deaths:
+        monkeypatch.setattr(scanner, "_scan_block", lambda *args, die=die: die())
+        with pytest.raises(CollatzDescentError) as caught:
+            sieve_scan(2, 300_000, 5, workers=2)
+        pid = int(str(caught.value).split()[2])
+        assert str(caught.value) == f"scan worker {pid} ended with blocks unfinished ({how})"
+        assert pid in forks[-2:]
+        assert isinstance(caught.value.__cause__, EOFError)
+    assert len(forks) == 4
 
 
-def test_unstartable_pool_is_a_domain_error_chained_from_the_pool(unforkable_pools):
+def test_unstartable_pool_is_a_domain_error_chained_from_the_pool(unforkable):
     with pytest.raises(CollatzDescentError) as caught:
         sieve_scan(2, 300_000, 5, workers=2)
     assert str(caught.value) == "[Errno 11] Resource temporarily unavailable"
     assert isinstance(caught.value.__cause__, OSError)
     assert caught.value.__cause__.errno == errno.EAGAIN
+    # the worker forked before the refusal is reaped (checked by the fixture)
+    assert len(unforkable) == 1
+
+
+def test_closing_a_pooled_scan_ends_its_workers_at_once(forks, monkeypatch):
+    # every block but the first takes a minute: close() must not wait for them
+    def slow_after_the_first(a, b, *rest):
+        time.sleep(0 if a == 2 else 60)
+        return 0, b - a + 1, [], []
+
+    monkeypatch.setattr(scanner, "_scan_block", slow_after_the_first)
+    results = scanner._block_results(2, 10**7, None, unresolved_leaves(0), 1, 2)
+    next(results)
+    assert len(forks) == 2 and not any(map(reaped, forks))
+    start = time.monotonic()
+    results.close()
+    assert time.monotonic() - start < 5
+    assert all(map(reaped, forks))
 
 
 @pytest.mark.parametrize(
@@ -230,14 +301,14 @@ def test_unstartable_pool_is_a_domain_error_chained_from_the_pool(unforkable_poo
         (10**8, 2, 1 << 20),
     ],
 )
-def test_blocks_are_sized_from_the_range_and_the_workers(inline_pools, monkeypatch, size, workers, block_size):
+def test_blocks_are_sized_from_the_range_and_the_workers(forks, monkeypatch, size, workers, block_size):
     monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], []))
     lo = 10**12 + 12_345
     results = scanner._block_results(lo, lo + size - 1, None, unresolved_leaves(0), 1, workers)
     lengths = [skipped for _, skipped, _, _ in results]
     assert lengths == [block_size] * (size // block_size) + [size % block_size] * (size % block_size > 0)
-    # a pool starts whenever there is more than one worker and one block
-    assert [p.max_workers for p in inline_pools] == [2] * (workers == 2)
+    # workers fork whenever there is more than one worker and one block
+    assert len(forks) == 2 * (workers == 2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -636,7 +707,7 @@ def test_record_search_refuses_a_block_failure_that_a_full_walk_does_not_repeat(
         record_search(2, 1000)
 
 
-def test_a_cycle_in_a_block_is_a_scan_failure_and_a_record_search_error(inline_pools, monkeypatch):
+def test_a_cycle_in_a_block_is_a_scan_failure_and_a_record_search_error(forks, monkeypatch):
     # 703 is a leftover at the depth [2, 1000] picks, in the block [702, 801]
     real = scanner.descent_length
 
@@ -652,7 +723,7 @@ def test_a_cycle_in_a_block_is_a_scan_failure_and_a_record_search_error(inline_p
         rep = sieve_scan(2, 1000, depth, workers=workers, block_size=100)
         assert rep.failures == ((703, "cycle detected"),)
         assert rep.verified_count + rep.skipped_count == 998
-    assert [p.max_workers for p in inline_pools] == [2]
+    assert len(forks) == 2
     with pytest.raises(CycleDetected, match="^trajectory of 703 returned to its start$"):
         record_search(2, 1000)
 
