@@ -8,10 +8,8 @@ line up with the pattern algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CycleDetected, StepCapExceeded
-from .patterns import _HALVING_WORDS, _WORD_K, _WORD_MASK, DescentPattern
+from .patterns import _HALVING_WORDS, _WORD_K, _WORD_MASK, DescentPattern, _Record
 
 # Far above the 96 steps of 27; guards against nontermination only.
 DEFAULT_STEP_CAP = 100_000
@@ -29,18 +27,23 @@ def col_step(n: int) -> tuple[int, str]:
     return n >> 1, "E"
 
 
-@dataclass(frozen=True)
-class DescentTrace:
+class DescentTrace(_Record):
     """A concrete trajectory from a start down to its first strictly smaller value.
 
     values[t] is the value after step t+1; values[-1] == first_lower < start,
     and every earlier value is strictly above the start.
     """
 
-    start: int
-    pattern: DescentPattern
-    values: tuple[int, ...]
-    first_lower: int
+    __slots__ = _fields = ("start", "pattern", "values", "first_lower")
+
+    def __init__(
+        self, start: int, pattern: DescentPattern, values: tuple[int, ...], first_lower: int
+    ) -> None:
+        # one is built per descent, as DescentPattern is
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "first_lower", first_lower)
 
     def __len__(self) -> int:
         return len(self.values)

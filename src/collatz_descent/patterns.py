@@ -16,18 +16,64 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import DepthTooLarge, NotADescent, UnrealizablePattern
 
+# typing.TYPE_CHECKING without importing typing, which every start would pay for
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class DescentPattern:
+class _Record:
+    """Base of the package's types that are not tuples: fields in __slots__, named in _fields.
+
+    Two records are equal when they are of one type with equal fields,
+    and then hash alike.  A record is frozen: its own __init__ sets each
+    field once, with _set in _fields' order, and assigning or deleting a
+    field afterwards raises AttributeError.  _replace copies a record with
+    some fields changed, and pickle and copy rebuild one, all through
+    __init__, so a type that checks itself checks its copies too.
+    reports.Table is the one mutable record.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DescentPattern(_Record):
     """A validated step word: either the single word "E" or an odd-start word.
 
     Structural rules (checked by :meth:`parse`):
@@ -39,9 +85,13 @@ class DescentPattern:
     * the final step is an E (a descent always ends on a halving).
     """
 
-    text: str
-    i: int  # number of O steps
-    j: int  # number of E steps
+    __slots__ = _fields = ("text", "i", "j")
+
+    def __init__(self, text: str, i: int, j: int) -> None:
+        # one is built per descent, so each field is set directly, not by _set
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "i", i)  # number of O steps
+        object.__setattr__(self, "j", j)  # number of E steps
 
     @classmethod
     def parse(cls, text: str) -> "DescentPattern":
@@ -72,8 +122,7 @@ def _as_pattern(p: DescentPattern | str) -> DescentPattern:
     return p if isinstance(p, DescentPattern) else DescentPattern.parse(p)
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(namedtuple("ResidueClass", "pattern i j m x modulus y0")):
     """All starting numbers sharing one descent pattern: n = modulus*k + x.
 
     Invariants: modulus = 2^j, 0 <= x < modulus, x odd unless the pattern
@@ -83,13 +132,7 @@ class ResidueClass:
     membership everywhere.
     """
 
-    pattern: DescentPattern
-    i: int
-    j: int
-    m: int
-    x: int
-    modulus: int
-    y0: int
+    __slots__ = ()
 
     def member(self, k: int) -> int:
         """The k-th starting number of this class."""
@@ -98,14 +141,10 @@ class ResidueClass:
         return self.modulus * k + self.x
 
 
-class FeasibilityRow(NamedTuple):
+class FeasibilityRow(namedtuple("FeasibilityRow", "e_ops o_ops result length remark")):
     """One row of the step-count feasibility table."""
 
-    e_ops: int
-    o_ops: int
-    result: int
-    length: int
-    remark: str
+    __slots__ = ()
 
 
 def feasibility_margin(i: int, j: int) -> int:
@@ -321,8 +360,7 @@ def iter_minimal_pattern_texts(max_j: int) -> Iterator[str]:
                 stack.append((text + "E", pow3a, 2 * pow2b))
 
 
-@dataclass(frozen=True)
-class UnresolvedLeaves:
+class UnresolvedLeaves(_Record):
     """The parity tree to `depth` halvings: its open leaves and its pruned classes.
 
     Leaf t is the odd residue r = residues[t] with a = o_counts[t] and
@@ -333,7 +371,7 @@ class UnresolvedLeaves:
     adder class_m[t], in walk order.  Depth 0 has the single trivial leaf
     r = 0, a = 0, e = 0 and no class.
 
-    Building one checks it, so a dataclasses.replace copy is checked too:
+    Building one checks it, so a copy made by _replace is checked too:
     every leaf has 2^depth <= 3^a, the smallest member x >= 2 of every
     class ends below x (else NotADescent), and the classes and the leaves
     partition the residues mod 2^depth.
@@ -345,31 +383,35 @@ class UnresolvedLeaves:
     the same facts as objects, a fraction and a tuple.
     """
 
-    depth: int
-    residues: array  # 'Q'
-    o_counts: bytes
-    ends: array  # 'Q'
-    class_x: array  # 'Q'
-    class_j: bytes
-    class_i: bytes
-    class_m: array  # 'Q'
+    _fields = ("depth", "residues", "o_counts", "ends", "class_x", "class_j", "class_i", "class_m")
+    __slots__ = (*_fields, "_classes")
 
-    def __post_init__(self) -> None:
-        depth, count = self.depth, len(self.residues)
+    def __init__(
+        self,
+        depth: int,
+        residues: array,  # 'Q'
+        o_counts: bytes,
+        ends: array,  # 'Q'
+        class_x: array,  # 'Q'
+        class_j: bytes,
+        class_i: bytes,
+        class_m: array,  # 'Q'
+    ) -> None:
         # 3^a grows with a, so the leaf with the fewest O-steps decides them all
-        a = min(self.o_counts, default=depth)
+        a = min(o_counts, default=depth)
         if 3**a < 1 << depth:
-            r = self.residues[self.o_counts.index(a)]
+            r = residues[o_counts.index(a)]
             raise AssertionError(f"leaf {r} mod 2^{depth} takes {a} O-steps, and 3^{a} < 2^{depth}")
-        for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m):
+        for x, j, i, m in zip(class_x, class_j, class_i, class_m):
             y0 = (3**i * x + m) >> j
             if y0 >= x >= 2:
                 raise NotADescent(f"smallest member {x} of class mod 2^{j} ends at {y0}")
-        covered = sum(1 << (depth - j) for j in self.class_j)
-        if covered + count != 1 << depth:
+        covered = sum(1 << (depth - j) for j in class_j)
+        if covered + len(residues) != 1 << depth:
             raise AssertionError(
-                f"classes cover {covered} and {count} leaves are open, not 2^{depth} residues"
+                f"classes cover {covered} and {len(residues)} leaves are open, not 2^{depth} residues"
             )
+        self._set(depth, residues, o_counts, ends, class_x, class_j, class_i, class_m)
 
     def replayed_classes(self) -> list[tuple[str, int, int, int, int, int]]:
         """The pruned classes as replay_class returns them, sorted by (length, x).
@@ -381,10 +423,13 @@ class UnresolvedLeaves:
         replayed.sort(key=lambda c: (len(c[0]), c[4]))
         return replayed
 
-    @cached_property
+    @property
     def classes(self) -> tuple[ResidueClass, ...]:
         """The pruned classes as ResidueClass objects, in replayed_classes' order; built once."""
-        return tuple(_resolved_class(*c) for c in self.replayed_classes())
+        if not hasattr(self, "_classes"):
+            classes = tuple(_resolved_class(*c) for c in self.replayed_classes())
+            object.__setattr__(self, "_classes", classes)
+        return self._classes
 
     @property
     def resolved_measure(self) -> Fraction:

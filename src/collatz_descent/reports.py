@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import io
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import islice, starmap
-from typing import TextIO
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_trace, total_stopping_time
-from .patterns import ResidueClass, UnresolvedLeaves, feasibility_table
+from .patterns import ResidueClass, UnresolvedLeaves, _Record, feasibility_table
 from .scanner import ScanReport, twin_walk
+
+# typing.TYPE_CHECKING without importing typing, which every start would pay for
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import TextIO
 
 Cell = int | str
 
@@ -31,12 +34,13 @@ Cell = int | str
 CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class Rows:
+class Rows(_Record):
     """A sized, re-iterable view of `size` rows; each iteration calls make() afresh."""
 
-    size: int
-    make: Callable[[], Iterable[Sequence[Cell]]]
+    __slots__ = _fields = ("size", "make")
+
+    def __init__(self, size: int, make: Callable[[], Iterable[Sequence[Cell]]]) -> None:
+        self._set(size, make)
 
     def __len__(self) -> int:
         return self.size
@@ -45,11 +49,18 @@ class Rows:
         return iter(self.make())
 
 
-@dataclass
-class Table:
-    title: str
-    columns: list[str]
-    rows: list[Sequence[Cell]] | Rows = field(default_factory=list)
+class Table(_Record):
+    """A titled table; its builder may append rows, or set them, after making it."""
+
+    __slots__ = _fields = ("title", "columns", "rows")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, title: str, columns: list[str], rows: list[Sequence[Cell]] | Rows | None = None
+    ) -> None:
+        self.title, self.columns, self.rows = title, columns, [] if rows is None else rows
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +181,6 @@ def render(tables: list[Table], fmt: str) -> str:
     buf = io.StringIO()
     write(tables, fmt, buf)
     return buf.getvalue()
-
-
-def parse_csv(text: str) -> list[Table]:
-    """Inverse of render(tables, "csv"), up to every cell coming back as a string."""
-    import csv
-
-    tables: list[Table] = []
-    for block in text.split("\n\n"):
-        lines = [ln for ln in block.split("\n") if ln != ""]
-        if not lines:
-            continue
-        title = ""
-        if lines[0].startswith("# "):
-            title = lines[0][2:]
-            lines = lines[1:]
-        rows = list(csv.reader(lines))
-        tables.append(Table(title=title, columns=rows[0], rows=[list(r) for r in rows[1:]]))
-    return tables
 
 
 def paper_sci(x: int) -> str:

@@ -20,11 +20,11 @@ import marshal
 import os
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_length, descent_trace
 from .errors import CollatzDescentError, CycleDetected, DepthTooLarge, StepCapExceeded
-from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
+from .patterns import UnresolvedLeaves, unresolved_leaves
 
 # The walk holds one level of the parity tree at a time and the pruned
 # classes, in compact arrays: at depth 24, 286,581 open leaves and 81,119
@@ -37,8 +37,13 @@ from .patterns import DescentPattern, UnresolvedLeaves, unresolved_leaves
 MAX_DEPTH = 24
 
 
-@dataclass(frozen=True)
-class ScanReport:
+_SCAN_FIELDS = (
+    "lo hi depth verified_count skipped_count failures max_descent_steps max_descent_n"
+    " wall_time setup_time"
+)
+
+
+class ScanReport(namedtuple("ScanReport", _SCAN_FIELDS)):
     """Outcome of one sieve-accelerated range scan.
 
     failures holds (n, reason) rows and is expected to stay empty; a
@@ -53,16 +58,7 @@ class ScanReport:
     setup_time is the sieve build before it.  Neither is part of canonical().
     """
 
-    lo: int
-    hi: int
-    depth: int
-    verified_count: int
-    skipped_count: int
-    failures: tuple[tuple[int, str], ...]
-    max_descent_steps: int
-    max_descent_n: int | None
-    wall_time: float
-    setup_time: float
+    __slots__ = ()
 
     def canonical(self) -> dict:
         """Report content without the timing fields, for byte-exact comparison."""
@@ -83,17 +79,10 @@ class ScanReport:
         return json.dumps(self.canonical(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class TwinRecord:
+class TwinRecord(namedtuple("TwinRecord", "n twin pattern i j first_lower twin_first_lower")):
     """n and its twin n + 2^j, verified to share one descent pattern."""
 
-    n: int
-    twin: int
-    pattern: DescentPattern
-    i: int
-    j: int
-    first_lower: int
-    twin_first_lower: int
+    __slots__ = ()
 
 
 def classify_depth(depth: int) -> UnresolvedLeaves:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -131,7 +130,7 @@ def test_scan_depth_out_of_bounds(capsys):
 
 def _untimed(report):
     """The report with its timing fields zeroed, so that its Wall ms cell reads 0."""
-    return dataclasses.replace(report, wall_time=0.0, setup_time=0.0)
+    return report._replace(wall_time=0.0, setup_time=0.0)
 
 
 # each command's argv and the library tables its output must render
@@ -266,6 +265,22 @@ def test_start_up_imports_only_what_the_command_uses():
     assert lines[3].startswith("| E | 1 | 0 | 1 | 2 |")
 
 
+def test_package_import_leaves_dataclasses_inspect_and_typing_out():
+    # the records are namedtuples and __slots__ classes.  Under -S no site
+    # module loads anything first.  cli is left out: argparse may import
+    # dataclasses itself on newer Pythons.
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys, collatz_descent, collatz_descent.reports\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
 def test_closed_stdout_is_a_clean_exit(unbuffered):
     # a reader that stops early (`| head`) closes the pipe while the
@@ -275,21 +290,17 @@ def test_closed_stdout_is_a_clean_exit(unbuffered):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "collatz_descent", "classify", "--depth", "20", "--format", "csv"],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    try:
-        head = proc.stdout.read(100)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.wait(timeout=60)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+    argv = [sys.executable, "-m", "collatz_descent", "classify", "--depth", "20", "--format", "csv"]
+    # leaving the with block closes both pipes and reaps the child
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
     assert head.startswith(b"# Classification summary\n")
     assert b"Traceback" not in err
     assert (proc.returncode, err) == (1, b"")

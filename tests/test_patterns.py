@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -354,7 +353,7 @@ def test_leaves_reject_a_leaf_below_its_depth():
     o_counts[5] = 6  # 3^6 = 729 < 2^10; every leaf of depth 10 has 7 O-steps or more
     r = leaves.residues[5]
     with pytest.raises(AssertionError) as exc:
-        dataclasses.replace(leaves, o_counts=bytes(o_counts))
+        leaves._replace(o_counts=bytes(o_counts))
     assert str(exc.value) == f"leaf {r} mod 2^10 takes 6 O-steps, and 3^6 < 2^10"
 
 
@@ -365,7 +364,7 @@ def test_leaves_reject_a_class_that_does_not_descend():
     class_m = leaves.class_m[:]
     class_m[t] += (x - ((3**i * x + m) >> j)) << j  # the smallest member now ends at x
     with pytest.raises(NotADescent) as exc:
-        dataclasses.replace(leaves, class_m=class_m)
+        leaves._replace(class_m=class_m)
     assert str(exc.value) == f"smallest member {x} of class mod 2^{j} ends at {x}"
 
 
@@ -376,7 +375,7 @@ def test_leaves_reject_a_dropped_leaf():
     del residues[3], ends[3]
     o_counts = leaves.o_counts[:3] + leaves.o_counts[4:]
     with pytest.raises(AssertionError) as exc:
-        dataclasses.replace(leaves, residues=residues, o_counts=o_counts, ends=ends)
+        leaves._replace(residues=residues, o_counts=o_counts, ends=ends)
     assert str(exc.value) == (
         f"classes cover {1024 - count} and {count - 1} leaves are open, not 2^10 residues"
     )
@@ -533,7 +532,7 @@ def test_first_lower_value_examples():
     assert first_lower_value(c11, 1) == 37
     # an adder off by one leaves 3^i*x + m indivisible by 2^j
     with pytest.raises(AssertionError, match=r"^non-integer first-lower value for 'OEOEEOEE', k=0$"):
-        first_lower_value(dataclasses.replace(c11, m=c11.m + 1), 0)
+        first_lower_value(c11._replace(m=c11.m + 1), 0)
     even = residue_for_pattern("E")
     assert first_lower_value(even, 5) == 5
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import math
 import os
@@ -785,7 +784,7 @@ def test_twin_walk_rejects_a_twin_that_leaves_the_pattern(monkeypatch):
     # one halving too few: the twin n + 2^(j-1) drifts off n's pattern
     def short_trace(n, step_cap):
         tr = descent_trace(n, step_cap)
-        return dataclasses.replace(tr, pattern=dataclasses.replace(tr.pattern, j=tr.pattern.j - 1))
+        return tr._replace(pattern=tr.pattern._replace(j=tr.pattern.j - 1))
 
     monkeypatch.setattr(scanner, "descent_trace", short_trace)
     for n, step in ((3, 6), (7, 11), (27, 96), (97, 3)):
