@@ -36,7 +36,6 @@ class _Record:
     field afterwards raises AttributeError.  _replace copies a record with
     some fields changed, and pickle and copy rebuild one, all through
     __init__, so a type that checks itself checks its copies too.
-    reports.Table is the one mutable record.
     """
 
     __slots__ = ()
@@ -383,8 +382,7 @@ class UnresolvedLeaves(_Record):
     the same facts as objects, a fraction and a tuple.
     """
 
-    _fields = ("depth", "residues", "o_counts", "ends", "class_x", "class_j", "class_i", "class_m")
-    __slots__ = (*_fields, "_classes")
+    __slots__ = _fields = ("depth", "residues", "o_counts", "ends", "class_x", "class_j", "class_i", "class_m")
 
     def __init__(
         self,
@@ -416,8 +414,7 @@ class UnresolvedLeaves(_Record):
     def replayed_classes(self) -> list[tuple[str, int, int, int, int, int]]:
         """The pruned classes as replay_class returns them, sorted by (length, x).
 
-        Each class is replayed once per call; classes caches the objects
-        built from this list.
+        Each class is replayed once per call, and once per read of classes.
         """
         replayed = list(map(replay_class, self.class_x, self.class_j, self.class_i, self.class_m))
         replayed.sort(key=lambda c: (len(c[0]), c[4]))
@@ -425,11 +422,8 @@ class UnresolvedLeaves(_Record):
 
     @property
     def classes(self) -> tuple[ResidueClass, ...]:
-        """The pruned classes as ResidueClass objects, in replayed_classes' order; built once."""
-        if not hasattr(self, "_classes"):
-            classes = tuple(_resolved_class(*c) for c in self.replayed_classes())
-            object.__setattr__(self, "_classes", classes)
-        return self._classes
+        """The pruned classes as ResidueClass objects, in replayed_classes' order."""
+        return tuple(_resolved_class(*c) for c in self.replayed_classes())
 
     @property
     def resolved_measure(self) -> Fraction:

@@ -3,18 +3,19 @@
 Every command's output is a list of Tables whose cells are exact integers
 or plain strings; no floating point ever reaches a numeric cell.  CSV
 output re-parses to the same tables, which the test suite exercises.
-A row is a list or a tuple of cells.  A table's rows are a list, or a
-Rows view that makes them afresh on each iteration from the data it is
-built over: classify_report's two big tables are such views, so their
-rows exist only a chunk at a time.  write() formats CHUNK_ROWS rows at a
-time and hands each chunk's text to the stream in one write, so the
-rendered output never exists whole; render returns the same text as one
-string.
+A row is a list or a tuple of cells.  A table's rows are a list, a tuple
+or a Rows view, fixed when the Table is built.  A Rows view makes them
+afresh on each iteration from the data it is built over:
+classify_report's two big tables are such views, so their rows exist
+only a chunk at a time.  write() formats CHUNK_ROWS rows at a time and
+hands each chunk's text to the stream in one write, so the rendered
+output never exists whole; render returns the same text as one string.
 """
 
 from __future__ import annotations
 
 import io
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice, starmap
 
@@ -49,18 +50,10 @@ class Rows(_Record):
         return iter(self.make())
 
 
-class Table(_Record):
-    """A titled table; its builder may append rows, or set them, after making it."""
+class Table(namedtuple("Table", "title columns rows")):
+    """A titled table: its columns, and its rows as a list, a tuple or a Rows view."""
 
-    __slots__ = _fields = ("title", "columns", "rows")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self, title: str, columns: list[str], rows: list[Sequence[Cell]] | Rows | None = None
-    ) -> None:
-        self.title, self.columns, self.rows = title, columns, [] if rows is None else rows
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +222,8 @@ def _class_row(text: str, i: int, j: int, m: int, x: int, y0: int) -> list[Cell]
 
 
 def classes_report(classes: list[ResidueClass]) -> list[Table]:
-    t = Table(title="", columns=list(_CLASS_COLUMNS))
-    t.rows = [_class_row(c.pattern.text, c.i, c.j, c.m, c.x, c.y0) for c in classes]
-    return [t]
+    rows = [_class_row(c.pattern.text, c.i, c.j, c.m, c.x, c.y0) for c in classes]
+    return [Table(title="", columns=list(_CLASS_COLUMNS), rows=rows)]
 
 
 def classify_report(report: UnresolvedLeaves) -> list[Table]:
@@ -247,14 +239,14 @@ def classify_report(report: UnresolvedLeaves) -> list[Table]:
     summary = Table(
         title="Classification summary",
         columns=["Depth", "Classes", "Resolved measure", "Unresolved residues"],
-    )
-    summary.rows.append(
-        [
-            report.depth,
-            len(report.class_x),
-            str(report.resolved_measure),
-            len(report.residues),
-        ]
+        rows=[
+            [
+                report.depth,
+                len(report.class_x),
+                str(report.resolved_measure),
+                len(report.residues),
+            ]
+        ],
     )
     replayed = report.replayed_classes()
     classes = Table(
@@ -284,23 +276,23 @@ def scan_report_tables(report: ScanReport) -> list[Table]:
             "At n",
             "Wall ms",
         ],
-    )
-    summary.rows.append(
-        [
-            report.lo,
-            report.hi,
-            report.depth,
-            report.verified_count,
-            report.skipped_count,
-            len(report.failures),
-            report.max_descent_steps,
-            "" if report.max_descent_n is None else report.max_descent_n,
-            int((report.setup_time + report.wall_time) * 1000),
-        ]
+        rows=[
+            [
+                report.lo,
+                report.hi,
+                report.depth,
+                report.verified_count,
+                report.skipped_count,
+                len(report.failures),
+                report.max_descent_steps,
+                "" if report.max_descent_n is None else report.max_descent_n,
+                int((report.setup_time + report.wall_time) * 1000),
+            ]
+        ],
     )
     tables = [summary]
     if report.failures:
-        tables.append(Table(title="Failures", columns=["n", "Reason"], rows=list(report.failures)))
+        tables.append(Table(title="Failures", columns=["n", "Reason"], rows=report.failures))
     return tables
 
 
@@ -314,14 +306,14 @@ def _step_table(n: int, steps: int) -> list[Table]:
     A row per step shows the value before it and the letter col_step
     gives it; a closing row shows the end.
     """
-    t = Table(title="", columns=["Step", "Value", "Ops"])
+    rows: list[list[Cell]] = []
     v = n
     for step in range(1, steps + 1):
         after, letter = col_step(v)
-        t.rows.append([step, v, letter])
+        rows.append([step, v, letter])
         v = after
-    t.rows.append(["", v, ""])
-    return [t]
+    rows.append(["", v, ""])
+    return [Table(title="", columns=["Step", "Value", "Ops"], rows=rows)]
 
 
 def trace_twin_report(
@@ -337,7 +329,7 @@ def trace_twin_report(
     tr, twin_path = twin_walk(n, step_cap=step_cap)
     i, j = tr.pattern.i, tr.pattern.j
     fmt = paper_sci if paper_style else str
-    t = Table(title=title, columns=["Step", "Value", "Ops", "Adder value", "Subsequent"])
+    rows: list[list[Cell]] = []
     a = b = 0
     adder_total = 0
     for step, (v, ch, v2) in enumerate(zip((n,) + tr.values, tr.pattern.text, twin_path), 1):
@@ -349,12 +341,13 @@ def trace_twin_report(
             a += 1
         else:
             b += 1
-        t.rows.append([step, v, ch, cell, v2])
-    t.rows.append(["", tr.first_lower, "", "", twin_path[-1]])
-    t.rows.append(["Total", len(tr.pattern), "Adder", fmt(adder_total), ""])
-    t.rows.append(["O steps", i, "", "", ""])
-    t.rows.append(["E steps", j, "", "", ""])
-    return [t]
+        rows.append([step, v, ch, cell, v2])
+    rows.append(["", tr.first_lower, "", "", twin_path[-1]])
+    rows.append(["Total", len(tr.pattern), "Adder", fmt(adder_total), ""])
+    rows.append(["O steps", i, "", "", ""])
+    rows.append(["E steps", j, "", "", ""])
+    columns = ["Step", "Value", "Ops", "Adder value", "Subsequent"]
+    return [Table(title=title, columns=columns, rows=rows)]
 
 
 TRACE_MODES = ("descent", "full", "twin")
@@ -400,13 +393,13 @@ def _members_trace_table(
     if any(tr.pattern.text != text for tr in traces):
         raise AssertionError(f"members {[tr.start for tr in traces]} differ in pattern")
     steps = [[idx + 1, ch] for idx, ch in enumerate(text)] + [["", ""]]
-    t = Table(title=title, columns=columns)
+    rows: list[list[Cell]] = []
     for idx, values in enumerate(zip(*[(tr.start,) + tr.values for tr in traces])):
         row: list[Cell] = list(values)
         if general is not None:
             row.append(general[idx])
-        t.rows.append(row + steps[idx])
-    return t
+        rows.append(row + steps[idx])
+    return Table(title=title, columns=columns, rows=rows)
 
 
 def named_report(name: str, step_cap: int = DEFAULT_STEP_CAP, paper_style: bool = False) -> list[Table]:

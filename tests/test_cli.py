@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -205,20 +204,22 @@ def test_scan_without_fork_needs_one_worker(capsys, monkeypatch):
     assert run(capsys, *argv, "--workers", "1")[0] == 0
 
 
-def test_scan_real_worker_death_is_a_clean_error(capsys, monkeypatch):
-    # forked workers inherit the patched kernel and die on their first block
-    assert multiprocessing.get_start_method() == "fork"
+def test_scan_real_worker_death_is_a_clean_error(capsys, monkeypatch, forks):
+    # forked workers inherit the patched kernel and die on their first block,
+    # whatever multiprocessing's start method: the scan forks them itself
     parent = os.getpid()
 
     def die(*args):
         if os.getpid() != parent:
             os._exit(1)
-        raise AssertionError("a block ran in the parent: no pool started")
+        raise AssertionError("a block ran in the parent: no worker was forked")
 
     monkeypatch.setattr(scanner, "_scan_block", die)
     code, out, err = run(capsys, "scan", "2", "300000", "--depth", "5", "--workers", "2")
     assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(forks) == 2
+    unfinished = "ended with blocks unfinished (exit status 1)"
+    assert err in {f"error: scan worker {pid} {unfinished}\n" for pid in forks}
 
 
 def test_scan_other_runtime_errors_propagate(monkeypatch):
@@ -366,27 +367,32 @@ def children(pid):
         return []
 
 
-def pool_workers(pid):
-    """Process pid's pool workers: its children but multiprocessing's
-    helpers, and the children of a forkserver among those helpers."""
+def scan_workers(pid):
+    """Process pid's scan workers: the children it forked itself.
+
+    A multiprocessing helper that the process started, such as a
+    forkserver, is a child too, and is left out: its command line names
+    multiprocessing, while a forked worker's repeats the scan's.
+    """
     workers = []
     for child in children(pid):
         try:
             helper = b"from multiprocessing" in Path(f"/proc/{child}/cmdline").read_bytes()
         except FileNotFoundError:
             continue
-        workers += children(child) if helper else [child]
+        if not helper:
+            workers.append(child)
     return workers
 
 
 def wait_for_workers(pid, count, timeout=60):
-    """Wait until process pid's pool has count workers; return their pids."""
+    """Wait until process pid has forked count scan workers; return their pids."""
     deadline = time.monotonic() + timeout
     while True:
-        workers = pool_workers(pid)
+        workers = scan_workers(pid)
         if len(workers) >= count:
             return workers
-        assert time.monotonic() < deadline, "the pool never started"
+        assert time.monotonic() < deadline, "the scan's workers never started"
         time.sleep(0.01)
 
 
@@ -414,7 +420,8 @@ FORKSERVER = "multiprocessing.set_start_method('forkserver', force=True)"
     [
         pytest.param(True, None, id="True"),
         pytest.param(False, None, id="False"),
-        # Python 3.14's default on Linux: the pool starts the forkserver
+        # Python 3.14's default start method on Linux, which the scan's own
+        # forks must not depend on
         pytest.param(True, FORKSERVER, id="True-forkserver"),
         # a forkserver started before the scan, with SIGINT unblocked; only
         # the parent is signalled, as the helpers may still be starting
@@ -467,8 +474,8 @@ def test_scan_real_ctrl_c_is_a_clean_exit(to_the_group, prelude):
 def test_scan_real_sigterm_is_a_clean_exit(target):
     # kill PID, as a job scheduler sends it, signals the parent alone: it
     # takes Ctrl-C's path.  A worker killed outright, or sent a SIGTERM,
-    # breaks the pool, whose terminate() must then end the other worker:
-    # neither runs the parent's SIGTERM handler
+    # ends with blocks unfinished: the parent reports it, then SIGTERMs and
+    # reaps the other worker.  No worker runs the parent's SIGTERM handler
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.Popen(
         [sys.executable, "-m", "collatz_descent", "scan", "2", "300000000", "--workers", "2"],

@@ -218,8 +218,7 @@ def _classify_report_from_objects(leaves):
         rows=[[r] for r in leaves.unresolved_residues],
     )
     [classes] = classes_report(list(leaves.classes))
-    classes.title = "Classes"
-    return [summary, classes, unresolved]
+    return [summary, classes._replace(title="Classes"), unresolved]
 
 
 def test_classify_report_renders_as_the_object_route():
