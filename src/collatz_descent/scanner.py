@@ -47,7 +47,7 @@ class ScanReport(namedtuple("ScanReport", _SCAN_FIELDS)):
     """Outcome of one sieve-accelerated range scan.
 
     failures holds (n, reason) rows and is expected to stay empty; a
-    nonempty list is a headline result, not an error.  Only simulated
+    nonempty tuple is a headline result, not an error.  Only simulated
     numbers are walked, so a step cap below the longest class length
     makes the failures depend on the depth.  max_descent_steps
     tracks the simulated (non-skipped) numbers only, so it depends on the
@@ -190,9 +190,10 @@ def _scan_block(
 def _scan_worker(tasks: int, results: int, width: int, block) -> None:
     """A forked worker's life: scan block(k) for each block number k read
     from tasks and send (k, result) back on results, as a length-prefixed
-    marshal frame, until the task pipe ends.  A block's exception goes
-    back pickled in place of its result.  Never returns: the worker is a
-    copy of the parent, whose stack must not run on in it.
+    marshal frame, until the task pipe ends.  A block that raises sends
+    (k, None), and the parent runs that block again itself.  Never
+    returns: the worker is a copy of the parent, whose stack must not run
+    on in it.
     """
     import signal
 
@@ -207,10 +208,8 @@ def _scan_worker(tasks: int, results: int, width: int, block) -> None:
             k = int.from_bytes(message, "little")
             try:
                 result = block(k)
-            except BaseException as exc:  # forwarded, raised by the parent
-                import pickle
-
-                result = pickle.dumps(exc)
+            except BaseException:  # the parent runs the block again
+                result = None
             frame = marshal.dumps((k, result))
             frame = memoryview(len(frame).to_bytes(8, "little") + frame)
             while frame:
@@ -233,13 +232,18 @@ def _block_results(
     which this process writes at most two per worker ahead of the
     consumer, and send their results back on a pipe each; this process
     polls those, reorders the results and yields them in range order, so
-    its memory stays flat in the range size.  A block's exception in a
-    worker is raised here unchanged.  A worker that dies (end of file on
-    its pipe) raises CollatzDescentError naming its pid and exit status,
-    and a pipe or fork that fails one chained from the OSError.  However
-    the generator ends (done, an error, KeyboardInterrupt, close()), it
-    closes the pipes, then SIGTERMs and reaps every worker.  Without
-    os.fork (Windows), more than one worker is a ValueError.
+    its memory stays flat in the range size.  It reads each reply whole,
+    its 8-byte length, then its body.  A block that raised in a worker
+    comes back as None and runs again here: the kernel is deterministic,
+    so it raises the same exception, with a traceback into the kernel,
+    and a failure that only the worker met (a MemoryError, say) gives way
+    to this process's result, as on one worker.  A worker that dies (end
+    of file on its pipe, a reply cut short included) raises
+    CollatzDescentError naming its pid and exit status, and a pipe or
+    fork that fails one chained from the OSError.  However the generator
+    ends (done, an error, KeyboardInterrupt, close()), it closes the
+    pipes, then SIGTERMs and reaps every worker.  Without os.fork
+    (Windows), more than one worker is a ValueError.
     """
     if block_size is None:
         # About 8 blocks per worker, so the workers pay few round trips and
@@ -305,36 +309,32 @@ def _block_results(
         handed = min(2 * workers, count)
         for k in range(handed):
             os.write(fds[1], k.to_bytes(width, "little"))
-        frames = {fd: bytearray() for fd in pids}
+
+        def read(fd: int, size: int) -> bytearray:
+            """The next size bytes on result pipe fd; an end of file first is a dead worker."""
+            data = bytearray()
+            while len(data) < size:
+                chunk = os.read(fd, size - len(data))
+                if not chunk:
+                    pid = pids.pop(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = f"exit status {code}"
+                    if code < 0:
+                        how = f"killed by {signal.Signals(-code).name}"
+                    raise CollatzDescentError(
+                        f"scan worker {pid} ended with blocks unfinished ({how})"
+                    ) from EOFError(f"end of file on worker {pid}'s result pipe")
+                data += chunk
+            return data
+
         done: dict = {}
         for k in range(count):
             while k not in done:
                 for fd, _ in poll.poll():
-                    data = os.read(fd, 1 << 16)
-                    if not data:
-                        pid = pids.pop(fd)
-                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                        how = f"exit status {code}"
-                        if code < 0:
-                            how = f"killed by {signal.Signals(-code).name}"
-                        raise CollatzDescentError(
-                            f"scan worker {pid} ended with blocks unfinished ({how})"
-                        ) from EOFError(f"end of file on worker {pid}'s result pipe")
-                    frame = frames[fd]
-                    frame += data
-                    while len(frame) >= 8:
-                        end = 8 + int.from_bytes(frame[:8], "little")
-                        if len(frame) < end:
-                            break
-                        key, result = marshal.loads(frame[8:end])
-                        done[key] = result
-                        del frame[:end]
+                    key, result = marshal.loads(read(fd, int.from_bytes(read(fd, 8), "little")))
+                    done[key] = result
             result = done.pop(k)
-            if isinstance(result, bytes):
-                import pickle
-
-                raise pickle.loads(result)
-            yield result
+            yield block(k) if result is None else result
             if handed < count:
                 os.write(fds[1], handed.to_bytes(width, "little"))
                 handed += 1
@@ -400,8 +400,9 @@ def sieve_scan(
     KeyboardInterrupt; the CLI turns a SIGTERM to it into the same
     interrupt.  The workers restore SIGTERM's default action, and however
     the scan ends, this process SIGTERMs and reaps them at once, blocks in
-    flight included.  An exception in a worker's block is raised here
-    unchanged, as on one worker.  Without os.fork (Windows) only workers=1
+    flight included.  This process reads each worker's reply whole; a
+    block that raises in a worker runs again here and raises the same
+    exception, as on one worker.  Without os.fork (Windows) only workers=1
     runs.  Raises ValueError on a bad range, worker count or block size,
     or more than one worker and block without os.fork,
     ValueError("depth must be >= 0") on a negative depth (from

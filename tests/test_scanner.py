@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import errno
+import marshal
 import math
 import os
 import signal
 import time
+import traceback
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -242,6 +244,72 @@ def test_pool_scans_a_range_too_big_to_count_in_a_machine_word(forks, monkeypatc
     monkeypatch.setattr(scanner, "_scan_block", stop_at_first_block)
     with pytest.raises(FirstBlock):
         sieve_scan(2, 2**80, 0, workers=2)
+    assert len(forks) == 2
+
+
+def raise_a_class_of_its_own(*args):
+    class Local(Exception):
+        """Defined in the kernel, where no import can find it by name."""
+
+    raise Local("a class of the kernel's own")
+
+
+class TwoArguments(Exception):
+    """An exception whose __init__ takes two arguments, but whose args hold one."""
+
+    def __init__(self, n, reason):
+        super().__init__(f"{n}: {reason}")
+
+
+def raise_two_arguments(*args):
+    raise TwoArguments(27, "two arguments")
+
+
+@pytest.mark.parametrize(
+    "stub, name, message",
+    [
+        (raise_a_class_of_its_own, "raise_a_class_of_its_own.<locals>.Local", "a class of the kernel's own"),
+        (raise_two_arguments, "TwoArguments", "27: two arguments"),
+        (stop_at_first_block, "FirstBlock", ""),
+    ],
+)
+def test_a_block_that_raises_in_a_worker_raises_itself_here_from_the_kernel(
+    forks, monkeypatch, stub, name, message
+):
+    # the parent runs the block again, so the exception is the kernel's own
+    # and its traceback reaches the kernel's frame
+    monkeypatch.setattr(scanner, "_scan_block", stub)
+    with pytest.raises(Exception) as caught:
+        sieve_scan(2, 300_000, 5, workers=2)
+    assert type(caught.value).__qualname__ == name
+    assert str(caught.value) == message
+    assert traceback.extract_tb(caught.value.__traceback__)[-1].name == stub.__name__
+    assert len(forks) == 2
+
+
+def test_a_failure_met_only_in_the_workers_leaves_the_report_of_one_worker(forks, monkeypatch):
+    expected = sieve_scan(2, 300_000, 5, step_cap=20).canonical_json()
+    parent = os.getpid()
+    real = scanner._scan_block
+
+    def short_of_memory_in_a_worker(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(scanner, "_scan_block", short_of_memory_in_a_worker)
+    assert sieve_scan(2, 300_000, 5, workers=2, step_cap=20).canonical_json() == expected
+    assert len(forks) == 2
+
+
+def test_a_reply_longer_than_a_pipe_buffer_arrives_whole(forks):
+    # 100,000 step cap failures: each 2^16 block's reply is three times
+    # Linux's 65,536-byte pipe buffer, so it takes the parent several reads
+    block = scanner._scan_block(2, (1 << 16) + 1, unresolved_leaves(0), 5)
+    assert len(marshal.dumps((0, block))) == 196_675
+    report = sieve_scan(2, 400_000, 0, workers=2, step_cap=5)
+    assert len(report.failures) == 100_000
+    assert report.canonical_json() == sieve_scan(2, 400_000, 0, step_cap=5).canonical_json()
     assert len(forks) == 2
 
 
