@@ -2,8 +2,10 @@
 
 Exit codes: 0 on success, 1 on domain errors (a scan's dead worker
 process among them), an interrupt (Ctrl-C or SIGTERM, which print
-"interrupted") or a stdout closed before the tables were written (as
-`| head` closes it, which prints nothing), 2 on usage errors.
+"interrupted") or a failed write to stdout, 2 on usage errors.  A stdout
+closed by its reader before the tables were written (as `| head` closes
+it) prints nothing; any other write failure (a full disk) prints one
+"error:" line.
 Tables go to stdout a chunk of rows at a time, through a buffered writer
 even under PYTHONUNBUFFERED or -u, diagnostics to stderr.
 COLLATZ_STEP_CAP overrides the per-descent step cap.
@@ -118,10 +120,6 @@ def _step_cap(parser: argparse.ArgumentParser) -> int:
     return cap
 
 
-def _interrupt(signum, frame):
-    raise KeyboardInterrupt
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -132,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     # signal.signal raises ValueError), and a handler set from C (None here)
     # cannot be put back
     try:
-        previous = signal.signal(signal.SIGTERM, _interrupt)
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     except ValueError:
         previous = None
     out = sys.stdout
@@ -144,23 +142,27 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tables = args.tables(args, step_cap)
         write(tables, args.format, out)
-        out.flush()  # a closed stdout raises here, not at exit
+        out.flush()  # a closed or full stdout raises here, not at exit
     except (CollatzDescentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader has gone: what is still buffered goes to devnull, or
-        # the interpreter's last flush of stdout would raise again
+    except OSError as exc:
+        # stdout takes no more (its reader has gone, or its disk is full):
+        # what is still buffered goes to devnull, or the interpreter's last
+        # flush of stdout would raise again.  A reader that has gone needs
+        # no word
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
         if out is not sys.stdout:
-            # flushes what is left (to devnull once the reader has gone), and
+            # flushes what is left (to devnull once a write has failed), and
             # leaves sys.stdout's raw file open
             out.detach().detach()
     return 0

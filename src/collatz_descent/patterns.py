@@ -31,18 +31,28 @@ class _Record:
     """Base of the package's types that are not tuples: fields in __slots__, named in _fields.
 
     Two records are equal when they are of one type with equal fields,
-    and then hash alike.  A record is frozen: its own __init__ sets each
-    field once, with _set in _fields' order, and assigning or deleting a
-    field afterwards raises AttributeError.  _replace copies a record with
-    some fields changed, and pickle and copy rebuild one, all through
-    __init__, so a type that checks itself checks its copies too.
+    and then hash alike.  A record is frozen: __init__ binds its arguments,
+    by position or keyword, to _fields as a function of those parameters
+    would, raising TypeError on a missing, unknown or repeated field, and
+    assigning or deleting a field afterwards raises AttributeError.  A type
+    that checks itself does so after super().__init__.  _replace copies a
+    record with some fields changed, and pickle and copy rebuild one, all
+    through __init__, so a type that checks itself checks its copies too.
+
+    DescentPattern and core.DescentTrace set their fields directly in an
+    __init__ of their own: descent_trace builds one of each per call, and
+    binding through this one made it nearly twice as slow.
     """
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args, **kwargs) -> None:
+        # an extra positional argument or a repeated field leaves values short
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes each of its fields {self._fields} once")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -87,7 +97,7 @@ class DescentPattern(_Record):
     __slots__ = _fields = ("text", "i", "j")
 
     def __init__(self, text: str, i: int, j: int) -> None:
-        # one is built per descent, so each field is set directly, not by _set
+        # one is built per descent, so each field is set directly (see _Record)
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "i", i)  # number of O steps
         object.__setattr__(self, "j", j)  # number of E steps
@@ -368,7 +378,9 @@ class UnresolvedLeaves(_Record):
     Residues are sorted.  Pruned class t is the minimal descent class
     2^class_j[t]*k + class_x[t] with class_i[t] O-steps and the paper's
     adder class_m[t], in walk order.  Depth 0 has the single trivial leaf
-    r = 0, a = 0, e = 0 and no class.
+    r = 0, a = 0, e = 0 and no class.  depth is an int; residues, ends,
+    class_x and class_m are array('Q'); o_counts, class_j and class_i are
+    bytes.
 
     Building one checks it, so a copy made by _replace is checked too:
     every leaf has 2^depth <= 3^a, the smallest member x >= 2 of every
@@ -384,32 +396,23 @@ class UnresolvedLeaves(_Record):
 
     __slots__ = _fields = ("depth", "residues", "o_counts", "ends", "class_x", "class_j", "class_i", "class_m")
 
-    def __init__(
-        self,
-        depth: int,
-        residues: array,  # 'Q'
-        o_counts: bytes,
-        ends: array,  # 'Q'
-        class_x: array,  # 'Q'
-        class_j: bytes,
-        class_i: bytes,
-        class_m: array,  # 'Q'
-    ) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        depth, residues, o_counts = self.depth, self.residues, self.o_counts
         # 3^a grows with a, so the leaf with the fewest O-steps decides them all
         a = min(o_counts, default=depth)
         if 3**a < 1 << depth:
             r = residues[o_counts.index(a)]
             raise AssertionError(f"leaf {r} mod 2^{depth} takes {a} O-steps, and 3^{a} < 2^{depth}")
-        for x, j, i, m in zip(class_x, class_j, class_i, class_m):
+        for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m):
             y0 = (3**i * x + m) >> j
             if y0 >= x >= 2:
                 raise NotADescent(f"smallest member {x} of class mod 2^{j} ends at {y0}")
-        covered = sum(1 << (depth - j) for j in class_j)
+        covered = sum(1 << (depth - j) for j in self.class_j)
         if covered + len(residues) != 1 << depth:
             raise AssertionError(
                 f"classes cover {covered} and {len(residues)} leaves are open, not 2^{depth} residues"
             )
-        self._set(depth, residues, o_counts, ends, class_x, class_j, class_i, class_m)
 
     def replayed_classes(self) -> list[tuple[str, int, int, int, int, int]]:
         """The pruned classes as replay_class returns them, sorted by (length, x).
@@ -499,10 +502,10 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
             class_j.append(b + 1)
             class_i.append(a)
             class_m.append((e << b) - p * x)
-        lo_x.extend(hi_x)
-        lo_o += hi_o
-        lo_e.extend(hi_e)
         xs, o_counts, ends = lo_x, lo_o, lo_e
+        xs.extend(hi_x)
+        o_counts += hi_o
+        ends.extend(hi_e)
     return UnresolvedLeaves(
         depth=depth,
         residues=xs,

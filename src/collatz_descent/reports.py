@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice, starmap
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_trace, total_stopping_time
@@ -36,12 +36,12 @@ CHUNK_ROWS = 1024
 
 
 class Rows(_Record):
-    """A sized, re-iterable view of `size` rows; each iteration calls make() afresh."""
+    """A sized, re-iterable view of `size` rows; each iteration calls make() afresh.
+
+    size is an int; make takes no arguments and returns an iterable of rows.
+    """
 
     __slots__ = _fields = ("size", "make")
-
-    def __init__(self, size: int, make: Callable[[], Iterable[Sequence[Cell]]]) -> None:
-        self._set(size, make)
 
     def __len__(self) -> int:
         return self.size

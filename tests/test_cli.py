@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -307,6 +308,29 @@ def test_closed_stdout_is_a_clean_exit(unbuffered):
     assert (proc.returncode, err) == (1, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "command", [["feasibility"], ["classify", "--depth", "12"]], ids=["feasibility", "classify"]
+)
+def test_full_stdout_is_one_error_line(command, unbuffered):
+    # a stdout whose disk is full fails its writes: exit 1, and one error
+    # line with no traceback, whether the tables fail mid-write (classify)
+    # or only on the last flush (feasibility's one small write)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = [sys.executable, "-m", "collatz_descent", *command]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith("\n")
+
+
 @pytest.mark.parametrize("reader_stays", [True, False], ids=["reader-stays", "reader-closes"])
 def test_short_write_to_an_unbuffered_stdout_is_retried(capsys, monkeypatch, reader_stays):
     # under PYTHONUNBUFFERED or -u, sys.stdout's buffer is the raw file.  The
@@ -346,6 +370,44 @@ def test_short_write_to_an_unbuffered_stdout_is_retried(capsys, monkeypatch, rea
         assert (code, received) == (0, expected)
     else:
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["feasibility", "trace", "enumerate", "class", "classify", "scan", "records", "report"]
+)
+def test_every_command_offers_every_format(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert "--format {markdown,csv,json}" in capsys.readouterr().out
+
+
+def test_enumerate_42_keeps_its_digest(capsys):
+    # the deepest walk of the suite, 26 halvings for length 42
+    code, out, err = run(capsys, "enumerate", "42", "--format", "csv")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "05f2570b30c52044655e7a1f6ee1017225c5e9387a436d8f84d254a59131a320"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_classify_depth_24_streams_below_90_mb():
+    # tables stream to stdout a chunk of rows at a time: depth 24 peaked at
+    # 120 MB when its output was rendered whole, and at 53 MB since.  A
+    # fresh wrapper has the command for its only child, so RUSAGE_CHILDREN
+    # reads that command's peak alone
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'collatz_descent', 'classify', '--depth', '24', '--format', 'csv']\n"
+        "subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+    assert int(out) / 1024 < 90
 
 
 def test_scan_workers_default_to_the_usable_cpus(monkeypatch):

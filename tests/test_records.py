@@ -86,6 +86,44 @@ def test_pickle_and_copy_give_back_an_equal_value(name):
         assert twin == value and type(twin) is type(value)
 
 
+# the records whose fields the shared constructor binds
+BOUND = ["UnresolvedLeaves", "Rows"]
+
+
+@pytest.mark.parametrize("name", BOUND)
+def test_fields_bind_by_position_by_keyword_and_mixed(name):
+    value = FROZEN[name][0]()
+    cls, fields, values = type(value), value._fields, value._values()
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    mixed = cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+    assert by_position == by_keyword == mixed == value
+
+
+@pytest.mark.parametrize("name", BOUND)
+@pytest.mark.parametrize(
+    "case", ["missing", "missing-keyword", "unknown", "extra-position", "repeated"]
+)
+def test_a_missing_unknown_or_repeated_field_raises_type_error(name, case):
+    value = FROZEN[name][0]()
+    fields, values = value._fields, value._values()
+    args, kwargs = {
+        "missing": (values[:-1], {}),
+        "missing-keyword": ((), dict(zip(fields[1:], values[1:]))),
+        "unknown": (values, {"bogus": 1}),
+        "extra-position": ((*values, 1), {}),
+        "repeated": (values, {fields[0]: values[0]}),
+    }[case]
+    with pytest.raises(TypeError):
+        type(value)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", BOUND)
+def test_replacing_an_unknown_field_raises_type_error(name):
+    with pytest.raises(TypeError):
+        FROZEN[name][0]()._replace(bogus=1)
+
+
 def test_records_keep_keyword_construction_and_repr():
     pattern = DescentPattern(text="OEE", i=1, j=2)
     assert repr(pattern) == "DescentPattern(text='OEE', i=1, j=2)"

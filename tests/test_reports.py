@@ -433,6 +433,14 @@ def test_render_markdown_shape():
     assert len(lines) == 4
 
 
+def test_no_tables_render_as_an_empty_document():
+    assert {fmt: render([], fmt) for fmt in FORMATS} == {
+        "markdown": "\n",
+        "csv": "",
+        "json": '{\n  "tables": []\n}\n',
+    }
+
+
 def test_members_table_rejects_members_of_different_classes():
     with pytest.raises(AssertionError, match="differ in pattern"):
         traces = [descent_trace(11), descent_trace(23)]  # 2^5*k+11 and 2^5*k+23
