@@ -8,10 +8,12 @@ minimal descent classes with at most J halving steps; its open leaves are
 what those classes miss, each an odd residue r mod 2^J with the O-count
 a and the end e of its first J halvings.  The scan visits the members of
 those leaves alone, resumes each n = 2^J*h + r at its value 3^a*h + e
-after the J halvings, and counts every other number as skipped.  Each
-block returns its running maxima: the scan keeps the last, and the record
-search merges them all once its running maximum passes the longest class.
-No 2^J table is built anywhere.
+after the J halvings, and counts every other number as skipped.  A member
+whose smaller ancestor in the range passes through it on its first descent
+counts through that ancestor, unwalked.  Each block returns its running
+maxima: the scan keeps the last, and the record search merges them all
+once its running maximum passes the longest class.  No 2^J table is built
+anywhere.
 """
 
 from __future__ import annotations
@@ -46,16 +48,23 @@ _SCAN_FIELDS = (
 class ScanReport(namedtuple("ScanReport", _SCAN_FIELDS)):
     """Outcome of one sieve-accelerated range scan.
 
-    failures holds (n, reason) rows and is expected to stay empty; a
-    nonempty tuple is a headline result, not an error.  Only simulated
-    numbers are walked, so a step cap below the longest class length
-    makes the failures depend on the depth.  max_descent_steps
-    tracks the simulated (non-skipped) numbers only, so it depends on the
-    depth where the range's longest descent is a skipped one; skipped
-    numbers have class-certified descents of i + j <= depth +
-    floor(depth*log3(2)) steps, since j <= depth and 3^i < 2^j.  wall_time
-    is the scan phase (blocks, their merge and the workers);
-    setup_time is the sieve build before it.  Neither is part of canonical().
+    verified_count counts the leftovers, the numbers no class of the depth
+    covers, that descend: each is certified by its own walk or by its
+    ancestor's.  An odd n = 3k + 2 lies 2 steps into the first descent of
+    m = (2n - 1)/3, and an odd n = 9k + 4 5 steps into that of
+    m = (8n - 5)/9, every value before it above m; with m in [lo, n), n is
+    counted through m.  failures holds (n, reason) rows and is expected to
+    stay empty; a nonempty tuple is a headline result, not an error.  Only
+    leftovers can fail, so a step cap below the longest class length makes
+    the failures depend on the depth.  max_descent_steps ranges over the
+    leftovers that descend, and equals what a walk of each would give: an
+    ancestor-certified n takes fewer steps than its smaller ancestor, so it
+    is never the first maximum.  It depends on the depth where the range's
+    longest descent is a skipped one; skipped numbers have class-certified
+    descents of i + j <= depth + floor(depth*log3(2)) steps, since
+    j <= depth and 3^i < 2^j.  wall_time is the scan phase (blocks, their
+    merge and the workers); setup_time is the sieve build before it.
+    Neither is part of canonical().
     """
 
     __slots__ = ()
@@ -113,18 +122,32 @@ def _running_maxima(entries, best: int):
 
 
 def _scan_block(
-    lo: int, hi: int, leaves: UnresolvedLeaves, step_cap: int
+    lo: int, hi: int, leaves: UnresolvedLeaves, step_cap: int, base: int | None = None
 ) -> tuple[int, int, list[tuple[int, str]], list[tuple[int, int]]]:
     """Simulate the leftovers of one contiguous block; count the rest as skipped.
 
     Returns (verified, skipped, failures, maxima): maxima are the running
-    maxima of descent length over the verified leftovers, as (n, steps)
-    in increasing n.  This is the one place a leftover is resumed, leaf
-    by leaf: n = 2^depth*h + r of leaf (r, a, e) resumes at 3^a*h + e
-    after its depth halvings, as a jump over a halving word does.  A block
-    at most one period long has at most one member per leaf, met in
-    increasing n, so one running maximum serves; a longer block puts each
-    leaf's maxima, like the failures, back in range order.
+    maxima of descent length over the walked leftovers that descend, as
+    (n, steps) in increasing n.  This is the one place a leftover is
+    resumed, leaf by leaf: n = 2^depth*h + r of leaf (r, a, e) resumes at
+    3^a*h + e after its depth halvings, as a jump over a halving word
+    does.  A block at most one period long has at most one member per
+    leaf, met in increasing n, so one running maximum serves; a longer
+    block puts each leaf's maxima, like the failures, back in range order.
+
+    base, when given, is the start of a range whose every leftover some
+    block walks or counts.  At depth >= 1, a leftover n whose ancestor m
+    lies in [base, n), m = (2n - 1)/3 when n % 3 == 2 or m = (8n - 5)/9
+    when n % 9 == 4, counts as verified unwalked: m's first descent runs
+    through n, 2 (resp. 5) steps in, with every value above m.  m is a
+    leftover too, since its halvings are OE (resp. OEOEE) and then n's,
+    whose prefix margins 2^b <= 3^a give m's 2^(1+b) < 3^(1+a) (resp.
+    2^(3+b) < 3^(2+a)).  So n descends if m does, in fewer steps, and
+    never sets the range's first maximum; if n would fail, so would m,
+    and sieve_scan then walks n.  A block below (9*base + 5)/8 has no such
+    member and pays one comparison per member for the test.  Without a
+    base, as for a block checked alone, with no walk after the merge, no
+    leftover counts through its ancestor.
     """
     # Leaf by leaf rather than period by period keeps a shallow sieve,
     # whose 2^depth period is far shorter than a block, free of per-period
@@ -151,6 +174,12 @@ def _scan_block(
     best = 0
     # a leaf's depth halvings follow at most depth O-steps
     pow3 = [3**a for a in range(depth + 1)]
+    # from from9 on a member's mod-9 ancestor (8n - 5)/9 is >= base, from
+    # from3 on its mod-3 ancestor (2n - 1)/3 too; at depth 0, whose members
+    # may be even, and without a base, no member has one
+    from9 = from3 = hi + 1
+    if depth and base is not None:
+        from9, from3 = (9 * base + 12) >> 3, (3 * base + 2) >> 1
     for i, j in spans:
         for r, a, e in zip(residues[i:j], o_counts[i:j], ends[i:j]):
             if several:
@@ -159,17 +188,21 @@ def _scan_block(
             skipped_steps = a + depth
             n = lo + ((r - lo) & mask)
             while n <= hi:
-                try:
-                    steps = descent_length(n, step_cap, p * (n >> depth) + e, skipped_steps)
-                except CycleDetected:
-                    failures.append((n, "cycle detected"))
-                except StepCapExceeded:
-                    failures.append((n, "step cap exceeded"))
-                else:
+                # n % 9 in {2, 4, 5, 8}: n % 3 == 2, or n % 9 == 4
+                if n >= from9 and 0x134 >> n % 9 & 1 and (n >= from3 or n % 9 == 4):
                     verified += 1
-                    if steps > best:
-                        best = steps
-                        maxima.append((n, steps))
+                else:
+                    try:
+                        steps = descent_length(n, step_cap, p * (n >> depth) + e, skipped_steps)
+                    except CycleDetected:
+                        failures.append((n, "cycle detected"))
+                    except StepCapExceeded:
+                        failures.append((n, "step cap exceeded"))
+                    else:
+                        verified += 1
+                        if steps > best:
+                            best = steps
+                            maxima.append((n, steps))
                 n += period
     failures.sort()
     if several:
@@ -220,12 +253,20 @@ def _scan_worker(tasks: int, results: int, width: int, block) -> None:
 
 
 def _block_results(
-    lo: int, hi: int, block_size: int | None, leaves: UnresolvedLeaves, step_cap: int, workers: int
+    lo: int,
+    hi: int,
+    block_size: int | None,
+    leaves: UnresolvedLeaves,
+    step_cap: int,
+    workers: int,
+    base: int | None = None,
 ):
     """Yield _scan_block's result for each block of [lo, hi], in range order.
 
-    A block_size of None picks one from the range and the worker count.
-    Blocks are drawn lazily; an empty range yields nothing.  On more than
+    Each block gets base, the start of the range whose leftovers it may
+    count through an ancestor.  A block_size of None picks one from the
+    range and the worker count.  Blocks are drawn lazily; an empty range
+    yields nothing.  On more than
     one worker, and never more workers than blocks, the workers are forked
     from this process with SIGINT and SIGTERM blocked, then restore
     SIGTERM's default.  They pull block numbers from one task pipe, of
@@ -260,7 +301,7 @@ def _block_results(
 
     def block(k: int):
         a = lo + k * block_size
-        return _scan_block(a, min(a + block_size - 1, hi), leaves, step_cap)
+        return _scan_block(a, min(a + block_size - 1, hi), leaves, step_cap, base)
 
     count = (hi - lo) // block_size + 1
     workers = min(workers, count)
@@ -380,14 +421,20 @@ def sieve_scan(
 
     Numbers whose residue mod 2^depth belongs to a resolved class are
     counted as skipped (their descent is certified by the class algebra,
-    checked while the leaves are built); the rest are simulated.  depth = 0
-    disables the sieve.  Without a depth, one is picked from the range
-    size: bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
+    checked while the leaves are built); the rest, the leftovers, are
+    verified by a walk of their own or, when their ancestor lies in
+    [lo, n), by that ancestor's (see ScanReport and _scan_block).  After
+    the merge, the scan walks each leftover counted through a failed
+    ancestor f, the descendant (3f + 1)/2 when f % 4 == 3 and (9f + 5)/8
+    when f % 16 == 11, and in turn those of each that fails, so the
+    report is that of a walk of every leftover.  depth = 0 disables the
+    sieve.  Without a depth, one is picked from the range size:
+    bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
     numbers, 22 from 2^23 up); the report records it.  For a given depth
     the report is deterministic for any worker count and block size:
     blocks are merged in range order, each as it arrives.  The step cap
-    applies to the simulated numbers alone, since a skipped number is
-    never walked, so a cap below the longest class length makes the
+    applies to the leftovers alone, since a skipped number is never
+    walked, so a cap below the longest class length makes the
     failures depend on the depth: a cap of 5 on [2, 100] fails 25, 25
     and 12 numbers at depths 0, 2 and 5.  Without a
     block_size, a block holds about 1/8 of a worker's share of the range,
@@ -430,12 +477,37 @@ def sieve_scan(
     failures: list[tuple[int, str]] = []
     max_steps = 0
     max_n: int | None = None
-    for bv, bs, bf, maxima in _block_results(lo, hi, block_size, leaves, step_cap, workers):
+    for bv, bs, bf, maxima in _block_results(lo, hi, block_size, leaves, step_cap, workers, lo):
         verified += bv
         skipped += bs
         failures.extend(bf)
         if maxima and maxima[-1][1] > max_steps:
             max_n, max_steps = maxima[-1]
+    # A block counts a leftover n as verified through its ancestor m, which
+    # may sit in another block; if m failed, walk n, and if n fails, its own
+    # descendants.  m = (2n - 1)/3 has n = (3m + 1)/2 when m % 4 == 3, and
+    # m = (8n - 5)/9 has n = (9m + 5)/8 when m % 16 == 11.
+    residues, mask = leaves.residues, (1 << depth) - 1
+    failed = [m for m, _ in failures] if depth else []
+    while failed:
+        m = failed.pop()
+        for n, rule in ((3 * m + 1) >> 1, m & 3 == 3), ((9 * m + 5) >> 3, m & 15 == 11):
+            i = bisect_left(residues, n & mask)
+            if not rule or n > hi or i == len(residues) or residues[i] != n & mask:
+                continue
+            try:
+                steps = descent_length(n, step_cap)
+            except CycleDetected:
+                failures.append((n, "cycle detected"))
+            except StepCapExceeded:
+                failures.append((n, "step cap exceeded"))
+            else:
+                if steps > max_steps or steps == max_steps and n < max_n:
+                    max_n, max_steps = n, steps
+                continue
+            verified -= 1
+            failed.append(n)
+    failures.sort()
     wall = time.perf_counter() - t1
     if verified + skipped + len(failures) != hi - lo + 1:
         raise AssertionError("scan accounting does not cover the range")
@@ -468,6 +540,10 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     - descent_length returns only lengths <= step_cap, and the running
       maximum is such a length, so a skipped n would neither exceed the
       cap nor, ending below itself, close a cycle;
+    - a block counts a leftover n through its ancestor m in [lo, n) (see
+      _scan_block), which the prefix or a block walks or counts in turn:
+      n descends in fewer steps than m < n, so it sets no strict record,
+      and if n would fail, m fails first;
     - the blocks arrive in range order, so their first failing leftover,
       walked from its start, raises as a walk of every number would.
     """
@@ -486,7 +562,7 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
             best = steps
             records.append((n, steps))
         n += 1
-    for _, _, failures, maxima in _block_results(n, hi, None, leaves, step_cap, 1):
+    for _, _, failures, maxima in _block_results(n, hi, None, leaves, step_cap, 1, lo):
         if failures:
             descent_length(failures[0][0], step_cap)
             raise AssertionError(f"leftover {failures[0][0]} failed only in its block")

@@ -413,7 +413,7 @@ def test_skipped_descents_stay_within_depth_plus_floor_depth_log3_2():
         assert max(i + j for i, j in zip(leaves.class_i, leaves.class_j)) == bound
 
 
-def _dense_scan_block(lo, hi, resolved, mask, step_cap):
+def _dense_scan_block(lo, hi, resolved, mask, step_cap, walk):
     """The scan before the leaf walk and the halving runs: a 2^depth byte
     table, every n visited and walked one step per loop turn."""
     verified = 0
@@ -426,7 +426,7 @@ def _dense_scan_block(lo, hi, resolved, mask, step_cap):
             skipped += 1
             continue
         try:
-            steps = descent_length_reference(n, step_cap)
+            steps = walk(n, step_cap)
         except CycleDetected:
             failures.append((n, "cycle detected"))
             continue
@@ -440,8 +440,9 @@ def _dense_scan_block(lo, hi, resolved, mask, step_cap):
     return verified, skipped, failures, max_steps, max_n
 
 
-def dense_reference_scan(lo, hi, depth, step_cap=DEFAULT_STEP_CAP):
-    """Canonical JSON of a scan through the dense-table kernel, as one block."""
+def dense_reference_scan(lo, hi, depth, step_cap=DEFAULT_STEP_CAP, walk=descent_length_reference):
+    """Canonical JSON of a scan through the dense-table kernel, as one block,
+    every leftover walked by walk."""
     if depth == 0:
         resolved, mask = b"\x00", 0
     else:
@@ -450,7 +451,7 @@ def dense_reference_scan(lo, hi, depth, step_cap=DEFAULT_STEP_CAP):
             table[r] = 0
         resolved, mask = bytes(table), (1 << depth) - 1
     verified, skipped, failures, max_steps, max_n = _dense_scan_block(
-        lo, hi, resolved, mask, step_cap
+        lo, hi, resolved, mask, step_cap, walk
     )
     return ScanReport(
         lo=lo,
@@ -715,8 +716,10 @@ def brute_force_block(lo, hi, depth):
     ],
 )
 def test_block_maxima_are_the_running_maxima_of_its_leftovers(lo, size, depth):
+    # with the block's own start as the scan's, a leftover whose ancestor
+    # is in the block is counted through it, and never sets a running maximum
     hi = lo + size - 1
-    result = scanner._scan_block(lo, hi, unresolved_leaves(depth), DEFAULT_STEP_CAP)
+    result = scanner._scan_block(lo, hi, unresolved_leaves(depth), DEFAULT_STEP_CAP, lo)
     expected = brute_force_block(lo, hi, depth)
     assert result == expected
     assert len(expected[3]) > 1
@@ -820,11 +823,125 @@ def test_record_search_walks_only_the_open_leaves_past_27(monkeypatch):
     def members_upto(x):
         return (x >> depth) * len(residues) + bisect_right(residues, x & mask)
 
-    # 2..27 are walked until 27 sets 96 > 26 steps; then only leaf members
+    # 2..27 are walked until 27 sets 96 > 26 steps; then only leaf members,
+    # each once, but for those counted through an ancestor: n % 3 == 2 or
+    # n % 9 == 4, whose ancestor is at least 3 >= 2
     leftovers = members_upto(200_000) - members_upto(27)
     assert len(calls) <= 26 + leftovers < 200_000 // 20
     open_residues = set(residues)
-    assert all(n & mask in open_residues for n in calls[26:])
+    assert calls[:26] == list(range(2, 28))
+    assert sorted(calls[26:]) == [
+        n
+        for n in range(28, 200_001)
+        if n & mask in open_residues and n % 3 != 2 and n % 9 != 4
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the ancestor sieve
+
+
+def ancestor(n):
+    """The ancestor m < n of an odd n whose first descent passes through n,
+    and the steps from m to n: (2n - 1)/3 and 2 when n % 3 == 2, (8n - 5)/9
+    and 5 when n % 9 == 4, else None."""
+    if n % 3 == 2:
+        return (2 * n - 1) // 3, 2
+    if n % 9 == 4:
+        return (8 * n - 5) // 9, 5
+    return None
+
+
+@pytest.mark.parametrize("depth", [5, 12, 16])
+def test_the_ancestor_of_a_leftover_that_meets_a_rule_is_a_leftover(depth):
+    # m's first halvings are those of OE (resp. OEOEE), then n's: each of
+    # m's prefix margins is 2^(1+b) <= 2*3^a < 3^(1+a) (resp. 8*2^b < 9*3^a)
+    # where n's is 2^b <= 3^a, so m's residue stays open as long as n's does
+    leaves = unresolved_leaves(depth)
+    open_residues = set(leaves.residues)
+    mask = (1 << depth) - 1
+    met = 0
+    for r in leaves.residues:
+        # 18 members run twice through every residue mod 9, since 2^depth is prime to 3
+        for n in range(r, r + (18 << depth), 1 << depth):
+            if ancestor(n) is None:
+                continue
+            m, steps = ancestor(n)
+            values = [m]
+            for _ in range(steps):
+                values.append(col_step(values[-1])[0])
+            assert values[-1] == n and min(values[1:]) > m, (n, values)
+            assert m & mask in open_residues, (depth, r, n, m)
+            met += 1
+    assert met == 8 * len(leaves.residues)
+
+
+def test_every_ancestor_certified_leftover_to_10_6_descends_within_its_ancestors_steps(
+    monkeypatch,
+):
+    walked = set()
+    real = scanner.descent_length
+
+    def recording(n, *args):
+        walked.add(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(scanner, "descent_length", recording)
+    depth, hi = 16, 10**6
+    leaves = unresolved_leaves(depth)
+    verified, _, failures, maxima = scanner._scan_block(2, hi, leaves, DEFAULT_STEP_CAP, 2)
+    open_residues, mask = set(leaves.residues), (1 << depth) - 1
+    leftovers = [n for n in range(2, hi + 1) if n & mask in open_residues]
+    assert (verified, failures, maxima[-1]) == (len(leftovers), [], (626331, 287))
+    # from a scan of [2, ...], every leftover that meets a rule has its ancestor in range
+    certified = [n for n in leftovers if n not in walked]
+    assert certified == [n for n in leftovers if ancestor(n)]
+    assert len(certified) > 0.4 * len(leftovers)
+    for n in certified:
+        m, steps = ancestor(n)
+        trace = descent_trace(m)
+        assert trace.values[steps - 1] == n
+        assert len(descent_trace(n)) <= len(trace) - steps, n
+
+
+def failing_at(numbers, walk):
+    """walk, with a step cap hit at each of numbers instead."""
+
+    def mutated(n, step_cap=DEFAULT_STEP_CAP, *rest):
+        if n in numbers:
+            raise StepCapExceeded(f"no value below {n} within {step_cap} steps")
+        return walk(n, step_cap, *rest)
+
+    return mutated
+
+
+@pytest.mark.parametrize("failing", [{703}, {703, 1055}, {27, 31}])
+@pytest.mark.parametrize("depth", [5, 16])
+def test_the_descendants_of_a_failed_ancestor_are_walked_after_the_merge(
+    failing, depth, forks, monkeypatch
+):
+    # 703 % 4 == 3, so 1055 = (3*703 + 1)/2 meets the mod-3 rule through
+    # 703, two 256-number blocks on; with 703 failed, 1055's 130 steps are
+    # the longest descent of the range.  27 % 16 == 11, so 31 = (9*27 + 5)/8
+    # meets the mod-9 rule through 27
+    lo, hi = 2, 1300
+    mask = (1 << depth) - 1
+    assert {n & mask for n in (703, 1055, 27, 31)} <= set(unresolved_leaves(depth).residues)
+    assert (ancestor(1055), ancestor(31)) == ((703, 2), (27, 5))
+    expected = dense_reference_scan(
+        lo, hi, depth, walk=failing_at(failing, descent_length_reference)
+    )
+    monkeypatch.setattr(scanner, "descent_length", failing_at(failing, scanner.descent_length))
+    for workers in (1, 2):
+        rep = sieve_scan(lo, hi, depth, workers=workers, block_size=256)
+        assert [n for n, _ in rep.failures] == sorted(failing)
+        assert rep.canonical_json() == expected, workers
+    if failing == {703}:
+        assert (rep.max_descent_n, rep.max_descent_steps) == (1055, 130)
+    assert len(forks) == 2
+    message = f"^no value below {min(failing)} within 100000 steps$"
+    with pytest.raises(StepCapExceeded, match=message):
+        record_search(lo, hi)
 
 
 def test_twin_of_27():
