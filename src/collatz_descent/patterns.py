@@ -36,8 +36,10 @@ class _Record:
     would, raising TypeError on a missing, unknown or repeated field, and
     assigning or deleting a field afterwards raises AttributeError.  A type
     that checks itself does so after super().__init__.  _replace copies a
-    record with some fields changed, and pickle and copy rebuild one, all
-    through __init__, so a type that checks itself checks its copies too.
+    record with some fields changed, and __reduce__ is how pickle, copy and
+    deepcopy rebuild one, all through __init__, so a type that checks
+    itself checks its copies too.  No package code calls either; they are
+    library API, which tests/test_records.py covers.
 
     DescentPattern and core.DescentTrace set their fields directly in an
     __init__ of their own: descent_trace builds one of each per call, and
@@ -377,10 +379,10 @@ class UnresolvedLeaves(_Record):
     with every value strictly above n, and then stands at 3^a*h + e.
     Residues are sorted.  Pruned class t is the minimal descent class
     2^class_j[t]*k + class_x[t] with class_i[t] O-steps and the paper's
-    adder class_m[t], in walk order.  Depth 0 has the single trivial leaf
-    r = 0, a = 0, e = 0 and no class.  depth is an int; residues, ends,
-    class_x and class_m are array('Q'); o_counts, class_j and class_i are
-    bytes.
+    adder class_m[t], sorted by j, then x.  Depth 0 has the single trivial
+    leaf r = 0, a = 0, e = 0 and no class.  depth is an int; residues,
+    ends, class_x and class_m are array('Q'); o_counts, class_j and
+    class_i are bytes.
 
     Building one checks it, so a copy made by _replace is checked too:
     every leaf has 2^depth <= 3^a, the smallest member x >= 2 of every
@@ -415,13 +417,14 @@ class UnresolvedLeaves(_Record):
             )
 
     def replayed_classes(self) -> list[tuple[str, int, int, int, int, int]]:
-        """The pruned classes as replay_class returns them, sorted by (length, x).
+        """The pruned classes as replay_class returns them, sorted by j, then x.
 
-        Each class is replayed once per call, and once per read of classes.
+        That is the arrays' order, and the order of length, then x: a
+        minimal class has j = bitlen(3^i), so each j holds one O-count i,
+        and i + j grows with j.  Each class is replayed once per call, and
+        once per read of classes.
         """
-        replayed = list(map(replay_class, self.class_x, self.class_j, self.class_i, self.class_m))
-        replayed.sort(key=lambda c: (len(c[0]), c[4]))
-        return replayed
+        return list(map(replay_class, self.class_x, self.class_j, self.class_i, self.class_m))
 
     @property
     def classes(self) -> tuple[ResidueClass, ...]:
@@ -460,9 +463,10 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
     member x, which ends at y0 = w/2.  The nodes that reach b = depth are
     the open leaves.  Each level keeps its x-children ahead of its
     (x + 2^b)-children, so every level, the leaves included, stays sorted
-    by residue.  This is Terras' parity-vector bijection: the pruned nodes
-    are exactly the minimal classes with j <= depth, the leaves the
-    unresolved residues.  Every node has one open child, and a second
+    by residue, and so do the classes it prunes: the class arrays come
+    out sorted by j, then x.  This is Terras' parity-vector bijection: the
+    pruned nodes are exactly the minimal classes with j <= depth, the
+    leaves the unresolved residues.  Every node has one open child, and a second
     where 2^(b+1) <= 3^a, so each level's arrays are allocated once at
     their final size: the x-children fill them from the front, the
     (x + 2^b)-children from the back, which is then reversed.
@@ -476,6 +480,8 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
     for b in range(depth):
         pow2b = 1 << b
         pow2nb = pow2b << 1
+        # the level's classes that are (x + 2^b)-children, put after its x-children's
+        high_x, high_m = array("Q"), array("Q")
         # The level is sized from the O-counts with two open children: grown
         # by appends, its arrays were reallocated many times, and where glibc
         # put the next ones swung a depth-22 scan's peak RSS by about 1 MB
@@ -499,6 +505,7 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
                     new_o[hi] = a
                     new_e[hi] = e >> 1
                     continue
+                xs_of, ms_of = high_x, high_m
             else:
                 hi -= 1
                 new_x[hi] = x | pow2b
@@ -510,11 +517,15 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
                     new_e[lo] = e >> 1
                     lo += 1
                     continue
-            # the even child x, at w = e, first descends here: a resolved class
-            class_x.append(x)
+                xs_of, ms_of = class_x, class_m
+            # the even child x, at w = e, first descends here: a resolved class,
+            # listed among the level's x- or (x + 2^b)-children
+            xs_of.append(x)
             class_j.append(b + 1)
             class_i.append(a)
-            class_m.append((e << b) - p * x)
+            ms_of.append((e << b) - p * x)
+        class_x += high_x
+        class_m += high_m
         # the previous level is freed before the reversal's copies are made
         xs, o_counts, ends = new_x, new_o, new_e
         for level in xs, o_counts, ends:
@@ -543,7 +554,8 @@ def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:
 
     A minimal class with i O-steps has the smallest j with 2^j > 3^i, so
     length = i + bitlen(3^i), which grows with i: at most one i fits.  Its
-    classes are the ones the parity-tree walk prunes at j halvings.
+    classes are the ones the parity-tree walk prunes at j halvings, which
+    it stores sorted by x.
     Empty when no i fits (for example lengths 2, 4, 5, 7 and 40); raises
     DepthTooLarge, before walking, when j > MAX_ENUMERATE_DEPTH.
     """
@@ -559,13 +571,11 @@ def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:
             f"length {length} needs {j} halvings, above the maximum {MAX_ENUMERATE_DEPTH}"
         )
     leaves = unresolved_leaves(j)
-    classes = [
+    return [
         _resolved_class(*replay_class(x, cj, ci, m))
         for x, cj, ci, m in zip(leaves.class_x, leaves.class_j, leaves.class_i, leaves.class_m)
         if cj == j
     ]
-    classes.sort(key=lambda c: c.x)
-    return classes
 
 
 def first_lower_value(c: ResidueClass, k: int) -> int:

@@ -10,6 +10,9 @@ classify_report's two big tables are such views, so their rows exist
 only a chunk at a time.  write() formats CHUNK_ROWS rows at a time and
 hands each chunk's text to the stream in one write, so the rendered
 output never exists whole; render returns the same text as one string.
+A CSV chunk is rendered by one format call, the same text csv.writer
+writes, and goes to csv.writer only where the two could differ: a cell
+to quote, a cell that is not an int or a str, or rows of unequal width.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_trace, total_stopping_time
 from .patterns import ResidueClass, UnresolvedLeaves, _Record, feasibility_table
@@ -67,17 +70,33 @@ def _chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[list[Sequence[Cell]]]:
         yield chunk
 
 
-def _int_column(rows: list[Sequence[Cell]]) -> list[int] | None:
-    """The cells of the rows if each row is one integer, else None.
+def _plain_csv(chunk: list[Sequence[Cell]]) -> str | None:
+    """The chunk's CSV lines from one format call, or None where csv.writer's could differ.
 
-    Such a cell is a CSV line of its digits alone: an integer never needs
-    quoting, and a single cell needs no delimiter.
+    csv.writer writes an int or a str cell as its str(), and quotes one
+    that holds a comma, a '"' or a line break, or that is a row's lone
+    empty cell (other types differ too: None is written as "").  So when
+    every row has the chunk's width w >= 1 and every cell is an int or a
+    str, the cells' str()s joined by commas are its lines unless they hold
+    a '"' or a '\r' (which csv quotes on some Python versions), more than
+    w - 1 commas or one line break a row, or, at w = 1, an empty line.
     """
-    try:
-        cells = [c for (c,) in rows]
-    except ValueError:  # a row of another length
+    width = len(chunk[0])
+    if not width or set(map(len, chunk)) != {width}:
         return None
-    return cells if set(map(type, cells)) <= {int} else None
+    cells = tuple(chain.from_iterable(chunk))
+    if not {int, str}.issuperset(map(type, cells)):
+        return None
+    text = ("%s," * (width - 1) + "%s\n") * len(chunk) % cells
+    if (
+        '"' in text
+        or "\r" in text
+        or text.count(",") != (width - 1) * len(chunk)
+        or text.count("\n") != len(chunk)
+        or width == 1 and "\n\n" in "\n" + text
+    ):
+        return None
+    return text
 
 
 def _markdown(tables: list[Table]) -> Iterator[str]:
@@ -110,12 +129,11 @@ def _csv(tables: list[Table]) -> Iterator[str]:
         writer.writerow(t.columns)
         yield written()
         for chunk in _chunks(t.rows):
-            column = _int_column(chunk)
-            if column is None:
+            text = _plain_csv(chunk)
+            if text is None:
                 writer.writerows(chunk)
-                yield written()
-            else:
-                yield "\n".join(map(str, column)) + "\n"
+                text = written()
+            yield text
 
 
 def _json(tables: list[Table]) -> Iterator[str]:

@@ -109,6 +109,19 @@ def classify_depth(depth: int) -> UnresolvedLeaves:
     return unresolved_leaves(depth)
 
 
+def _walk_depth(depth: int) -> int:
+    """The depth a scan or record search at depth walks to: the deepest up to it that prunes a class.
+
+    A class is pruned at j = bitlen(3^i) halvings alone, so none is at j =
+    3, 6, 9, 11, 14, 17, 19, 22 or 25.  At such a j every open node one
+    level up has two open children, so the leftovers, the numbers in no
+    class, are those of a walk to j - 1, which holds half the leaves.
+    """
+    if depth > 0 and all((3**i).bit_length() != depth for i in range(depth)):
+        return depth - 1
+    return depth
+
+
 # ---------------------------------------------------------------------------
 # sieve scan
 
@@ -427,7 +440,9 @@ def sieve_scan(
     the merge, the scan walks each leftover counted through a failed
     ancestor f, the descendant (3f + 1)/2 when f % 4 == 3 and (9f + 5)/8
     when f % 16 == 11, and in turn those of each that fails, so the
-    report is that of a walk of every leftover.  depth = 0 disables the
+    report is that of a walk of every leftover.  The parity tree is
+    walked only to the deepest level up to depth that prunes a class
+    (_walk_depth), which has the same leftovers.  depth = 0 disables the
     sieve.  Without a depth, one is picked from the range size:
     bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
     numbers, 22 from 2^23 up); the report records it.  For a given depth
@@ -453,8 +468,8 @@ def sieve_scan(
     runs.  Raises ValueError on a bad range, worker count or block size,
     or more than one worker and block without os.fork,
     ValueError("depth must be >= 0") on a negative depth (from
-    unresolved_leaves), DepthTooLarge past MAX_DEPTH (from
-    classify_depth), and CollatzDescentError when a worker dies (naming
+    unresolved_leaves), DepthTooLarge past MAX_DEPTH, and
+    CollatzDescentError when a worker dies (naming
     its pid and exit status) or cannot be forked (chained from the
     OSError).
     """
@@ -469,8 +484,11 @@ def sieve_scan(
     if depth is None:
         depth = _sieve_depth(hi - lo + 1)
 
+    if depth > MAX_DEPTH:
+        raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
+
     t0 = time.perf_counter()
-    leaves = classify_depth(depth) if depth >= 1 else unresolved_leaves(depth)
+    leaves = unresolved_leaves(_walk_depth(depth))
     t1 = time.perf_counter()
     verified = 0
     skipped = 0
@@ -487,8 +505,8 @@ def sieve_scan(
     # may sit in another block; if m failed, walk n, and if n fails, its own
     # descendants.  m = (2n - 1)/3 has n = (3m + 1)/2 when m % 4 == 3, and
     # m = (8n - 5)/9 has n = (9m + 5)/8 when m % 16 == 11.
-    residues, mask = leaves.residues, (1 << depth) - 1
-    failed = [m for m, _ in failures] if depth else []
+    residues, mask = leaves.residues, (1 << leaves.depth) - 1
+    failed = [m for m, _ in failures] if leaves.depth else []
     while failed:
         m = failed.pop()
         for n, rule in ((3 * m + 1) >> 1, m & 3 == 3), ((9 * m + 5) >> 3, m & 15 == 11):
@@ -529,8 +547,8 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     """Running maxima of descent length over [lo, hi], as (n, steps) pairs.
 
     A record can only sit in a residue that no class covers.  The search
-    walks the parity tree to the depth a scan of the range picks (16 for
-    2*10^5 numbers, 22 from 2^23 up) and reads L, the longest class,
+    walks the parity tree as a scan of the range does (16 halvings for
+    2*10^5 numbers, 21 from 2^23 up) and reads L, the longest class,
     i + j, off it (26 at depth 16, 0 at depth 0, which has no class).  It
     walks every n from lo while the running maximum is below L, then
     merges the scan's block maxima over the rest of the range in range
@@ -551,7 +569,7 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
         raise ValueError("record search starts at 2 or above")
     if hi < lo:
         raise ValueError("empty search range")
-    leaves = unresolved_leaves(_sieve_depth(hi - lo + 1))
+    leaves = unresolved_leaves(_walk_depth(_sieve_depth(hi - lo + 1)))
     longest = max((i + j for i, j in zip(leaves.class_i, leaves.class_j)), default=0)
     records: list[tuple[int, int]] = []
     best = 0

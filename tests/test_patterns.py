@@ -311,6 +311,17 @@ def test_leaves_match_the_dense_classification():
             assert (x, j, i, m) == (c.x, c.j, c.i, c.m)
 
 
+def test_walk_stores_its_classes_sorted_by_j_then_x():
+    # a class is pruned at j = bitlen(3^i) halvings alone, so each pruning
+    # level holds one O-count, and order by (j, x) is order by (length, x)
+    for depth in range(25):
+        leaves = unresolved_leaves(depth)
+        keys = list(zip(leaves.class_j, leaves.class_x))
+        assert keys == sorted(set(keys)), depth
+        levels = {((3**i).bit_length(), i) for i in range(depth) if (3**i).bit_length() <= depth}
+        assert set(zip(leaves.class_j, leaves.class_i)) == levels, depth
+
+
 def test_depth_zero_leaf_is_trivial():
     leaves = unresolved_leaves(0)
     assert (list(leaves.residues), leaves.o_counts, list(leaves.ends)) == ([0], b"\x00", [0])

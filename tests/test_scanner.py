@@ -507,6 +507,33 @@ def test_sieve_scan_depth_bounds():
         sieve_scan(2, 100, -1)
 
 
+# the depths up to 22 at which no class is pruned: no i has bitlen(3^i) = j
+DOUBLING_DEPTHS = (3, 6, 9, 11, 14, 17, 19, 22)
+
+
+@pytest.mark.parametrize("depth", DOUBLING_DEPTHS)
+def test_a_doubling_depth_scans_as_a_walk_to_that_depth(depth, monkeypatch):
+    # a cap of 150 fails 78 leftovers of [2, 3*10^5], 30 of them counted
+    # through a failed ancestor and walked after the merge, which must read
+    # the residues of the level the scan walked to, depth - 1
+    walk_depths = [scanner._walk_depth(d) for d in range(depth - 1, depth + 2)]
+    assert walk_depths == [depth - 1, depth - 1, depth + 1]
+    walked = []
+    real = scanner.unresolved_leaves
+
+    def recording(d):
+        walked.append(d)
+        return real(d)
+
+    monkeypatch.setattr(scanner, "unresolved_leaves", recording)
+    scan = sieve_scan(2, 300_000, depth, block_size=10_000, step_cap=150)
+    monkeypatch.setattr(scanner, "_walk_depth", lambda d: d)
+    full = sieve_scan(2, 300_000, depth, block_size=10_000, step_cap=150)
+    assert walked == [depth - 1, depth]
+    assert scan.depth == depth and len(scan.failures) == 78
+    assert scan.canonical_json() == full.canonical_json()
+
+
 def trace_oracle(lo, hi, depth):
     """A scan's canonical report from descent_trace, every n traced in full."""
     # n is certified by a class iff its first descent needs at most depth halvings
