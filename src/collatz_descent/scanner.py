@@ -11,9 +11,12 @@ those leaves alone, resumes each n = 2^J*h + r at its value 3^a*h + e
 after the J halvings, and counts every other number as skipped.  A member
 whose smaller ancestor in the range passes through it on its first descent
 counts through that ancestor, unwalked.  Each block returns its running
-maxima: the scan keeps the last, and the record search merges them all
-once its running maximum passes the longest class.  No 2^J table is built
-anywhere.
+maxima, and the scan's one merge keeps them all, in range order, as the
+report's records.  A record search is an every-n prefix, walked until its
+running maximum passes the longest class, plus one scan of the rest.  The
+records are exact for the range's leftovers only when the scan has no
+failures: the descendants of a failed ancestor, walked after the merge,
+are not merged back into them.  No 2^J table is built anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from collections import namedtuple
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_length, descent_trace
 from .errors import CollatzDescentError, CycleDetected, DepthTooLarge, StepCapExceeded
-from .patterns import UnresolvedLeaves, unresolved_leaves
+from .patterns import UnresolvedLeaves, _min_descending_j, unresolved_leaves
 
 # The walk holds one level of the parity tree at a time and the pruned
 # classes, in compact arrays: at depth 24, 286,581 open leaves and 81,119
@@ -41,7 +44,7 @@ MAX_DEPTH = 24
 
 _SCAN_FIELDS = (
     "lo hi depth verified_count skipped_count failures max_descent_steps max_descent_n"
-    " wall_time setup_time"
+    " wall_time setup_time records"
 )
 
 
@@ -64,7 +67,14 @@ class ScanReport(namedtuple("ScanReport", _SCAN_FIELDS)):
     descents of i + j <= depth + floor(depth*log3(2)) steps, since
     j <= depth and 3^i < 2^j.  wall_time is the scan phase (blocks, their
     merge and the workers); setup_time is the sieve build before it.
-    Neither is part of canonical().
+    records holds the running maxima of descent length, as (n, steps) in
+    increasing n, that the merge of the blocks finds, so
+    (max_descent_n, max_descent_steps) is its last entry, or (None, 0)
+    when it is empty, unless a descendant walked after the merge (see
+    sieve_scan) ends the range's longest descent.  It is exact for the
+    range's leftovers only when failures is empty, since those descendants
+    are not merged back into it.  None of the three is part of
+    canonical().
     """
 
     __slots__ = ()
@@ -109,17 +119,24 @@ def classify_depth(depth: int) -> UnresolvedLeaves:
     return unresolved_leaves(depth)
 
 
-def _walk_depth(depth: int) -> int:
-    """The depth a scan or record search at depth walks to: the deepest up to it that prunes a class.
+def _deepest_pruning_level(depth: int) -> tuple[int, int]:
+    """(i, j) of the deepest level up to depth that prunes classes; (0, depth) if none.
 
-    A class is pruned at j = bitlen(3^i) halvings alone, so none is at j =
-    3, 6, 9, 11, 14, 17, 19, 22 or 25.  At such a j every open node one
-    level up has two open children, so the leftovers, the numbers in no
-    class, are those of a walk to j - 1, which holds half the leaves.
+    A class with i O-steps is pruned at j = bitlen(3^i) halvings alone, so
+    each such level holds one O-count, and none is at j = 3, 6, 9, 11, 14,
+    17, 19, 22 or 25.  At such a j every open node one level up has two
+    open children, so the leftovers, the numbers in no class, are those of
+    a walk to j - 1, which holds half the leaves.  i + j grows with j, so
+    the deepest level's i + j is L, the longest class length up to depth:
+    0 at depth 0, which has no class.  Only a depth <= 0 has no level; a
+    negative one is kept, for unresolved_leaves to refuse.
     """
-    if depth > 0 and all((3**i).bit_length() != depth for i in range(depth)):
-        return depth - 1
-    return depth
+    return max(((i, j) for i in range(depth) if (j := _min_descending_j(i)) <= depth), default=(0, depth))
+
+
+def _walk_depth(depth: int) -> int:
+    """The depth a scan at depth walks to: the deepest up to it that prunes a class."""
+    return _deepest_pruning_level(depth)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +152,7 @@ def _running_maxima(entries, best: int):
 
 
 def _scan_block(
-    lo: int, hi: int, leaves: UnresolvedLeaves, step_cap: int, base: int | None = None
+    lo: int, hi: int, leaves: UnresolvedLeaves, step_cap: int, base: int
 ) -> tuple[int, int, list[tuple[int, str]], list[tuple[int, int]]]:
     """Simulate the leftovers of one contiguous block; count the rest as skipped.
 
@@ -148,19 +165,18 @@ def _scan_block(
     leaf, met in increasing n, so one running maximum serves; a longer
     block puts each leaf's maxima, like the failures, back in range order.
 
-    base, when given, is the start of a range whose every leftover some
-    block walks or counts.  At depth >= 1, a leftover n whose ancestor m
-    lies in [base, n), m = (2n - 1)/3 when n % 3 == 2 or m = (8n - 5)/9
-    when n % 9 == 4, counts as verified unwalked: m's first descent runs
-    through n, 2 (resp. 5) steps in, with every value above m.  m is a
-    leftover too, since its halvings are OE (resp. OEOEE) and then n's,
-    whose prefix margins 2^b <= 3^a give m's 2^(1+b) < 3^(1+a) (resp.
-    2^(3+b) < 3^(2+a)).  So n descends if m does, in fewer steps, and
-    never sets the range's first maximum; if n would fail, so would m,
-    and sieve_scan then walks n.  A block below (9*base + 5)/8 has no such
-    member and pays one comparison per member for the test.  Without a
-    base, as for a block checked alone, with no walk after the merge, no
-    leftover counts through its ancestor.
+    base is the start of the range whose every leftover some block walks
+    or counts, and a block's own start when it is checked alone.  At depth
+    >= 1, a leftover n whose ancestor m lies in [base, n), m = (2n - 1)/3
+    when n % 3 == 2 or m = (8n - 5)/9 when n % 9 == 4, counts as verified
+    unwalked: m's first descent runs through n, 2 (resp. 5) steps in,
+    with every value above m.  m is a leftover too, since its halvings are
+    OE (resp. OEOEE) and then n's, whose prefix margins 2^b <= 3^a give
+    m's 2^(1+b) < 3^(1+a) (resp. 2^(3+b) < 3^(2+a)).  So n descends if m
+    does, in fewer steps, and never sets the range's first maximum; if n
+    would fail, so would m, and sieve_scan then walks n.  A block below
+    (9*base + 5)/8 has no such member and pays one comparison per member
+    for the test.
     """
     # Leaf by leaf rather than period by period keeps a shallow sieve,
     # whose 2^depth period is far shorter than a block, free of per-period
@@ -189,9 +205,9 @@ def _scan_block(
     pow3 = [3**a for a in range(depth + 1)]
     # from from9 on a member's mod-9 ancestor (8n - 5)/9 is >= base, from
     # from3 on its mod-3 ancestor (2n - 1)/3 too; at depth 0, whose members
-    # may be even, and without a base, no member has one
+    # may be even, no member has one
     from9 = from3 = hi + 1
-    if depth and base is not None:
+    if depth:
         from9, from3 = (9 * base + 12) >> 3, (3 * base + 2) >> 1
     for i, j in spans:
         for r, a, e in zip(residues[i:j], o_counts[i:j], ends[i:j]):
@@ -272,32 +288,30 @@ def _block_results(
     leaves: UnresolvedLeaves,
     step_cap: int,
     workers: int,
-    base: int | None = None,
 ):
     """Yield _scan_block's result for each block of [lo, hi], in range order.
 
-    Each block gets base, the start of the range whose leftovers it may
+    Each block gets lo as the start of the range whose leftovers it may
     count through an ancestor.  A block_size of None picks one from the
     range and the worker count.  Blocks are drawn lazily; an empty range
-    yields nothing.  On more than
-    one worker, and never more workers than blocks, the workers are forked
-    from this process with SIGINT and SIGTERM blocked, then restore
-    SIGTERM's default.  They pull block numbers from one task pipe, of
-    which this process writes at most two per worker ahead of the
-    consumer, and send their results back on a pipe each; this process
-    polls those, reorders the results and yields them in range order, so
-    its memory stays flat in the range size.  It reads each reply whole,
-    its 8-byte length, then its body.  A block that raised in a worker
-    comes back as None and runs again here: the kernel is deterministic,
-    so it raises the same exception, with a traceback into the kernel,
-    and a failure that only the worker met (a MemoryError, say) gives way
-    to this process's result, as on one worker.  A worker that dies (end
-    of file on its pipe, a reply cut short included) raises
-    CollatzDescentError naming its pid and exit status, and a pipe or
-    fork that fails one chained from the OSError.  However the generator
-    ends (done, an error, KeyboardInterrupt, close()), it closes the
-    pipes, then SIGTERMs and reaps every worker.  Without os.fork
-    (Windows), more than one worker is a ValueError.
+    yields nothing.  On more than one worker, and never more workers than
+    blocks, the workers are forked from this process with SIGINT and
+    SIGTERM blocked, then restore SIGTERM's default.  They pull block
+    numbers from one task pipe, of which this process writes at most two
+    per worker ahead of the consumer, and send their results back on a
+    pipe each; this process polls those, reorders the results and yields
+    them in range order, so its memory stays flat in the range size.  It
+    reads each reply whole, its 8-byte length, then its body.  A block
+    that raised in a worker comes back as None and runs again here: the
+    kernel is deterministic, so it raises the same exception, with a
+    traceback into the kernel, and a failure that only the worker met (a
+    MemoryError, say) gives way to this process's result, as on one
+    worker.  A worker that dies (end of file on its pipe, a reply cut
+    short included) raises CollatzDescentError naming its pid and exit
+    status, and a pipe or fork that fails one chained from the OSError.
+    However the generator ends (done, an error, KeyboardInterrupt,
+    close()), it closes the pipes, then SIGTERMs and reaps every worker.
+    Without os.fork (Windows), more than one worker is a ValueError.
     """
     if block_size is None:
         # About 8 blocks per worker, so the workers pay few round trips and
@@ -314,7 +328,7 @@ def _block_results(
 
     def block(k: int):
         a = lo + k * block_size
-        return _scan_block(a, min(a + block_size - 1, hi), leaves, step_cap, base)
+        return _scan_block(a, min(a + block_size - 1, hi), leaves, step_cap, lo)
 
     count = (hi - lo) // block_size + 1
     workers = min(workers, count)
@@ -407,7 +421,7 @@ def _block_results(
 
 
 def _sieve_depth(size: int) -> int:
-    """The walk depth for a scan or record search of size numbers."""
+    """The sieve depth for a scan or record search of size numbers (the walk's is _walk_depth's)."""
     # A deeper walk leaves fewer numbers to simulate but costs more to build
     # and hands each block more leaves to set up, so the depth that pays
     # grows with the range.  Swept in-process on one worker, best of 3-5
@@ -447,7 +461,8 @@ def sieve_scan(
     bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
     numbers, 22 from 2^23 up); the report records it.  For a given depth
     the report is deterministic for any worker count and block size:
-    blocks are merged in range order, each as it arrives.  The step cap
+    blocks are merged in range order, each as it arrives, and the merge
+    keeps their running maxima as the report's records.  The step cap
     applies to the leftovers alone, since a skipped number is never
     walked, so a cap below the longest class length makes the
     failures depend on the depth: a cap of 5 on [2, 100] fails 25, 25
@@ -493,14 +508,13 @@ def sieve_scan(
     verified = 0
     skipped = 0
     failures: list[tuple[int, str]] = []
-    max_steps = 0
-    max_n: int | None = None
-    for bv, bs, bf, maxima in _block_results(lo, hi, block_size, leaves, step_cap, workers, lo):
+    records: list[tuple[int, int]] = []
+    for bv, bs, bf, maxima in _block_results(lo, hi, block_size, leaves, step_cap, workers):
         verified += bv
         skipped += bs
         failures.extend(bf)
-        if maxima and maxima[-1][1] > max_steps:
-            max_n, max_steps = maxima[-1]
+        records.extend(_running_maxima(maxima, records[-1][1] if records else 0))
+    max_n, max_steps = records[-1] if records else (None, 0)
     # A block counts a leftover n as verified through its ancestor m, which
     # may sit in another block; if m failed, walk n, and if n fails, its own
     # descendants.  m = (2n - 1)/3 has n = (3m + 1)/2 when m % 4 == 3, and
@@ -540,6 +554,7 @@ def sieve_scan(
         max_descent_n=max_n,
         wall_time=wall,
         setup_time=t1 - t0,
+        records=tuple(records),
     )
 
 
@@ -547,30 +562,32 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     """Running maxima of descent length over [lo, hi], as (n, steps) pairs.
 
     A record can only sit in a residue that no class covers.  The search
-    walks the parity tree as a scan of the range does (16 halvings for
-    2*10^5 numbers, 21 from 2^23 up) and reads L, the longest class,
-    i + j, off it (26 at depth 16, 0 at depth 0, which has no class).  It
-    walks every n from lo while the running maximum is below L, then
-    merges the scan's block maxima over the rest of the range in range
-    order.  The records do not depend on the depth.  This is exact:
+    picks the depth a scan of the range picks (16 for 2*10^5 numbers, 22
+    from 2^23 up) and takes L, the longest class length i + j, from the
+    levels that prune classes (26 at depth 16, 0 at depth 0, which has no
+    class).  It walks every n from lo while the running maximum is below
+    L, then runs one sieve_scan over the rest of the range, on one
+    worker, and keeps the scan's records that beat the prefix's maximum.
+    The records do not depend on the depth.  This is exact:
     - a member n >= 2 of a pruned class descends in exactly i + j <= L
       steps, at most the running maximum, so it sets no strict record;
     - descent_length returns only lengths <= step_cap, and the running
       maximum is such a length, so a skipped n would neither exceed the
       cap nor, ending below itself, close a cycle;
-    - a block counts a leftover n through its ancestor m in [lo, n) (see
-      _scan_block), which the prefix or a block walks or counts in turn:
-      n descends in fewer steps than m < n, so it sets no strict record,
+    - the scan counts a leftover n through its ancestor m in [s, n), s the
+      scan's start (see _scan_block), which it walks or counts in turn: n
+      descends in fewer steps than m < n, so it sets no strict record,
       and if n would fail, m fails first;
-    - the blocks arrive in range order, so their first failing leftover,
-      walked from its start, raises as a walk of every number would.
+    - the scan's smallest failure is a leftover its blocks walked, and
+      every number below it descends, so walking it from its start raises
+      as a walk of every number would.  The scan runs to its end first.
     """
     if lo < 2:
         raise ValueError("record search starts at 2 or above")
     if hi < lo:
         raise ValueError("empty search range")
-    leaves = unresolved_leaves(_walk_depth(_sieve_depth(hi - lo + 1)))
-    longest = max((i + j for i, j in zip(leaves.class_i, leaves.class_j)), default=0)
+    depth = _sieve_depth(hi - lo + 1)
+    longest = sum(_deepest_pruning_level(depth))
     records: list[tuple[int, int]] = []
     best = 0
     n = lo
@@ -580,11 +597,12 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
             best = steps
             records.append((n, steps))
         n += 1
-    for _, _, failures, maxima in _block_results(n, hi, None, leaves, step_cap, 1, lo):
-        if failures:
-            descent_length(failures[0][0], step_cap)
-            raise AssertionError(f"leftover {failures[0][0]} failed only in its block")
-        records.extend(_running_maxima(maxima, records[-1][1] if records else 0))
+    if n <= hi:
+        report = sieve_scan(n, hi, depth, step_cap=step_cap)
+        if report.failures:
+            descent_length(report.failures[0][0], step_cap)
+            raise AssertionError(f"leftover {report.failures[0][0]} failed only in its block")
+        records.extend(_running_maxima(report.records, best))
     return records
 
 

@@ -142,6 +142,7 @@ def test_records_keep_keyword_construction_and_repr():
         max_descent_n=27,
         wall_time=0.0,
         setup_time=0.0,
+        records=((3, 6), (7, 11), (27, 96)),
     )
     assert report == sieve_scan(2, 100, 3)._replace(wall_time=0.0, setup_time=0.0)
     assert repr(report).startswith("ScanReport(lo=2, hi=100, depth=3, verified_count=25, ")

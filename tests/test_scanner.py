@@ -305,7 +305,7 @@ def test_a_failure_met_only_in_the_workers_leaves_the_report_of_one_worker(forks
 def test_a_reply_longer_than_a_pipe_buffer_arrives_whole(forks):
     # 100,000 step cap failures: each 2^16 block's reply is three times
     # Linux's 65,536-byte pipe buffer, so it takes the parent several reads
-    block = scanner._scan_block(2, (1 << 16) + 1, unresolved_leaves(0), 5)
+    block = scanner._scan_block(2, (1 << 16) + 1, unresolved_leaves(0), 5, 2)
     assert len(marshal.dumps((0, block))) == 196_675
     report = sieve_scan(2, 400_000, 0, workers=2, step_cap=5)
     assert len(report.failures) == 100_000
@@ -413,6 +413,17 @@ def test_skipped_descents_stay_within_depth_plus_floor_depth_log3_2():
         assert max(i + j for i, j in zip(leaves.class_i, leaves.class_j)) == bound
 
 
+def test_the_longest_class_is_the_deepest_pruning_level():
+    # classes are pruned only at j = bitlen(3^i), one O-count a level, and
+    # i + j grows with j: the record search's L and the scan's walk depth
+    for depth in range(25):
+        leaves = unresolved_leaves(depth)
+        lengths = [i + j for i, j in zip(leaves.class_i, leaves.class_j)]
+        i, j = scanner._deepest_pruning_level(depth)
+        assert i + j == max(lengths, default=0), depth
+        assert j == scanner._walk_depth(depth) == max(leaves.class_j, default=0), depth
+
+
 def _dense_scan_block(lo, hi, resolved, mask, step_cap, walk):
     """The scan before the leaf walk and the halving runs: a 2^depth byte
     table, every n visited and walked one step per loop turn."""
@@ -464,6 +475,7 @@ def dense_reference_scan(lo, hi, depth, step_cap=DEFAULT_STEP_CAP, walk=descent_
         max_descent_n=max_n,
         wall_time=0.0,
         setup_time=0.0,
+        records=(),
     ).canonical_json()
 
 
@@ -752,6 +764,22 @@ def test_block_maxima_are_the_running_maxima_of_its_leftovers(lo, size, depth):
     assert len(expected[3]) > 1
 
 
+@pytest.mark.parametrize("lo", [2, 10**12])
+@pytest.mark.parametrize("depth", [5, 16])
+def test_scan_records_are_the_running_maxima_of_every_leftover(depth, lo, forks):
+    # 150,001 numbers: three 2^16 blocks by default, 586 blocks of 256
+    hi = lo + 150_000
+    expected = tuple(brute_force_block(lo, hi, depth)[3])
+    assert len(expected) >= 4
+    for workers in (1, 2):
+        for block_size in (256, None):
+            rep = sieve_scan(lo, hi, depth, workers=workers, block_size=block_size)
+            assert rep.failures == ()
+            assert rep.records == expected, (workers, block_size)
+            assert (rep.max_descent_n, rep.max_descent_steps) == rep.records[-1]
+    assert len(forks) == 2 * 2
+
+
 def test_record_search_lists_the_glide_records_to_10_6():
     # Roosendaal's table of glide records (http://www.ericr.nl/wondrous/glidrecs.html);
     # past 27 the search merges the maxima of 8 blocks of 124,997 numbers
@@ -794,10 +822,11 @@ def test_scan_refuses_blocks_that_do_not_cover_the_range(monkeypatch):
 
 def test_record_search_refuses_a_block_failure_that_a_full_walk_does_not_repeat(monkeypatch):
     def fail_at_the_start(a, b, *rest):
-        return 0, 0, [(a, "cycle detected")], []
+        return b - a, 0, [(a, "cycle detected")], []
 
     # at depth 8 the longest class takes 13 steps, so the every-n prefix
-    # ends at 27 and the blocks start at 28, which descends in 1 step
+    # ends at 27 and the scan starts at 28, which descends in 1 step; each
+    # block accounts for all its numbers, so the scan's own check passes
     monkeypatch.setattr(scanner, "_scan_block", fail_at_the_start)
     assert scanner._sieve_depth(999) == 8
     with pytest.raises(AssertionError, match="^leftover 28 failed only in its block$"):
@@ -850,17 +879,18 @@ def test_record_search_walks_only_the_open_leaves_past_27(monkeypatch):
     def members_upto(x):
         return (x >> depth) * len(residues) + bisect_right(residues, x & mask)
 
-    # 2..27 are walked until 27 sets 96 > 26 steps; then only leaf members,
-    # each once, but for those counted through an ancestor: n % 3 == 2 or
-    # n % 9 == 4, whose ancestor is at least 3 >= 2
+    # 2..27 are walked until 27 sets 96 > 26 steps; then the scan of
+    # [28, 200000] walks only leaf members, each once, but for those counted
+    # through an ancestor in [28, n): 31's, 27, is in the prefix, so 31 is walked
     leftovers = members_upto(200_000) - members_upto(27)
     assert len(calls) <= 26 + leftovers < 200_000 // 20
     open_residues = set(residues)
     assert calls[:26] == list(range(2, 28))
+    assert 31 in calls and ancestor(31) == (27, 5)
     assert sorted(calls[26:]) == [
         n
         for n in range(28, 200_001)
-        if n & mask in open_residues and n % 3 != 2 and n % 9 != 4
+        if n & mask in open_residues and (ancestor(n) is None or ancestor(n)[0] < 28)
     ]
 
 
