@@ -390,10 +390,13 @@ class UnresolvedLeaves(_Record):
     partition the residues mod 2^depth.
 
     This is also the classification of the naturals to `depth` halvings.
-    replayed_classes reads each class's pattern and y0 off these arrays,
-    and reports.classify_report turns those tuples straight into rows;
-    classes, resolved_measure and unresolved_residues give the library
-    the same facts as objects, a fraction and a tuple.
+    replay reads each class's pattern and y0 off these arrays in one pass
+    and keeps only those two, a str and an array('Q') entry a class;
+    reports.classify_report renders the class table from them and the
+    class arrays.  replayed_classes zips the two with the arrays into
+    replay_class's tuples, and classes, resolved_measure and
+    unresolved_residues give the library the same facts as objects, a
+    fraction and a tuple.
     """
 
     __slots__ = _fields = ("depth", "residues", "o_counts", "ends", "class_x", "class_j", "class_i", "class_m")
@@ -416,6 +419,20 @@ class UnresolvedLeaves(_Record):
                 f"classes cover {covered} and {len(residues)} leaves are open, not 2^{depth} residues"
             )
 
+    def replay(self) -> tuple[list[str], array]:
+        """The classes' pattern texts as a list of str, and their first lower values y0 as an array('Q').
+
+        Each class goes through replay_class once per call, in the arrays'
+        order, so a class that fails its check raises before the call
+        returns.  Of each replayed tuple only what the class arrays lack is
+        kept: its text and its y0, which is at most x and so fits 64 bits.
+        """
+        texts, y0s = [], array("Q")
+        for c in map(replay_class, self.class_x, self.class_j, self.class_i, self.class_m):
+            texts.append(c[0])
+            y0s.append(c[5])
+        return texts, y0s
+
     def replayed_classes(self) -> list[tuple[str, int, int, int, int, int]]:
         """The pruned classes as replay_class returns them, sorted by j, then x.
 
@@ -424,7 +441,8 @@ class UnresolvedLeaves(_Record):
         and i + j grows with j.  Each class is replayed once per call, and
         once per read of classes.
         """
-        return list(map(replay_class, self.class_x, self.class_j, self.class_i, self.class_m))
+        texts, y0s = self.replay()
+        return list(zip(texts, self.class_i, self.class_j, self.class_m, self.class_x, y0s))
 
     @property
     def classes(self) -> tuple[ResidueClass, ...]:

@@ -3,16 +3,15 @@
 Every command's output is a list of Tables whose cells are exact integers
 or plain strings; no floating point ever reaches a numeric cell.  CSV
 output re-parses to the same tables, which the test suite exercises.
-A row is a list or a tuple of cells.  A table's rows are a list, a tuple
-or a Rows view, fixed when the Table is built.  A Rows view makes them
-afresh on each iteration from the data it is built over:
-classify_report's two big tables are such views, so their rows exist
-only a chunk at a time.  write() formats CHUNK_ROWS rows at a time and
-hands each chunk's text to the stream in one write, so the rendered
-output never exists whole; render returns the same text as one string.
-A CSV chunk is rendered by one format call, the same text csv.writer
-writes, and goes to csv.writer only where the two could differ: a cell
-to quote, a cell that is not an int or a str, or rows of unequal width.
+A table's rows are a list or a tuple of rows (lists or tuples of cells),
+or a Rows view, which hands its cells over a chunk at a time in one flat
+tuple: classify_report's class and residue tables are such views.  Every
+format renders one kind of chunk, a row count and the flat cells of at
+most CHUNK_ROWS rows of one width, with one format call, and write()
+hands each chunk's text to the stream in one write, so the output never
+exists whole; render returns it as one string.  A CSV chunk goes to
+csv.writer, and imports csv, only where the two texts could differ: a
+cell to quote, a cell that is not an int or a str, or rows of no cell.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice, starmap
+from itertools import chain, groupby, islice, starmap
+from math import gcd
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_trace, total_stopping_time
 from .patterns import ResidueClass, UnresolvedLeaves, _Record, feasibility_table
@@ -39,18 +39,20 @@ CHUNK_ROWS = 1024
 
 
 class Rows(_Record):
-    """A sized, re-iterable view of `size` rows; each iteration calls make() afresh.
+    """A sized, re-iterable view of `size` rows of one width, handed over as flat cells.
 
-    size is an int; make takes no arguments and returns an iterable of rows.
+    size is an int; cells(a, b) returns the cells of rows a to b - 1 as one
+    flat tuple, row after row.  The writer asks for them CHUNK_ROWS rows at
+    a time, and iterating the view yields its rows as tuples, made afresh.
     """
 
-    __slots__ = _fields = ("size", "make")
+    __slots__ = _fields = ("size", "cells")
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self) -> Iterator[Sequence[Cell]]:
-        return iter(self.make())
+        return chain.from_iterable(starmap(_rows, _chunks(self)))
 
 
 class Table(namedtuple("Table", "title columns rows")):
@@ -63,36 +65,49 @@ class Table(namedtuple("Table", "title columns rows")):
 # rendering
 
 
-def _chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[list[Sequence[Cell]]]:
-    """The rows as lists of CHUNK_ROWS, the last one shorter; none for no rows."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        yield chunk
+def _rows(n: int, cells: tuple[Cell, ...]) -> list[tuple[Cell, ...]]:
+    """The n rows of one width whose flat cells are `cells`, as tuples."""
+    w = len(cells) // n
+    return [cells[k : k + w] for k in range(0, len(cells), w)] if w else [()] * n
 
 
-def _plain_csv(chunk: list[Sequence[Cell]]) -> str | None:
+def _chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[tuple[int, tuple[Cell, ...]]]:
+    """The rows as chunks: a row count, and the rows' cells in one flat tuple.
+
+    A chunk holds at most CHUNK_ROWS rows, all of one width: a Rows view
+    hands its cells over a chunk at a time, and rows in a list or a tuple
+    are cut where their width changes.  None for no rows.
+    """
+    if isinstance(rows, Rows):
+        for a in range(0, rows.size, CHUNK_ROWS):
+            b = min(a + CHUNK_ROWS, rows.size)
+            yield b - a, rows.cells(a, b)
+    else:
+        for _, run in groupby(rows, len):
+            while chunk := list(islice(run, CHUNK_ROWS)):
+                yield len(chunk), tuple(chain.from_iterable(chunk))
+
+
+def _plain_csv(n: int, cells: tuple[Cell, ...]) -> str | None:
     """The chunk's CSV lines from one format call, or None where csv.writer's could differ.
 
     csv.writer writes an int or a str cell as its str(), and quotes one
     that holds a comma, a '"' or a line break, or that is a row's lone
     empty cell (other types differ too: None is written as "").  So when
-    every row has the chunk's width w >= 1 and every cell is an int or a
+    the chunk's rows have a width w >= 1 and every cell is an int or a
     str, the cells' str()s joined by commas are its lines unless they hold
     a '"' or a '\r' (which csv quotes on some Python versions), more than
     w - 1 commas or one line break a row, or, at w = 1, an empty line.
     """
-    width = len(chunk[0])
-    if not width or set(map(len, chunk)) != {width}:
+    width = len(cells) // n
+    if not width or not {int, str}.issuperset(map(type, cells)):
         return None
-    cells = tuple(chain.from_iterable(chunk))
-    if not {int, str}.issuperset(map(type, cells)):
-        return None
-    text = ("%s," * (width - 1) + "%s\n") * len(chunk) % cells
+    text = ("%s," * (width - 1) + "%s\n") * n % cells
     if (
         '"' in text
         or "\r" in text
-        or text.count(",") != (width - 1) * len(chunk)
-        or text.count("\n") != len(chunk)
+        or text.count(",") != (width - 1) * n
+        or text.count("\n") != n
         or width == 1 and "\n\n" in "\n" + text
     ):
         return None
@@ -103,59 +118,46 @@ def _markdown(tables: list[Table]) -> Iterator[str]:
     for idx, t in enumerate(tables):
         head = "| " + " | ".join(t.columns) + " |\n|" + "|".join(" --- " for _ in t.columns) + "|\n"
         yield ("\n" if idx else "") + (f"**{t.title}**\n\n" if t.title else "") + head
-        for chunk in _chunks(t.rows):
-            yield "".join(["| " + " | ".join(map(str, row)) + " |\n" for row in chunk])
+        for n, cells in _chunks(t.rows):
+            yield ("| " + " | ".join(["%s"] * (len(cells) // n)) + " |\n") * n % cells
     if not tables:
         yield "\n"
 
 
-def _csv(tables: list[Table]) -> Iterator[str]:
+def _written_csv(n: int, cells: tuple[Cell, ...]) -> str:
+    """The chunk's CSV lines as csv.writer writes them; only such a chunk imports csv."""
     import csv
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    csv.writer(buf, lineterminator="\n").writerows(_rows(n, cells))
+    return buf.getvalue()
 
-    def written() -> str:
-        text = buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
-        return text
 
+def _csv(tables: list[Table]) -> Iterator[str]:
     for idx, t in enumerate(tables):
-        if idx:
-            buf.write("\n")
-        if t.title:
-            buf.write(f"# {t.title}\n")
-        writer.writerow(t.columns)
-        yield written()
-        for chunk in _chunks(t.rows):
-            text = _plain_csv(chunk)
-            if text is None:
-                writer.writerows(chunk)
-                text = written()
-            yield text
+        # the header row is one more chunk, written with the title
+        prefix = ("\n" if idx else "") + (f"# {t.title}\n" if t.title else "")
+        for n, cells in chain([(1, tuple(t.columns))], _chunks(t.rows)):
+            yield prefix + (_plain_csv(n, cells) or _written_csv(n, cells))
+            prefix = ""
 
 
 def _json(tables: list[Table]) -> Iterator[str]:
     """json.dumps of {"tables": [{"title", "columns", "rows"}, ...]} with indent=2, plus a newline."""
     import json
 
-    def rows_json(rows: list[Sequence[Cell]]) -> str:
-        """json.dumps(rows, indent=2) less its brackets, indented to sit in a table.
+    def rows_json(n: int, cells: tuple[Cell, ...]) -> str:
+        """json.dumps of the chunk's rows with indent=2, less its brackets, indented to sit in a table.
 
-        json.dumps runs its pure-Python encoder whenever it indents.  When
-        every row has a cell, the compact encoding here goes through the C
-        encoder instead.  It separates items with a bare newline, which no
-        encoded string holds (non-ASCII and control characters are
-        escaped), and a cell never ends in "]" or starts with "[": so
-        "]\\n[" parts two rows and every other newline parts two cells.
+        json.dumps runs its pure-Python encoder whenever it indents.  The
+        compact encoding of the flat cells here goes through the C encoder
+        instead.  It separates items with a bare newline, which no encoded
+        cell holds (non-ASCII and control characters are escaped), so its
+        lines are the cells, and one format call sets them in their rows.
         """
-        if not all(rows):
-            return "      " + json.dumps(rows, indent=2)[2:-2].replace("\n", "\n      ")
-        body = json.dumps(rows, separators=("\n", ": "))[2:-2]
-        body = body.replace("]\n[", "\0").replace("\n", ",\n          ")
-        body = body.replace("\0", "\n        ],\n        [\n          ")
-        return "        [\n          " + body + "\n        ]"
+        w = len(cells) // n
+        row = "        [\n          %s\n        ]" % ",\n          ".join(["%s"] * w) if w else "        []"
+        return ",\n".join([row] * n) % tuple(json.dumps(cells, separators=("\n", ": "))[1:-1].splitlines())
 
     if not tables:
         yield '{\n  "tables": []\n}\n'
@@ -169,7 +171,7 @@ def _json(tables: list[Table]) -> Iterator[str]:
         )
         opening = "[\n"
         for chunk in _chunks(t.rows):
-            yield opening + rows_json(chunk)
+            yield opening + rows_json(*chunk)
             opening = ",\n"
         yield ("\n      ]" if t.rows else "[]") + "\n    }"
     yield "\n  ]\n}\n"
@@ -232,50 +234,54 @@ _CLASS_COLUMNS = [
 ]
 
 
-def _class_row(text: str, i: int, j: int, m: int, x: int, y0: int) -> list[Cell]:
-    """One row of _CLASS_COLUMNS for the class 2^j*k + x with pattern text."""
-    # x is 0 only for the even class E, whose j is 1: every other pattern starts with O
-    subset = f"2^{j}*k+{x}" if x else "2*k"
-    return [text, len(text), i, j, 1 << j, x, m, y0, subset]
+def _class_rows(texts: Sequence[str], y0, i, j, m, x) -> Rows:
+    """The rows of _CLASS_COLUMNS for the classes 2^j*k + x, from one sequence per field."""
+
+    def cells(a: int, b: int) -> tuple[Cell, ...]:
+        t, js, xs = texts[a:b], j[a:b], x[a:b]
+        # x is 0 only for the even class E, whose j is 1: every other pattern starts with O
+        subsets = [f"2^{k}*k+{v}" if v else "2*k" for k, v in zip(js, xs)]
+        columns = t, map(len, t), i[a:b], js, [1 << k for k in js], xs, m[a:b], y0[a:b], subsets
+        return tuple(chain.from_iterable(zip(*columns)))
+
+    return Rows(len(texts), cells)
 
 
 def classes_report(classes: list[ResidueClass]) -> list[Table]:
-    rows = [_class_row(c.pattern.text, c.i, c.j, c.m, c.x, c.y0) for c in classes]
+    fields = ([getattr(c, name) for c in classes] for name in ("y0", "i", "j", "m", "x"))
+    rows = _class_rows([c.pattern.text for c in classes], *fields)
     return [Table(title="", columns=list(_CLASS_COLUMNS), rows=rows)]
 
 
 def classify_report(report: UnresolvedLeaves) -> list[Table]:
     """Summary, classes and unresolved residues, read straight off the walk's arrays.
 
-    Each class is replayed once, here (UnresolvedLeaves.replayed_classes,
-    which checks its pattern against i, j and y0 and fixes the row order),
-    so a failed check raises before any output.  The classes and residues
-    tables are Rows views over the replayed tuples and the residue array:
-    a row is made only as its chunk is written, and no ResidueClass is
-    built.
+    Each class is replayed once, here (UnresolvedLeaves.replay, which
+    checks its pattern against i, j and y0), so a failed check raises
+    before any output.  Only the pattern texts and the y0s are kept.  The
+    classes and residues tables are Rows views over them and the walk's
+    arrays: a chunk's cells are made only as it is written, and no
+    ResidueClass or row is built.  The measure cell is sum(2^-j) as
+    str(resolved_measure) prints it, reduced with math.gcd, which spares
+    the fractions import.
     """
+    residues, size = report.residues, 1 << report.depth
+    g = gcd(size - len(residues), size)
+    measure = f"{(size - len(residues)) // g}/{size // g}".removesuffix("/1")
     summary = Table(
         title="Classification summary",
         columns=["Depth", "Classes", "Resolved measure", "Unresolved residues"],
-        rows=[
-            [
-                report.depth,
-                len(report.class_x),
-                str(report.resolved_measure),
-                len(report.residues),
-            ]
-        ],
+        rows=[[report.depth, len(report.class_x), measure, len(residues)]],
     )
-    replayed = report.replayed_classes()
     classes = Table(
         title="Classes",
         columns=list(_CLASS_COLUMNS),
-        rows=Rows(len(replayed), lambda: starmap(_class_row, replayed)),
+        rows=_class_rows(*report.replay(), report.class_i, report.class_j, report.class_m, report.class_x),
     )
     unresolved = Table(
         title=f"Unresolved residues mod 2^{report.depth}",
         columns=["Residue"],
-        rows=Rows(len(report.residues), lambda: zip(report.residues)),
+        rows=Rows(len(residues), lambda a, b: tuple(residues[a:b])),
     )
     return [summary, classes, unresolved]
 

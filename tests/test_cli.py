@@ -267,6 +267,29 @@ def test_start_up_imports_only_what_the_command_uses():
     assert lines[3].startswith("| E | 1 | 0 | 1 | 2 |")
 
 
+def test_classify_as_csv_imports_neither_fractions_nor_csv():
+    # the measure cell is reduced with math.gcd, and only a chunk that
+    # csv.writer could write otherwise imports csv, as seq27's quoted adders do
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys, collatz_descent.cli\n"
+        "code = collatz_descent.cli.main(sys.argv[1:])\n"
+        "print(code, sorted({'fractions', 'decimal', 'csv'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def probed(*args):
+        command = [sys.executable, "-c", probe, *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout
+
+    out = probed("classify", "--depth", "12", "--format", "csv")
+    assert out.startswith("# Classification summary\nDepth,Classes,Resolved measure,Unresolved residues\n12,")
+    assert out.endswith("\n0 []\n")
+    out = probed("report", "seq27", "--paper-style", "--format", "csv")
+    assert '1,27,O,"1,50095E+17",' in out
+    assert out.endswith("\n0 ['csv', 'decimal']\n")
+
+
 def test_package_import_leaves_dataclasses_inspect_and_typing_out():
     # the records are namedtuples and __slots__ classes.  Under -S no site
     # module loads anything first.  cli is left out: argparse may import
@@ -393,9 +416,10 @@ def test_enumerate_42_keeps_its_digest(capsys):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
 def test_classify_depth_24_streams_below_90_mb():
     # tables stream to stdout a chunk of rows at a time: depth 24 peaked at
-    # 120 MB when its output was rendered whole, and at 53 MB since.  A
-    # fresh wrapper has the command for its only child, so RUSAGE_CHILDREN
-    # reads that command's peak alone
+    # 120 MB when its output was rendered whole, at 48 MB while the replayed
+    # classes were kept as tuples, and at 32 MB on Python 3.11 and 3.13 with
+    # only their texts and y0s.  A fresh wrapper has the command for its only
+    # child, so RUSAGE_CHILDREN reads that command's peak alone
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
         "import resource, subprocess, sys\n"
@@ -407,7 +431,7 @@ def test_classify_depth_24_streams_below_90_mb():
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
     ).stdout
-    assert int(out) / 1024 < 90
+    assert int(out) / 1024 < 40
 
 
 def test_scan_workers_default_to_the_usable_cpus(monkeypatch):

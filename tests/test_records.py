@@ -21,8 +21,9 @@ from collatz_descent import (
 from collatz_descent.reports import Rows, Table
 
 
-def _three_rows():
-    return [[1], [2], [3]]
+def _three_rows(a, b):
+    """The flat cells of rows a to b - 1 of the rows (1,), (2,) and (3,)."""
+    return (1, 2, 3)[a:b]
 
 
 def _untimed_scan(lo):
@@ -151,7 +152,7 @@ def test_records_keep_keyword_construction_and_repr():
         "ends=array('Q', [2]), class_x=array('Q', [0]), class_j=b'\\x01', "
         "class_i=b'\\x00', class_m=array('Q', [0]))"
     )
-    assert repr(Rows(size=2, make=list)) == "Rows(size=2, make=<class 'list'>)"
+    assert repr(Rows(size=2, cells=max)) == "Rows(size=2, cells=<built-in function max>)"
     assert repr(Table(title="t", columns=["n"], rows=[])) == "Table(title='t', columns=['n'], rows=[])"
 
 
@@ -160,7 +161,7 @@ def test_sized_records_measure_what_they_hold():
     assert len(tr) == len(tr.values) == len(tr.pattern) == 96
     rows = Rows(3, _three_rows)
     assert len(rows) == 3
-    assert list(rows) == list(rows) == _three_rows()
+    assert list(rows) == list(rows) == [(1,), (2,), (3,)]
 
 
 def test_leaves_give_equal_classes_on_each_read_and_on_copies():
