@@ -3,7 +3,10 @@ search and twin checks.
 
 Classification, the scan and the record search stand on one walk of the
 parity tree to J halvings (patterns.unresolved_leaves), which
-classify_depth returns as the classification.  Its pruned nodes are the
+classify_depth returns as the classification.  Like a scan, the classify
+command walks only to the deepest level up to its depth that prunes a
+class (_walk_depth), and reports.classify_report prints the asked depth,
+one level deeper at most, from that walk.  Its pruned nodes are the
 minimal descent classes with at most J halving steps; its open leaves are
 what those classes miss, each an odd residue r mod 2^J with the O-count
 a and the end e of its first J halvings.  The scan visits the members of
@@ -109,8 +112,11 @@ def classify_depth(depth: int) -> UnresolvedLeaves:
 
     The walk of the parity tree (patterns.unresolved_leaves) is the
     classification: its pruned classes, their measure and its open leaves.
-    Raises ValueError("depth must be >= 1") below depth 1 and DepthTooLarge
-    above MAX_DEPTH.
+    It walks every level to depth; the classify command walks
+    classify_depth(_walk_depth(depth)) instead, one level less at a depth
+    that prunes no class, and classify_report(walk, depth) prints the same
+    tables from it.  Raises ValueError("depth must be >= 1") below depth 1
+    and DepthTooLarge above MAX_DEPTH.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

@@ -16,7 +16,7 @@ import pytest
 
 from collatz_descent import cli, scanner
 from collatz_descent.cli import main
-from collatz_descent.patterns import enumerate_minimal_patterns, residue_for_pattern
+from collatz_descent.patterns import enumerate_minimal_patterns, residue_for_pattern, unresolved_leaves
 from collatz_descent.reports import (
     FORMATS,
     REPORT_NAMES,
@@ -102,12 +102,37 @@ def test_enumerate_json(capsys):
     assert offsets == [11, 23]
 
 
+# test_reports.test_outputs_keep_their_golden_digests pins the library route's depth-22 tables to these
+GOLDEN_22 = {
+    "csv": "963818cca7c26904b2e453ab74ed7e0c109e63d7ab955a21a1cc36da7427b729",
+    "markdown": "451de519e4c5731f206a5d833f8cf688c0344390132ec3a1996f2709dbb8c6bb",
+    "json": "df75c1ef50fdb29b3458c5ba45a55e8d44b57519e8c64f5899f48c39e81a63a6",
+}
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_classify_command(capsys, fmt):
-    for depth in (1, 5, 12):
+    # every doubling depth up to 22 (3, 6, 9, 11, 14, 17, 19, 22) is printed
+    # from a walk one level up; the library route walks every depth in full
+    for depth in [*range(1, 21), 22]:
         code, out, err = run(capsys, "classify", "--depth", str(depth), "--format", fmt)
         assert (code, err) == (0, "")
-        assert out == render(classify_report(classify_depth(depth)), fmt)
+        assert out == render(classify_report(classify_depth(depth)), fmt), depth
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_22[fmt]
+
+
+def test_classify_walks_only_to_the_last_pruning_level(capsys, monkeypatch):
+    walked = []
+
+    def recording(depth):
+        walked.append(depth)
+        return unresolved_leaves(depth)
+
+    monkeypatch.setattr(scanner, "unresolved_leaves", recording)
+    for depth, walks in ((22, [21]), (24, [24]), (3, [2])):
+        walked.clear()
+        code, _, err = run(capsys, "classify", "--depth", str(depth), "--format", "csv")
+        assert (code, err, walked) == (0, "", walks)
 
 
 def test_classify_depth_out_of_bounds(capsys):

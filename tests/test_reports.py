@@ -274,6 +274,24 @@ def test_classify_report_replays_against_the_class_adder():
         classify_report(leaves._replace(class_m=class_m))
 
 
+def test_classify_report_prints_a_doubling_depth_from_the_walk_one_level_up():
+    # a depth that prunes no class holds each open residue r one level up and
+    # r + 2^(depth - 1); classify_report prints it from that walk, and no other
+    for depth in range(1, 21):
+        up = unresolved_leaves(depth - 1)
+        if depth in unresolved_leaves(depth).class_j:
+            with pytest.raises(AssertionError):
+                classify_report(up, depth)
+        else:
+            assert render(classify_report(up, depth), "csv") == render(classify_report(classify_depth(depth)), "csv")
+    up = unresolved_leaves(21)
+    for fmt in FORMATS:
+        assert render(classify_report(up, 22), fmt) == render(classify_report(classify_depth(22)), fmt)
+    for walk, depth in ((20, 22), (23, 24), (21, 20)):
+        with pytest.raises(AssertionError):
+            classify_report(unresolved_leaves(walk), depth)
+
+
 def test_outputs_keep_their_golden_digests():
     # the depth 22 tables in each format and two canonical scans at depth 22,
     # near 10^12 and 2^70: the walk, the replay and the scan kernel must keep them
