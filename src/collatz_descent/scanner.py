@@ -13,13 +13,13 @@ a and the end e of its first J halvings.  The scan visits the members of
 those leaves alone, resumes each n = 2^J*h + r at its value 3^a*h + e
 after the J halvings, and counts every other number as skipped.  A member
 whose smaller ancestor in the range passes through it on its first descent
-counts through that ancestor, unwalked.  Each block returns its running
-maxima, and the scan's one merge keeps them all, in range order, as the
-report's records.  A record search is an every-n prefix, walked until its
-running maximum passes the longest class, plus one scan of the rest.  The
-records are exact for the range's leftovers only when the scan has no
-failures: the descendants of a failed ancestor, walked after the merge,
-are not merged back into them.  No 2^J table is built anywhere.
+counts through that ancestor, unwalked.  Each block returns its tally:
+counts, failures and the running maxima of its walked leftovers, and one
+fold (_fold) merges adjacent tallies in range order.  A scan folds every
+block.  A record search is an every-n prefix, walked until its running
+maximum passes the longest class, plus a fold over the blocks of the rest
+that stops at the first tally holding a failure.  No 2^J table is built
+anywhere.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ import os
 import time
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from functools import reduce
+from itertools import accumulate
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_length, descent_trace
 from .errors import CollatzDescentError, CycleDetected, DepthTooLarge, StepCapExceeded
@@ -47,7 +49,7 @@ MAX_DEPTH = 24
 
 _SCAN_FIELDS = (
     "lo hi depth verified_count skipped_count failures max_descent_steps max_descent_n"
-    " wall_time setup_time records"
+    " wall_time setup_time"
 )
 
 
@@ -70,14 +72,7 @@ class ScanReport(namedtuple("ScanReport", _SCAN_FIELDS)):
     descents of i + j <= depth + floor(depth*log3(2)) steps, since
     j <= depth and 3^i < 2^j.  wall_time is the scan phase (blocks, their
     merge and the workers); setup_time is the sieve build before it.
-    records holds the running maxima of descent length, as (n, steps) in
-    increasing n, that the merge of the blocks finds, so
-    (max_descent_n, max_descent_steps) is its last entry, or (None, 0)
-    when it is empty, unless a descendant walked after the merge (see
-    sieve_scan) ends the range's longest descent.  It is exact for the
-    range's leftovers only when failures is empty, since those descendants
-    are not merged back into it.  None of the three is part of
-    canonical().
+    Neither is part of canonical().
     """
 
     __slots__ = ()
@@ -253,6 +248,22 @@ def _scan_block(
             f"block [{lo}, {hi}] visited {verified + len(failures)} leftovers, expected {leftovers}"
         )
     return verified, hi - lo + 1 - leftovers, failures, maxima
+
+
+def _fold(a, b):
+    """Merge the tallies a and b of two adjacent runs of blocks, a's first.
+
+    A tally is (verified, skipped, failures, maxima), as _scan_block
+    returns for one block.  The merge adds the counts, appends b's
+    failures and those of b's maxima that beat a's last record, so the
+    result is the tally of both runs, and any grouping of a fold over
+    the blocks gives the same.  It extends a's lists in place, so a fold
+    over many blocks stays linear in what they hold.
+    """
+    verified, skipped, failures, maxima = a
+    failures += b[2]
+    maxima += _running_maxima(b[3], maxima[-1][1] if maxima else 0)
+    return verified + b[0], skipped + b[1], failures, maxima
 
 
 def _scan_worker(tasks: int, results: int, width: int, block) -> None:
@@ -467,8 +478,9 @@ def sieve_scan(
     bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
     numbers, 22 from 2^23 up); the report records it.  For a given depth
     the report is deterministic for any worker count and block size:
-    blocks are merged in range order, each as it arrives, and the merge
-    keeps their running maxima as the report's records.  The step cap
+    the block tallies are folded (_fold) in range order, each as it
+    arrives, and the last running maximum of the fold is the report's
+    maximum unless a descendant walked after it beats it.  The step cap
     applies to the leftovers alone, since a skipped number is never
     walked, so a cap below the longest class length makes the
     failures depend on the depth: a cap of 5 on [2, 100] fails 25, 25
@@ -511,16 +523,10 @@ def sieve_scan(
     t0 = time.perf_counter()
     leaves = unresolved_leaves(_walk_depth(depth))
     t1 = time.perf_counter()
-    verified = 0
-    skipped = 0
-    failures: list[tuple[int, str]] = []
-    records: list[tuple[int, int]] = []
-    for bv, bs, bf, maxima in _block_results(lo, hi, block_size, leaves, step_cap, workers):
-        verified += bv
-        skipped += bs
-        failures.extend(bf)
-        records.extend(_running_maxima(maxima, records[-1][1] if records else 0))
-    max_n, max_steps = records[-1] if records else (None, 0)
+    verified, skipped, failures, maxima = reduce(
+        _fold, _block_results(lo, hi, block_size, leaves, step_cap, workers)
+    )
+    max_n, max_steps = maxima[-1] if maxima else (None, 0)
     # A block counts a leftover n as verified through its ancestor m, which
     # may sit in another block; if m failed, walk n, and if n fails, its own
     # descendants.  m = (2n - 1)/3 has n = (3m + 1)/2 when m % 4 == 3, and
@@ -560,7 +566,6 @@ def sieve_scan(
         max_descent_n=max_n,
         wall_time=wall,
         setup_time=t1 - t0,
-        records=tuple(records),
     )
 
 
@@ -572,9 +577,10 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     from 2^23 up) and takes L, the longest class length i + j, from the
     levels that prune classes (26 at depth 16, 0 at depth 0, which has no
     class).  It walks every n from lo while the running maximum is below
-    L, then runs one sieve_scan over the rest of the range, on one
-    worker, and keeps the scan's records that beat the prefix's maximum.
-    The records do not depend on the depth.  This is exact:
+    L, then folds (_fold) the block tallies of a scan of the rest of the
+    range, on one worker, and keeps the fold's records that beat the
+    prefix's maximum.  The records do not depend on the depth.  This is
+    exact:
     - a member n >= 2 of a pruned class descends in exactly i + j <= L
       steps, at most the running maximum, so it sets no strict record;
     - descent_length returns only lengths <= step_cap, and the running
@@ -584,31 +590,34 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
       scan's start (see _scan_block), which it walks or counts in turn: n
       descends in fewer steps than m < n, so it sets no strict record,
       and if n would fail, m fails first;
-    - the scan's smallest failure is a leftover its blocks walked, and
-      every number below it descends, so walking it from its start raises
-      as a walk of every number would.  The scan runs to its end first.
+    - the range's smallest failure is a leftover its block walked, since
+      a leftover counted through an ancestor fails after it, and every
+      number below it descends, so walking it from its start raises as a
+      walk of every number would.  The fold stops at the first tally that
+      holds a failure, whose first failure is that one, so no later block
+      is scanned.
     """
     if lo < 2:
         raise ValueError("record search starts at 2 or above")
     if hi < lo:
         raise ValueError("empty search range")
-    depth = _sieve_depth(hi - lo + 1)
-    longest = sum(_deepest_pruning_level(depth))
+    o_count, walk_depth = _deepest_pruning_level(_sieve_depth(hi - lo + 1))
     records: list[tuple[int, int]] = []
     best = 0
     n = lo
-    while best < longest and n <= hi:
+    while best < o_count + walk_depth and n <= hi:
         steps = descent_length(n, step_cap)
         if steps > best:
             best = steps
             records.append((n, steps))
         n += 1
     if n <= hi:
-        report = sieve_scan(n, hi, depth, step_cap=step_cap)
-        if report.failures:
-            descent_length(report.failures[0][0], step_cap)
-            raise AssertionError(f"leftover {report.failures[0][0]} failed only in its block")
-        records.extend(_running_maxima(report.records, best))
+        leaves = unresolved_leaves(walk_depth)
+        for _, _, failures, maxima in accumulate(_block_results(n, hi, None, leaves, step_cap, 1), _fold):
+            if failures:
+                descent_length(failures[0][0], step_cap)
+                raise AssertionError(f"leftover {failures[0][0]} failed only in its block")
+        records.extend(_running_maxima(maxima, best))
     return records
 
 

@@ -439,7 +439,7 @@ def test_enumerate_42_keeps_its_digest(capsys):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
-def test_classify_depth_24_streams_below_90_mb():
+def test_classify_depth_24_streams_below_40_mb():
     # tables stream to stdout a chunk of rows at a time: depth 24 peaked at
     # 120 MB when its output was rendered whole, at 48 MB while the replayed
     # classes were kept as tuples, and at 32 MB on Python 3.11 and 3.13 with

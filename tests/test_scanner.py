@@ -12,6 +12,7 @@ import traceback
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -475,7 +476,6 @@ def dense_reference_scan(lo, hi, depth, step_cap=DEFAULT_STEP_CAP, walk=descent_
         max_descent_n=max_n,
         wall_time=0.0,
         setup_time=0.0,
-        records=(),
     ).canonical_json()
 
 
@@ -769,20 +769,70 @@ def test_block_maxima_are_the_running_maxima_of_its_leftovers(lo, size, depth):
 def test_scan_records_are_the_running_maxima_of_every_leftover(depth, lo, forks):
     # 150,001 numbers: three 2^16 blocks by default, 586 blocks of 256
     hi = lo + 150_000
-    expected = tuple(brute_force_block(lo, hi, depth)[3])
+    expected = brute_force_block(lo, hi, depth)[3]
     assert len(expected) >= 4
+    leaves = unresolved_leaves(depth)
     for workers in (1, 2):
         for block_size in (256, None):
-            rep = sieve_scan(lo, hi, depth, workers=workers, block_size=block_size)
-            assert rep.failures == ()
-            assert rep.records == expected, (workers, block_size)
-            assert (rep.max_descent_n, rep.max_descent_steps) == rep.records[-1]
+            blocks = scanner._block_results(lo, hi, block_size, leaves, DEFAULT_STEP_CAP, workers)
+            _, _, failures, records = reduce(scanner._fold, blocks)
+            assert failures == []
+            assert records == expected, (workers, block_size)
     assert len(forks) == 2 * 2
+
+
+def fold(tallies):
+    """The one-pass fold of copies of tallies: _fold extends its left argument."""
+    return reduce(scanner._fold, marshal.loads(marshal.dumps(tallies)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.one_of(
+        st.integers(min_value=2, max_value=3000),
+        st.integers(min_value=10**12, max_value=10**12 + 3000),
+    ),
+    size=st.integers(min_value=1, max_value=3000),
+    depth=st.integers(min_value=0, max_value=16),
+    step_cap=st.integers(min_value=1, max_value=300),
+    block_size=st.integers(min_value=1, max_value=1000),
+    cuts=st.sets(st.integers(min_value=0, max_value=10**6), max_size=20),
+)
+# a cap of 96 fails leftovers in 3 of the 30 blocks, 703 in the eighth
+@example(lo=2, size=3000, depth=5, step_cap=96, block_size=100, cuts={3, 7, 8, 20})
+def test_folding_block_tallies_in_any_grouping_gives_the_one_pass_tally(
+    lo, size, depth, step_cap, block_size, cuts
+):
+    hi = lo + size - 1
+    leaves = unresolved_leaves(depth)
+    tallies = list(scanner._block_results(lo, hi, block_size, leaves, step_cap, 1))
+    bounds = [0, *sorted({c % len(tallies) for c in cuts} - {0}), len(tallies)]
+    parts = [fold(tallies[a:b]) for a, b in zip(bounds, bounds[1:])]
+    one_pass = fold(tallies)
+    assert fold(parts) == one_pass
+    # the tally of one block over the whole range, with the same start
+    assert one_pass == scanner._scan_block(lo, hi, leaves, step_cap, lo)
+
+
+def test_a_failing_record_search_stops_at_its_first_failing_block(monkeypatch):
+    # past the prefix to 27, [28, 10^7] runs in 10 blocks of 2^20; 703 fails in the first
+    blocks = []
+    scan_block = scanner._scan_block
+
+    def counted(*args):
+        blocks.append(args[:2])
+        return scan_block(*args)
+
+    monkeypatch.setattr(scanner, "_scan_block", counted)
+    with pytest.raises(StepCapExceeded) as raised:
+        record_search(2, 10**7, step_cap=96)
+    assert str(raised.value) == "no value below 703 within 96 steps"
+    assert len(blocks) == 1
 
 
 def test_record_search_lists_the_glide_records_to_10_6():
     # Roosendaal's table of glide records (http://www.ericr.nl/wondrous/glidrecs.html);
-    # past 27 the search merges the maxima of 8 blocks of 124,997 numbers
+    # past 27 the search folds the maxima of 8 blocks of 124,997 numbers
     assert record_search(2, 10**6) == [
         (2, 1),
         (3, 6),
