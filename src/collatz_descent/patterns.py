@@ -390,11 +390,11 @@ class UnresolvedLeaves(_Record):
     partition the residues mod 2^depth.
 
     This is also the classification of the naturals to `depth` halvings.
-    replay reads each class's pattern and y0 off these arrays in one pass
-    and keeps only those two, a str and an array('Q') entry a class;
-    reports.classify_report renders the class table from them and the
-    class arrays.  replayed_classes zips the two with the arrays into
-    replay_class's tuples, and classes, resolved_measure and
+    replay is the one replay pass: it reads each class's pattern and y0
+    off these arrays and keeps only those two, a str and an array('Q')
+    entry a class.  reports.classify_report renders the class table from
+    them and the class arrays, and classes zips them with the arrays into
+    ResidueClass objects.  classes, resolved_measure and
     unresolved_residues give the library the same facts as objects, a
     fraction and a tuple.
     """
@@ -433,21 +433,17 @@ class UnresolvedLeaves(_Record):
             y0s.append(c[5])
         return texts, y0s
 
-    def replayed_classes(self) -> list[tuple[str, int, int, int, int, int]]:
-        """The pruned classes as replay_class returns them, sorted by j, then x.
+    @property
+    def classes(self) -> tuple[ResidueClass, ...]:
+        """The pruned classes as ResidueClass objects, sorted by j, then x.
 
         That is the arrays' order, and the order of length, then x: a
         minimal class has j = bitlen(3^i), so each j holds one O-count i,
-        and i + j grows with j.  Each class is replayed once per call, and
-        once per read of classes.
+        and i + j grows with j.  Each read runs replay once and zips its
+        texts and y0s with the class arrays.
         """
         texts, y0s = self.replay()
-        return list(zip(texts, self.class_i, self.class_j, self.class_m, self.class_x, y0s))
-
-    @property
-    def classes(self) -> tuple[ResidueClass, ...]:
-        """The pruned classes as ResidueClass objects, in replayed_classes' order."""
-        return tuple(_resolved_class(*c) for c in self.replayed_classes())
+        return tuple(map(_resolved_class, texts, self.class_i, self.class_j, self.class_m, self.class_x, y0s))
 
     @property
     def resolved_measure(self) -> Fraction:

@@ -61,8 +61,10 @@ class ScanReport(namedtuple("ScanReport", _SCAN_FIELDS)):
     ancestor's.  An odd n = 3k + 2 lies 2 steps into the first descent of
     m = (2n - 1)/3, and an odd n = 9k + 4 5 steps into that of
     m = (8n - 5)/9, every value before it above m; with m in [lo, n), n is
-    counted through m.  failures holds (n, reason) rows and is expected to
-    stay empty; a nonempty tuple is a headline result, not an error.  Only
+    counted through m.  failures holds (n, reason) rows in increasing n,
+    one per leftover whose walk raised CycleDetected or StepCapExceeded,
+    reason that exception's reason.  It is expected to stay empty; a
+    nonempty tuple is a headline result, not an error.  Only
     leftovers can fail, so a step cap below the longest class length makes
     the failures depend on the depth.  max_descent_steps ranges over the
     leftovers that descend, and equals what a walk of each would give: an
@@ -157,14 +159,17 @@ def _scan_block(
 ) -> tuple[int, int, list[tuple[int, str]], list[tuple[int, int]]]:
     """Simulate the leftovers of one contiguous block; count the rest as skipped.
 
-    Returns (verified, skipped, failures, maxima): maxima are the running
-    maxima of descent length over the walked leftovers that descend, as
-    (n, steps) in increasing n.  This is the one place a leftover is
-    resumed, leaf by leaf: n = 2^depth*h + r of leaf (r, a, e) resumes at
-    3^a*h + e after its depth halvings, as a jump over a halving word
-    does.  A block at most one period long has at most one member per
-    leaf, met in increasing n, so one running maximum serves; a longer
-    block puts each leaf's maxima, like the failures, back in range order.
+    Returns (verified, skipped, failures, maxima): failures are the
+    (n, reason) rows of the walked leftovers whose walk raised
+    CycleDetected or StepCapExceeded, reason that exception's reason, and
+    maxima are the running maxima of descent length over the walked
+    leftovers that descend, both as pairs in increasing n.  This is the
+    one place a leftover is resumed, leaf by leaf: n = 2^depth*h + r of
+    leaf (r, a, e) resumes at 3^a*h + e after its depth halvings, as a
+    jump over a halving word does.  A block at most one period long has
+    at most one member per leaf, met in increasing n, so one running
+    maximum serves; a longer block puts each leaf's maxima, like the
+    failures, back in range order.
 
     base is the start of the range whose every leftover some block walks
     or counts, and a block's own start when it is checked alone.  At depth
@@ -224,10 +229,8 @@ def _scan_block(
                 else:
                     try:
                         steps = descent_length(n, step_cap, p * (n >> depth) + e, skipped_steps)
-                    except CycleDetected:
-                        failures.append((n, "cycle detected"))
-                    except StepCapExceeded:
-                        failures.append((n, "step cap exceeded"))
+                    except (CycleDetected, StepCapExceeded) as exc:
+                        failures.append((n, exc.reason))
                     else:
                         verified += 1
                         if steps > best:
@@ -541,16 +544,13 @@ def sieve_scan(
                 continue
             try:
                 steps = descent_length(n, step_cap)
-            except CycleDetected:
-                failures.append((n, "cycle detected"))
-            except StepCapExceeded:
-                failures.append((n, "step cap exceeded"))
+            except (CycleDetected, StepCapExceeded) as exc:
+                failures.append((n, exc.reason))
+                verified -= 1
+                failed.append(n)
             else:
                 if steps > max_steps or steps == max_steps and n < max_n:
                     max_n, max_steps = n, steps
-                continue
-            verified -= 1
-            failed.append(n)
     failures.sort()
     wall = time.perf_counter() - t1
     if verified + skipped + len(failures) != hi - lo + 1:

@@ -32,7 +32,7 @@ from collatz_descent import (
     unresolved_leaves,
 )
 from collatz_descent import scanner
-from collatz_descent.core import col_step
+from collatz_descent.core import col_step, descent_length
 from collatz_descent.reports import scan_report_tables
 from conftest import reaped
 from dense_reference import dense_classification, descent_length_reference
@@ -1049,6 +1049,51 @@ def test_the_descendants_of_a_failed_ancestor_are_walked_after_the_merge(
     message = f"^no value below {min(failing)} within 100000 steps$"
     with pytest.raises(StepCapExceeded, match=message):
         record_search(lo, hi)
+
+
+def test_a_cycle_met_after_the_merge_is_a_scan_failure(forks, monkeypatch):
+    # 87399 % 4 == 3: a leftover of the second 2^16 block with no ancestor,
+    # walked there, and 131099 = (3*87399 + 1)/2 a leftover of the third,
+    # counted through it; with both cycling, 131099 fails in the walk
+    # after the merge
+    m, n = 87_399, 131_099
+    assert {m & 0xFFFF, n & 0xFFFF} <= set(unresolved_leaves(16).residues)
+    assert ancestor(m) is None and ancestor(n) == (m, 2)
+    assert (m - 2) >> 16 == 1 and (n - 2) >> 16 == 2
+    real = scanner.descent_length
+
+    def cycle_at_m_and_n(k, *args):
+        if k in (m, n):
+            raise CycleDetected(f"trajectory of {k} returned to its start")
+        return real(k, *args)
+
+    assert sieve_scan(2, 300_000, 16).verified_count == 9_675
+    expected = dense_reference_scan(2, 300_000, 16, walk=cycle_at_m_and_n)
+    monkeypatch.setattr(scanner, "descent_length", cycle_at_m_and_n)
+    for workers in (1, 2):
+        rep = sieve_scan(2, 300_000, 16, workers=workers)
+        assert rep.failures == ((m, "cycle detected"), (n, "cycle detected")), workers
+        assert rep.verified_count == 9_673, workers
+        assert rep.canonical_json() == expected, workers
+    assert len(forks) == 2
+
+
+def test_a_failure_row_carries_its_exceptions_reason(forks):
+    # a cap of 96 fails 175 leftovers of [2, 10^5]: the blocks walk 100 of
+    # them, and the walk after the merge the 75 counted through a failed
+    # ancestor
+    assert (CycleDetected.reason, StepCapExceeded.reason) == ("cycle detected", "step cap exceeded")
+    leaves = unresolved_leaves(scanner._walk_depth(16))
+    _, _, block_failures, _ = reduce(scanner._fold, scanner._block_results(2, 10**5, None, leaves, 96, 1))
+    assert len(block_failures) == 100
+    for workers in (1, 2):
+        rep = sieve_scan(2, 10**5, 16, workers=workers, step_cap=96)
+        assert len(rep.failures) == 175, workers
+        for n, reason in rep.failures:
+            with pytest.raises((CycleDetected, StepCapExceeded)) as raised:
+                descent_length(n, 96)
+            assert raised.value.reason == reason, n
+    assert len(forks) == 2
 
 
 def test_twin_of_27():
