@@ -15,11 +15,14 @@ after the J halvings, and counts every other number as skipped.  A member
 whose smaller ancestor in the range passes through it on its first descent
 counts through that ancestor, unwalked.  Each block returns its tally:
 counts, failures and the running maxima of its walked leftovers, and one
-fold (_fold) merges adjacent tallies in range order.  A scan folds every
-block.  A record search is an every-n prefix, walked until its running
-maximum passes the longest class, plus a fold over the blocks of the rest
-that stops at the first tally holding a failure.  No 2^J table is built
-anywhere.
+fold (_fold) merges adjacent tallies in range order.  A scan and a record
+search both fold the blocks up to the first that holds a failure
+(_fold_until_failure), whose first failure is the range's smallest.  A
+scan then folds the rest of the range again from that block's start, with
+every leftover walked; a record search walks that failure to raise.  A
+record search is an every-n prefix, walked until its running maximum
+passes the longest class, plus that fold over the blocks of the rest.  No
+2^J table is built anywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import reduce
-from itertools import accumulate
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_length, descent_trace
 from .errors import CollatzDescentError, CycleDetected, DepthTooLarge, StepCapExceeded
@@ -61,15 +63,17 @@ class ScanReport(namedtuple("ScanReport", _SCAN_FIELDS)):
     ancestor's.  An odd n = 3k + 2 lies 2 steps into the first descent of
     m = (2n - 1)/3, and an odd n = 9k + 4 5 steps into that of
     m = (8n - 5)/9, every value before it above m; with m in [lo, n), n is
-    counted through m.  failures holds (n, reason) rows in increasing n,
-    one per leftover whose walk raised CycleDetected or StepCapExceeded,
-    reason that exception's reason.  It is expected to stay empty; a
-    nonempty tuple is a headline result, not an error.  Only
-    leftovers can fail, so a step cap below the longest class length makes
-    the failures depend on the depth.  max_descent_steps ranges over the
-    leftovers that descend, and equals what a walk of each would give: an
-    ancestor-certified n takes fewer steps than its smaller ancestor, so it
-    is never the first maximum.  It depends on the depth where the range's
+    counted through m, up to the first block that holds a failure; from
+    that block's start on every leftover is walked (see sieve_scan).
+    failures holds (n, reason) rows in increasing n, one per leftover
+    whose walk raised CycleDetected or StepCapExceeded, reason that
+    exception's reason.  It is expected to stay empty; a nonempty tuple
+    is a headline result, not an error.  Only leftovers can fail, so a
+    step cap below the longest class length makes the failures depend on
+    the depth.  max_descent_steps ranges over the leftovers that descend,
+    and equals what a walk of each would give: an ancestor-certified n
+    takes fewer steps than its smaller ancestor, so it is never the first
+    maximum.  It depends on the depth where the range's
     longest descent is a skipped one; skipped numbers have class-certified
     descents of i + j <= depth + floor(depth*log3(2)) steps, since
     j <= depth and 3^i < 2^j.  wall_time is the scan phase (blocks, their
@@ -180,9 +184,10 @@ def _scan_block(
     OE (resp. OEOEE) and then n's, whose prefix margins 2^b <= 3^a give
     m's 2^(1+b) < 3^(1+a) (resp. 2^(3+b) < 3^(2+a)).  So n descends if m
     does, in fewer steps, and never sets the range's first maximum; if n
-    would fail, so would m, and sieve_scan then walks n.  A block below
-    (9*base + 5)/8 has no such member and pays one comparison per member
-    for the test.
+    would fail, so would m, which some block at or before n's fails
+    first.  A block below (9*base + 5)/8 has no such member and pays one
+    comparison per member for the test, and a base above hi turns the
+    rule off: every leftover is walked.
     """
     # Leaf by leaf rather than period by period keeps a shallow sieve,
     # whose 2^depth period is far shorter than a block, free of per-period
@@ -269,6 +274,23 @@ def _fold(a, b):
     return verified + b[0], skipped + b[1], failures, maxima
 
 
+def _fold_until_failure(results):
+    """Fold the block tallies of results (_fold), in range order, up to the
+    first that holds a failure: (the tally of the blocks before it, its
+    first failure's n), or (the tally of every block, None).
+
+    Every leftover of the blocks before it descends, so their tally is
+    exact, and that n is the smallest failure of the range: a leftover
+    counted through an ancestor fails only after it (see _scan_block).
+    """
+    tally = (0, 0, [], [])
+    for result in results:
+        if result[2]:
+            return tally, result[2][0][0]
+        tally = _fold(tally, result)
+    return tally, None
+
+
 def _scan_worker(tasks: int, results: int, width: int, block) -> None:
     """A forked worker's life: scan block(k) for each block number k read
     from tasks and send (k, result) back on results, as a length-prefixed
@@ -308,11 +330,13 @@ def _block_results(
     leaves: UnresolvedLeaves,
     step_cap: int,
     workers: int,
+    base: int,
 ):
     """Yield _scan_block's result for each block of [lo, hi], in range order.
 
-    Each block gets lo as the start of the range whose leftovers it may
-    count through an ancestor.  A block_size of None picks one from the
+    Each block gets base as the start of the range whose leftovers it may
+    count through an ancestor (see _scan_block): lo, or hi + 1 to walk
+    every leftover.  A block_size of None picks one from the
     range and the worker count.  Blocks are drawn lazily; an empty range
     yields nothing.  On more than one worker, and never more workers than
     blocks, the workers are forked from this process with SIGINT and
@@ -348,7 +372,7 @@ def _block_results(
 
     def block(k: int):
         a = lo + k * block_size
-        return _scan_block(a, min(a + block_size - 1, hi), leaves, step_cap, lo)
+        return _scan_block(a, min(a + block_size - 1, hi), leaves, step_cap, base)
 
     count = (hi - lo) // block_size + 1
     workers = min(workers, count)
@@ -470,44 +494,32 @@ def sieve_scan(
     counted as skipped (their descent is certified by the class algebra,
     checked while the leaves are built); the rest, the leftovers, are
     verified by a walk of their own or, when their ancestor lies in
-    [lo, n), by that ancestor's (see ScanReport and _scan_block).  After
-    the merge, the scan walks each leftover counted through a failed
-    ancestor f, the descendant (3f + 1)/2 when f % 4 == 3 and (9f + 5)/8
-    when f % 16 == 11, and in turn those of each that fails, so the
-    report is that of a walk of every leftover.  The parity tree is
+    [lo, n), by that ancestor's (see ScanReport and _scan_block).  The
+    block tallies are folded (_fold) in range order up to the first block
+    that holds a failure (_fold_until_failure), and every leftover before
+    it descends.  From that block's start on, the scan folds the rest of
+    the range again with the ancestor rule off (base hi + 1), so every
+    leftover there is walked and the report is that of a walk of every
+    leftover; a clean scan runs each block once.  The parity tree is
     walked only to the deepest level up to depth that prunes a class
     (_walk_depth), which has the same leftovers.  depth = 0 disables the
     sieve.  Without a depth, one is picked from the range size:
     bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
     numbers, 22 from 2^23 up); the report records it.  For a given depth
-    the report is deterministic for any worker count and block size:
-    the block tallies are folded (_fold) in range order, each as it
-    arrives, and the last running maximum of the fold is the report's
-    maximum unless a descendant walked after it beats it.  The step cap
-    applies to the leftovers alone, since a skipped number is never
-    walked, so a cap below the longest class length makes the
+    the report is deterministic for any worker count and block size.  The
+    step cap applies to the leftovers alone, since a skipped number is
+    never walked, so a cap below the longest class length makes the
     failures depend on the depth: a cap of 5 on [2, 100] fails 25, 25
-    and 12 numbers at depths 0, 2 and 5.  Without a
-    block_size, a block holds about 1/8 of a worker's share of the range,
-    but never fewer than 2^16 or more than 2^20 numbers.  Every worker
-    count draws its blocks lazily, and more than one worker, never more
-    than the blocks, pull block numbers from a pipe that holds at most two
-    per worker ahead of the merge, so memory stays flat in the range size.
-    The workers are forked from this process with os.fork, with SIGINT
-    blocked, so Ctrl-C interrupts this process alone and raises
-    KeyboardInterrupt; the CLI turns a SIGTERM to it into the same
-    interrupt.  The workers restore SIGTERM's default action, and however
-    the scan ends, this process SIGTERMs and reaps them at once, blocks in
-    flight included.  This process reads each worker's reply whole; a
-    block that raises in a worker runs again here and raises the same
-    exception, as on one worker.  Without os.fork (Windows) only workers=1
-    runs.  Raises ValueError on a bad range, worker count or block size,
-    or more than one worker and block without os.fork,
-    ValueError("depth must be >= 0") on a negative depth (from
-    unresolved_leaves), DepthTooLarge past MAX_DEPTH, and
-    CollatzDescentError when a worker dies (naming
-    its pid and exit status) or cannot be forked (chained from the
-    OSError).
+    and 12 numbers at depths 0, 2 and 5.  _block_results draws each
+    pass's blocks, sizes them and runs them on the workers, which it
+    forks and reaps once per pass, however the pass ends; the CLI turns a
+    SIGTERM to this process into KeyboardInterrupt, as Ctrl-C is.  Raises
+    ValueError on a bad range, worker count or block size, or more than
+    one worker and block without os.fork, ValueError("depth must be >=
+    0") on a negative depth (from unresolved_leaves), DepthTooLarge past
+    MAX_DEPTH, CollatzDescentError when a worker dies (naming its pid and
+    exit status) or cannot be forked (chained from the OSError), and the
+    exception a block raises, as on one worker.
     """
     if lo < 2:
         raise ValueError("scan range must start at 2 or above")
@@ -526,32 +538,14 @@ def sieve_scan(
     t0 = time.perf_counter()
     leaves = unresolved_leaves(_walk_depth(depth))
     t1 = time.perf_counter()
-    verified, skipped, failures, maxima = reduce(
-        _fold, _block_results(lo, hi, block_size, leaves, step_cap, workers)
-    )
+    tally, failed = _fold_until_failure(_block_results(lo, hi, block_size, leaves, step_cap, workers, lo))
+    if failed is not None:
+        # every leftover below the failing block descends; from its start on,
+        # walk every leftover, the ancestor rule off
+        start = lo + tally[0] + tally[1]
+        tally = reduce(_fold, _block_results(start, hi, block_size, leaves, step_cap, workers, hi + 1), tally)
+    verified, skipped, failures, maxima = tally
     max_n, max_steps = maxima[-1] if maxima else (None, 0)
-    # A block counts a leftover n as verified through its ancestor m, which
-    # may sit in another block; if m failed, walk n, and if n fails, its own
-    # descendants.  m = (2n - 1)/3 has n = (3m + 1)/2 when m % 4 == 3, and
-    # m = (8n - 5)/9 has n = (9m + 5)/8 when m % 16 == 11.
-    residues, mask = leaves.residues, (1 << leaves.depth) - 1
-    failed = [m for m, _ in failures] if leaves.depth else []
-    while failed:
-        m = failed.pop()
-        for n, rule in ((3 * m + 1) >> 1, m & 3 == 3), ((9 * m + 5) >> 3, m & 15 == 11):
-            i = bisect_left(residues, n & mask)
-            if not rule or n > hi or i == len(residues) or residues[i] != n & mask:
-                continue
-            try:
-                steps = descent_length(n, step_cap)
-            except (CycleDetected, StepCapExceeded) as exc:
-                failures.append((n, exc.reason))
-                verified -= 1
-                failed.append(n)
-            else:
-                if steps > max_steps or steps == max_steps and n < max_n:
-                    max_n, max_steps = n, steps
-    failures.sort()
     wall = time.perf_counter() - t1
     if verified + skipped + len(failures) != hi - lo + 1:
         raise AssertionError("scan accounting does not cover the range")
@@ -578,7 +572,7 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     levels that prune classes (26 at depth 16, 0 at depth 0, which has no
     class).  It walks every n from lo while the running maximum is below
     L, then folds (_fold) the block tallies of a scan of the rest of the
-    range, on one worker, and keeps the fold's records that beat the
+    range, from its own start, on one worker, and keeps the fold's records that beat the
     prefix's maximum.  The records do not depend on the depth.  This is
     exact:
     - a member n >= 2 of a pruned class descends in exactly i + j <= L
@@ -593,9 +587,9 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
     - the range's smallest failure is a leftover its block walked, since
       a leftover counted through an ancestor fails after it, and every
       number below it descends, so walking it from its start raises as a
-      walk of every number would.  The fold stops at the first tally that
-      holds a failure, whose first failure is that one, so no later block
-      is scanned.
+      walk of every number would.  The fold stops at the first block that
+      holds a failure (_fold_until_failure), whose first failure is that
+      one, so no later block is scanned.
     """
     if lo < 2:
         raise ValueError("record search starts at 2 or above")
@@ -613,10 +607,10 @@ def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tu
         n += 1
     if n <= hi:
         leaves = unresolved_leaves(walk_depth)
-        for _, _, failures, maxima in accumulate(_block_results(n, hi, None, leaves, step_cap, 1), _fold):
-            if failures:
-                descent_length(failures[0][0], step_cap)
-                raise AssertionError(f"leftover {failures[0][0]} failed only in its block")
+        (_, _, _, maxima), failed = _fold_until_failure(_block_results(n, hi, None, leaves, step_cap, 1, n))
+        if failed is not None:
+            descent_length(failed, step_cap)
+            raise AssertionError(f"leftover {failed} failed only in its block")
         records.extend(_running_maxima(maxima, best))
     return records
 

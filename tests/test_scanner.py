@@ -185,7 +185,7 @@ def test_pool_workers_block_sigint_and_keep_sigterm_default(forks, monkeypatch):
 
     monkeypatch.setattr(scanner, "_scan_block", signals)
     try:
-        results = list(scanner._block_results(2, 300_000, None, unresolved_leaves(0), 1, 2))
+        results = list(scanner._block_results(2, 300_000, None, unresolved_leaves(0), 1, 2, 2))
     finally:
         signal.signal(signal.SIGTERM, previous)
     assert {pid for _, _, _, [(pid, *_)] in results} <= set(forks)
@@ -207,7 +207,7 @@ def test_pool_holds_at_most_two_blocks_per_worker_in_flight(forks, monkeypatch):
         return write(fd, data)
 
     monkeypatch.setattr(os, "write", counted)
-    results = scanner._block_results(2, 10**8, None, unresolved_leaves(0), 1, 2)
+    results = scanner._block_results(2, 10**8, None, unresolved_leaves(0), 1, 2, 2)
     # blocks handed out but not yet received by the consumer, as each result arrives
     ahead = []
     skipped = 0
@@ -226,7 +226,7 @@ def test_pool_yields_blocks_in_range_order_whatever_order_they_finish(forks, mon
         return 0, b - a + 1, [], [(a, 1)]
 
     monkeypatch.setattr(scanner, "_scan_block", slow_first)
-    results = scanner._block_results(2, 2 + 8 * 1000 - 1, 1000, unresolved_leaves(0), 1, 2)
+    results = scanner._block_results(2, 2 + 8 * 1000 - 1, 1000, unresolved_leaves(0), 1, 2, 2)
     assert [maxima for _, _, _, maxima in results] == [[(2 + k * 1000, 1)] for k in range(8)]
     assert len(forks) == 2
 
@@ -300,7 +300,7 @@ def test_a_failure_met_only_in_the_workers_leaves_the_report_of_one_worker(forks
 
     monkeypatch.setattr(scanner, "_scan_block", short_of_memory_in_a_worker)
     assert sieve_scan(2, 300_000, 5, workers=2, step_cap=20).canonical_json() == expected
-    assert len(forks) == 2
+    assert len(forks) == 4
 
 
 def test_a_reply_longer_than_a_pipe_buffer_arrives_whole(forks):
@@ -311,7 +311,7 @@ def test_a_reply_longer_than_a_pipe_buffer_arrives_whole(forks):
     report = sieve_scan(2, 400_000, 0, workers=2, step_cap=5)
     assert len(report.failures) == 100_000
     assert report.canonical_json() == sieve_scan(2, 400_000, 0, step_cap=5).canonical_json()
-    assert len(forks) == 2
+    assert len(forks) == 4
 
 
 def test_dead_worker_is_a_domain_error_chained_from_the_pool(forks, monkeypatch):
@@ -347,7 +347,7 @@ def test_closing_a_pooled_scan_ends_its_workers_at_once(forks, monkeypatch):
         return 0, b - a + 1, [], []
 
     monkeypatch.setattr(scanner, "_scan_block", slow_after_the_first)
-    results = scanner._block_results(2, 10**7, None, unresolved_leaves(0), 1, 2)
+    results = scanner._block_results(2, 10**7, None, unresolved_leaves(0), 1, 2, 2)
     next(results)
     assert len(forks) == 2 and not any(map(reaped, forks))
     start = time.monotonic()
@@ -372,7 +372,7 @@ def test_closing_a_pooled_scan_ends_its_workers_at_once(forks, monkeypatch):
 def test_blocks_are_sized_from_the_range_and_the_workers(forks, monkeypatch, size, workers, block_size):
     monkeypatch.setattr(scanner, "_scan_block", lambda a, b, *rest: (0, b - a + 1, [], []))
     lo = 10**12 + 12_345
-    results = scanner._block_results(lo, lo + size - 1, None, unresolved_leaves(0), 1, workers)
+    results = scanner._block_results(lo, lo + size - 1, None, unresolved_leaves(0), 1, workers, lo)
     lengths = [skipped for _, skipped, _, _ in results]
     assert lengths == [block_size] * (size // block_size) + [size % block_size] * (size % block_size > 0)
     # workers fork whenever there is more than one worker and one block
@@ -389,7 +389,7 @@ def test_default_blocks_of_several_periods_report_as_blocks_of_2_16(workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_empty_range_has_no_blocks(workers):
     leaves = unresolved_leaves(5)
-    assert list(scanner._block_results(5, 4, 65536, leaves, 1000, workers)) == []
+    assert list(scanner._block_results(5, 4, 65536, leaves, 1000, workers, 5)) == []
 
 
 def test_one_worker_scan_streams_its_blocks(monkeypatch):
@@ -525,9 +525,10 @@ DOUBLING_DEPTHS = (3, 6, 9, 11, 14, 17, 19, 22)
 
 @pytest.mark.parametrize("depth", DOUBLING_DEPTHS)
 def test_a_doubling_depth_scans_as_a_walk_to_that_depth(depth, monkeypatch):
-    # a cap of 150 fails 78 leftovers of [2, 3*10^5], 30 of them counted
-    # through a failed ancestor and walked after the merge, which must read
-    # the residues of the level the scan walked to, depth - 1
+    # a cap of 150 fails 78 leftovers of [2, 3*10^5], 30 of them with a
+    # failed ancestor, which the ancestor rule would count through it; from
+    # the first failing block on the scan walks every leftover again, on
+    # the residues of the level it walked to, depth - 1
     walk_depths = [scanner._walk_depth(d) for d in range(depth - 1, depth + 2)]
     assert walk_depths == [depth - 1, depth - 1, depth + 1]
     walked = []
@@ -774,7 +775,7 @@ def test_scan_records_are_the_running_maxima_of_every_leftover(depth, lo, forks)
     leaves = unresolved_leaves(depth)
     for workers in (1, 2):
         for block_size in (256, None):
-            blocks = scanner._block_results(lo, hi, block_size, leaves, DEFAULT_STEP_CAP, workers)
+            blocks = scanner._block_results(lo, hi, block_size, leaves, DEFAULT_STEP_CAP, workers, lo)
             _, _, failures, records = reduce(scanner._fold, blocks)
             assert failures == []
             assert records == expected, (workers, block_size)
@@ -805,7 +806,7 @@ def test_folding_block_tallies_in_any_grouping_gives_the_one_pass_tally(
 ):
     hi = lo + size - 1
     leaves = unresolved_leaves(depth)
-    tallies = list(scanner._block_results(lo, hi, block_size, leaves, step_cap, 1))
+    tallies = list(scanner._block_results(lo, hi, block_size, leaves, step_cap, 1, lo))
     bounds = [0, *sorted({c % len(tallies) for c in cuts} - {0}), len(tallies)]
     parts = [fold(tallies[a:b]) for a, b in zip(bounds, bounds[1:])]
     one_pass = fold(tallies)
@@ -828,6 +829,50 @@ def test_a_failing_record_search_stops_at_its_first_failing_block(monkeypatch):
         record_search(2, 10**7, step_cap=96)
     assert str(raised.value) == "no value below 703 within 96 steps"
     assert len(blocks) == 1
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 10**6), (10**12, 10**12 + 10**5)])
+@pytest.mark.parametrize("step_cap", [30, 96, 150, 250])
+def test_a_failing_record_search_raises_at_the_scans_first_failure(lo, hi, step_cap):
+    failures = sieve_scan(lo, hi, step_cap=step_cap).failures
+    assert failures
+    with pytest.raises((CycleDetected, StepCapExceeded)) as expected:
+        descent_length(failures[0][0], step_cap)
+    with pytest.raises(type(expected.value)) as raised:
+        record_search(lo, hi, step_cap)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_blocks_from_the_first_failing_one_on_run_again_with_every_leftover_walked(monkeypatch):
+    # a fake cycle at 87399, a leftover of the second 2^16 block of
+    # [2, 300000]: the first block runs once with the scan's start as its
+    # base, the second with it and then with hi + 1, the rule off, and each
+    # later block with hi + 1 alone
+    calls = []
+    scan_block = scanner._scan_block
+
+    def recorded(lo, hi, leaves, step_cap, base):
+        calls.append((lo, hi, base))
+        return scan_block(lo, hi, leaves, step_cap, base)
+
+    monkeypatch.setattr(scanner, "_scan_block", recorded)
+    sieve_scan(2, 300_000, 16)
+    starts = [2 + (k << 16) for k in range(5)]
+    blocks = [(a, min(a + (1 << 16) - 1, 300_000)) for a in starts]
+    assert calls == [(*block, 2) for block in blocks]
+
+    real = scanner.descent_length
+
+    def cycle_at_87399(n, *args):
+        if n == 87_399:
+            raise CycleDetected("trajectory of 87399 returned to its start")
+        return real(n, *args)
+
+    monkeypatch.setattr(scanner, "descent_length", cycle_at_87399)
+    calls.clear()
+    rep = sieve_scan(2, 300_000, 16)
+    assert rep.failures == ((87_399, "cycle detected"),)
+    assert calls == [(*blocks[0], 2), (*blocks[1], 2)] + [(*block, 300_001) for block in blocks[1:]]
 
 
 def test_record_search_lists_the_glide_records_to_10_6():
@@ -899,7 +944,7 @@ def test_a_cycle_in_a_block_is_a_scan_failure_and_a_record_search_error(forks, m
         rep = sieve_scan(2, 1000, depth, workers=workers, block_size=100)
         assert rep.failures == ((703, "cycle detected"),)
         assert rep.verified_count + rep.skipped_count == 998
-    assert len(forks) == 2
+    assert len(forks) == 4
     with pytest.raises(CycleDetected, match="^trajectory of 703 returned to its start$"):
         record_search(2, 1000)
 
@@ -1045,7 +1090,7 @@ def test_the_descendants_of_a_failed_ancestor_are_walked_after_the_merge(
         assert rep.canonical_json() == expected, workers
     if failing == {703}:
         assert (rep.max_descent_n, rep.max_descent_steps) == (1055, 130)
-    assert len(forks) == 2
+    assert len(forks) == 4
     message = f"^no value below {min(failing)} within 100000 steps$"
     with pytest.raises(StepCapExceeded, match=message):
         record_search(lo, hi)
@@ -1054,8 +1099,9 @@ def test_the_descendants_of_a_failed_ancestor_are_walked_after_the_merge(
 def test_a_cycle_met_after_the_merge_is_a_scan_failure(forks, monkeypatch):
     # 87399 % 4 == 3: a leftover of the second 2^16 block with no ancestor,
     # walked there, and 131099 = (3*87399 + 1)/2 a leftover of the third,
-    # counted through it; with both cycling, 131099 fails in the walk
-    # after the merge
+    # which the ancestor rule counts through it; with both cycling, the
+    # second block fails, and 131099 fails when the scan walks every
+    # leftover from that block's start on
     m, n = 87_399, 131_099
     assert {m & 0xFFFF, n & 0xFFFF} <= set(unresolved_leaves(16).residues)
     assert ancestor(m) is None and ancestor(n) == (m, 2)
@@ -1075,16 +1121,17 @@ def test_a_cycle_met_after_the_merge_is_a_scan_failure(forks, monkeypatch):
         assert rep.failures == ((m, "cycle detected"), (n, "cycle detected")), workers
         assert rep.verified_count == 9_673, workers
         assert rep.canonical_json() == expected, workers
-    assert len(forks) == 2
+    assert len(forks) == 4
 
 
 def test_a_failure_row_carries_its_exceptions_reason(forks):
-    # a cap of 96 fails 175 leftovers of [2, 10^5]: the blocks walk 100 of
-    # them, and the walk after the merge the 75 counted through a failed
-    # ancestor
+    # a cap of 96 fails 175 leftovers of [2, 10^5]: with the ancestor rule
+    # on, the blocks walk 100 of them and count the other 75 through a
+    # failed ancestor, so the scan walks all 175 in its second pass, from
+    # the first block on
     assert (CycleDetected.reason, StepCapExceeded.reason) == ("cycle detected", "step cap exceeded")
     leaves = unresolved_leaves(scanner._walk_depth(16))
-    _, _, block_failures, _ = reduce(scanner._fold, scanner._block_results(2, 10**5, None, leaves, 96, 1))
+    _, _, block_failures, _ = reduce(scanner._fold, scanner._block_results(2, 10**5, None, leaves, 96, 1, 2))
     assert len(block_failures) == 100
     for workers in (1, 2):
         rep = sieve_scan(2, 10**5, 16, workers=workers, step_cap=96)
@@ -1093,7 +1140,7 @@ def test_a_failure_row_carries_its_exceptions_reason(forks):
             with pytest.raises((CycleDetected, StepCapExceeded)) as raised:
                 descent_length(n, 96)
             assert raised.value.reason == reason, n
-    assert len(forks) == 2
+    assert len(forks) == 4
 
 
 def test_twin_of_27():
