@@ -36,7 +36,7 @@ from .reports import (
     trace_report,
     write,
 )
-from .scanner import MAX_DEPTH, _walk_depth, classify_depth, record_search, sieve_scan
+from .scanner import MAX_DEPTH, classify_depth, record_search, sieve_scan
 
 
 def _class_tables(parser: argparse.ArgumentParser, text: str) -> list[Table]:
@@ -80,11 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify residues by descent depth")
     p.add_argument("--depth", type=int, default=5, help=f"halving depth, 1 to {MAX_DEPTH} (default: 5)")
-    # _walk_depth stops one level short at a depth that prunes no class, and
-    # classify_report prints that depth from it; a depth past MAX_DEPTH goes
-    # to classify_depth as asked, which refuses it
-    p.set_defaults(tables=lambda args, cap: classify_report(
-        classify_depth(_walk_depth(args.depth) if args.depth <= MAX_DEPTH else args.depth), args.depth))
+    p.set_defaults(tables=lambda args, cap: classify_report(classify_depth(args.depth)))
 
     p = sub.add_parser("scan", help="verify a range, sieving out class-certified numbers")
     p.add_argument("lo", type=int)

@@ -170,6 +170,17 @@ def _min_descending_j(i: int) -> int:
     return (3**i).bit_length()
 
 
+def _deepest_pruning_level(depth: int) -> tuple[int, int]:
+    """(i, j) of the deepest level up to depth that prunes classes; (0, depth) if none.
+
+    A class with i O-steps is pruned at j = bitlen(3^i) halvings alone, so
+    each such level holds one O-count.  i + j grows with j, so the deepest
+    level's i + j is L, the longest class length up to depth: 0 at depth
+    0, which has no class.  Only a depth <= 0 has no level.
+    """
+    return max(((i, j) for i in range(depth) if (j := _min_descending_j(i)) <= depth), default=(0, depth))
+
+
 # Lengths up to this bound get every candidate split listed in the
 # feasibility table; beyond it only the splits adjacent to the previous
 # feasible one appear.  Frozen so the emitted table is reproducible.
@@ -374,20 +385,22 @@ def iter_minimal_pattern_texts(max_j: int) -> Iterator[str]:
 class UnresolvedLeaves(_Record):
     """The parity tree to `depth` halvings: its open leaves and its pruned classes.
 
-    Leaf t is the odd residue r = residues[t] with a = o_counts[t] and
-    e = ends[t]: every n = 2^depth*h + r takes a O-steps and depth E-steps
-    with every value strictly above n, and then stands at 3^a*h + e.
-    Residues are sorted.  Pruned class t is the minimal descent class
-    2^class_j[t]*k + class_x[t] with class_i[t] O-steps and the paper's
-    adder class_m[t], sorted by j, then x.  Depth 0 has the single trivial
-    leaf r = 0, a = 0, e = 0 and no class.  depth is an int; residues,
-    ends, class_x and class_m are array('Q'); o_counts, class_j and
-    class_i are bytes.
+    The leaves stand W = leaf_depth halvings deep: depth, or depth - 1 at
+    a depth that prunes no class (see unresolved_leaves).  Leaf t is the
+    odd residue r = residues[t] with a = o_counts[t] and e = ends[t]: every
+    n = 2^W*h + r takes a O-steps and W E-steps with every value strictly
+    above n, and then stands at 3^a*h + e.  Residues are sorted.  Pruned
+    class t is the minimal descent class 2^class_j[t]*k + class_x[t] with
+    class_i[t] O-steps and the paper's adder class_m[t], sorted by j, then
+    x.  Depth 0 has the single trivial leaf r = 0, a = 0, e = 0 and no
+    class.  depth is an int; residues, ends, class_x and class_m are
+    array('Q'); o_counts, class_j and class_i are bytes.
 
-    Building one checks it, so a copy made by _replace is checked too:
-    every leaf has 2^depth <= 3^a, the smallest member x >= 2 of every
-    class ends below x (else NotADescent), and the classes and the leaves
-    partition the residues mod 2^depth.
+    Building one checks it, so a copy made by _replace is checked too: no
+    class is deeper than depth, every leaf has 2^depth <= 3^a, the
+    smallest member x >= 2 of every class ends below x (else NotADescent),
+    and the classes and the leaves partition the residues mod 2^W, so
+    those mod 2^depth too, each leaf r standing for every r + k*2^W.
 
     This is also the classification of the naturals to `depth` halvings.
     replay is the one replay pass: it reads each class's pattern and y0
@@ -403,20 +416,22 @@ class UnresolvedLeaves(_Record):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        depth, residues, o_counts = self.depth, self.residues, self.o_counts
+        depth, residues, o_counts, w = self.depth, self.residues, self.o_counts, self.leaf_depth
+        if w > depth:
+            raise AssertionError(f"a class with j = {w} lies deeper than depth {depth}")
         # 3^a grows with a, so the leaf with the fewest O-steps decides them all
         a = min(o_counts, default=depth)
         if 3**a < 1 << depth:
             r = residues[o_counts.index(a)]
-            raise AssertionError(f"leaf {r} mod 2^{depth} takes {a} O-steps, and 3^{a} < 2^{depth}")
+            raise AssertionError(f"leaf {r} mod 2^{w} takes {a} O-steps, and 3^{a} < 2^{depth}")
         for x, j, i, m in zip(self.class_x, self.class_j, self.class_i, self.class_m):
             y0 = (3**i * x + m) >> j
             if y0 >= x >= 2:
                 raise NotADescent(f"smallest member {x} of class mod 2^{j} ends at {y0}")
-        covered = sum(1 << (depth - j) for j in self.class_j)
-        if covered + len(residues) != 1 << depth:
+        covered = sum(1 << (w - j) for j in self.class_j)
+        if covered + len(residues) != 1 << w:
             raise AssertionError(
-                f"classes cover {covered} and {len(residues)} leaves are open, not 2^{depth} residues"
+                f"classes cover {covered} and {len(residues)} leaves are open, not 2^{w} residues"
             )
 
     def replay(self) -> tuple[list[str], array]:
@@ -446,24 +461,29 @@ class UnresolvedLeaves(_Record):
         return tuple(map(_resolved_class, texts, self.class_i, self.class_j, self.class_m, self.class_x, y0s))
 
     @property
+    def leaf_depth(self) -> int:
+        """W, the level of residues, o_counts and ends: the deepest class j, or 0 with no class."""
+        return max(self.class_j, default=0)
+
+    @property
     def resolved_measure(self) -> Fraction:
         """The exact density sum(2^-j) of the classes.
 
-        The classes and the open leaves partition the residues mod
-        2^depth, so the classes cover all but the leaves.
+        The classes and the open leaves partition the residues mod 2^W,
+        so the classes cover all but the leaves.
         """
         from fractions import Fraction
 
-        return Fraction((1 << self.depth) - len(self.residues), 1 << self.depth)
+        return 1 - Fraction(len(self.residues), 1 << self.leaf_depth)
 
     @property
     def unresolved_residues(self) -> tuple[int, ...]:
-        """The odd residues mod 2^depth that no class covers, sorted."""
-        return tuple(self.residues)
+        """The odd residues mod 2^depth that no class covers, sorted: the leaves' r, then each r + 2^W."""
+        return tuple(r + k for k in range(0, 1 << self.depth, 1 << self.leaf_depth) for r in self.residues)
 
 
 def unresolved_leaves(depth: int) -> UnresolvedLeaves:
-    """Walk the parity tree to `depth` halvings, level by level.
+    """Walk the parity tree toward `depth` halvings, level by level, to its last pruning level.
 
     A node is a residue x mod 2^b whose members n = 2^b*h + x stand at
     3^a*h + e after their first b halvings, a of them after an O-step.
@@ -474,16 +494,24 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
     The odd child never resolves (2^b <= 3^a gives 2^(b+1) < 3^(a+1)); the
     even child whose prefix first reaches 2^(b+1) > 3^a is a resolved
     class, pruned with the adder m = (y0 << (b+1)) - 3^a*x of its smallest
-    member x, which ends at y0 = w/2.  The nodes that reach b = depth are
-    the open leaves.  Each level keeps its x-children ahead of its
+    member x, which ends at y0 = w/2.  The nodes of the last level are the
+    open leaves.  Each level keeps its x-children ahead of its
     (x + 2^b)-children, so every level, the leaves included, stays sorted
     by residue, and so do the classes it prunes: the class arrays come
     out sorted by j, then x.  This is Terras' parity-vector bijection: the
     pruned nodes are exactly the minimal classes with j <= depth, the
-    leaves the unresolved residues.  Every node has one open child, and a second
-    where 2^(b+1) <= 3^a, so each level's arrays are allocated once at
-    their final size: the x-children fill them from the front, the
+    leaves the unresolved residues.  Every node has one open child, and a
+    second where 2^(b+1) <= 3^a, so each level's arrays are allocated once
+    at their final size: the x-children fill them from the front, the
     (x + 2^b)-children from the back, which is then reversed.
+
+    The last level is W = leaf_depth, the deepest up to depth that prunes
+    a class (_deepest_pruning_level); this is the one place that rule is
+    applied.  A class is pruned at j = bitlen(3^i) alone, so no level 3,
+    6, 9, 11, 14, 17, 19, 22, 25 or 28 prunes one.  At such a depth every
+    leaf one level up has two open children, the leaf's r and r + 2^W, so
+    the walk stops at W = depth - 1 with half the leaves, and
+    UnresolvedLeaves's check 2^depth <= 3^a on every leaf confirms that.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -491,7 +519,7 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
     # one level: residues x mod 2^b, O-counts a and ends e, each with 2^b <= 3^a
     xs, o_counts, ends = array("Q", [0]), bytearray(b"\x00"), array("Q", [0])
     class_x, class_j, class_i, class_m = array("Q"), bytearray(), bytearray(), array("Q")
-    for b in range(depth):
+    for b in range(_deepest_pruning_level(depth)[1]):
         pow2b = 1 << b
         pow2nb = pow2b << 1
         # the level's classes that are (x + 2^b)-children, put after its x-children's

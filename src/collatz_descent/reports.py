@@ -253,26 +253,21 @@ def classes_report(classes: list[ResidueClass]) -> list[Table]:
     return [Table(title="", columns=list(_CLASS_COLUMNS), rows=rows)]
 
 
-def classify_report(report: UnresolvedLeaves, depth: int | None = None) -> list[Table]:
-    """Summary, classes and unresolved residues to depth halvings (default: the walk's).
+def classify_report(report: UnresolvedLeaves) -> list[Table]:
+    """Summary, classes and unresolved residues mod 2^report.depth.
 
-    depth may be the walk's depth W or, where it prunes no class (3^a >=
-    2^depth for every leaf), W + 1: that level's open residues are each
-    leaf's r, then each r + 2^W, and its classes are the walk's, so no
-    walk to it is needed; any other depth raises AssertionError.  Each
-    class is replayed once, here (UnresolvedLeaves.replay, which checks
-    its pattern against i, j and y0), so a failed check raises before any
-    output.  Only the pattern texts and the y0s are kept.  The classes
-    and residues tables are Rows views over them and the walk's arrays: a
-    chunk's cells are made only as it is written, and no ResidueClass,
-    row or level-depth array is built.  The measure cell is sum(2^-j) as
-    str(resolved_measure) prints it, reduced with math.gcd, which spares
-    the fractions import.
+    The residues are unresolved_residues: each leaf's r, then, where the
+    walk stopped a level short (see unresolved_leaves), each r + 2^W, W
+    its leaf_depth.  Each class is replayed once, here
+    (UnresolvedLeaves.replay, which checks its pattern against i, j and
+    y0), so a failed check raises before any output.  Only the pattern
+    texts and the y0s are kept.  The classes and residues tables are Rows
+    views over them and the walk's arrays: a chunk's cells are made only
+    as it is written, and no ResidueClass, row or level-depth array is
+    built.  The measure cell is sum(2^-j) as str(resolved_measure) prints
+    it, reduced with math.gcd, which spares the fractions import.
     """
-    residues, walk, n = report.residues, report.depth, len(report.residues)
-    depth = walk if depth is None else depth
-    if depth - walk not in (0, 1) or 3 ** min(report.o_counts) < 1 << depth:
-        raise AssertionError(f"a walk to {walk} halvings does not give the residues mod 2^{depth}")
+    residues, depth, walk, n = report.residues, report.depth, report.leaf_depth, len(report.residues)
     count, size, high = n << (depth - walk), 1 << depth, 1 << walk
     g = gcd(size - count, size)
     measure = f"{(size - count) // g}/{size // g}".removesuffix("/1")

@@ -2,16 +2,14 @@
 search and twin checks.
 
 Classification, the scan and the record search stand on one walk of the
-parity tree to J halvings (patterns.unresolved_leaves), which
-classify_depth returns as the classification.  Like a scan, the classify
-command walks only to the deepest level up to its depth that prunes a
-class (_walk_depth), and reports.classify_report prints the asked depth,
-one level deeper at most, from that walk.  Its pruned nodes are the
+parity tree toward J halvings (patterns.unresolved_leaves), which
+classify_depth returns as the classification.  Its pruned nodes are the
 minimal descent classes with at most J halving steps; its open leaves are
-what those classes miss, each an odd residue r mod 2^J with the O-count
-a and the end e of its first J halvings.  The scan visits the members of
-those leaves alone, resumes each n = 2^J*h + r at its value 3^a*h + e
-after the J halvings, and counts every other number as skipped.  A member
+what those classes miss, each an odd residue r mod 2^W, W the walk's
+leaf_depth (J, or J - 1 where level J prunes nothing), with the O-count a
+and the end e of its first W halvings.  The scan visits the members of
+those leaves alone, resumes each n = 2^W*h + r at its value 3^a*h + e
+after the W halvings, and counts every other number as skipped.  A member
 whose smaller ancestor in the range passes through it on its first descent
 counts through that ancestor, unwalked.  Each block returns its tally:
 counts, failures and the running maxima of its walked leftovers, and one
@@ -36,7 +34,7 @@ from functools import reduce
 
 from .core import DEFAULT_STEP_CAP, DescentTrace, col_step, descent_length, descent_trace
 from .errors import CollatzDescentError, CycleDetected, DepthTooLarge, StepCapExceeded
-from .patterns import UnresolvedLeaves, _min_descending_j, unresolved_leaves
+from .patterns import UnresolvedLeaves, _deepest_pruning_level, unresolved_leaves
 
 # The walk holds one level of the parity tree at a time and the pruned
 # classes, in compact arrays: at depth 24, 286,581 open leaves and 81,119
@@ -113,37 +111,15 @@ def classify_depth(depth: int) -> UnresolvedLeaves:
 
     The walk of the parity tree (patterns.unresolved_leaves) is the
     classification: its pruned classes, their measure and its open leaves.
-    It walks every level to depth; the classify command walks
-    classify_depth(_walk_depth(depth)) instead, one level less at a depth
-    that prunes no class, and classify_report(walk, depth) prints the same
-    tables from it.  Raises ValueError("depth must be >= 1") below depth 1
-    and DepthTooLarge above MAX_DEPTH.
+    The classify command prints it with reports.classify_report.  Raises
+    ValueError("depth must be >= 1") below depth 1 and DepthTooLarge above
+    MAX_DEPTH.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
     return unresolved_leaves(depth)
-
-
-def _deepest_pruning_level(depth: int) -> tuple[int, int]:
-    """(i, j) of the deepest level up to depth that prunes classes; (0, depth) if none.
-
-    A class with i O-steps is pruned at j = bitlen(3^i) halvings alone, so
-    each such level holds one O-count, and none is at j = 3, 6, 9, 11, 14,
-    17, 19, 22 or 25.  At such a j every open node one level up has two
-    open children, so the leftovers, the numbers in no class, are those of
-    a walk to j - 1, which holds half the leaves.  i + j grows with j, so
-    the deepest level's i + j is L, the longest class length up to depth:
-    0 at depth 0, which has no class.  Only a depth <= 0 has no level; a
-    negative one is kept, for unresolved_leaves to refuse.
-    """
-    return max(((i, j) for i in range(depth) if (j := _min_descending_j(i)) <= depth), default=(0, depth))
-
-
-def _walk_depth(depth: int) -> int:
-    """The depth a scan at depth walks to: the deepest up to it that prunes a class."""
-    return _deepest_pruning_level(depth)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +143,14 @@ def _scan_block(
     (n, reason) rows of the walked leftovers whose walk raised
     CycleDetected or StepCapExceeded, reason that exception's reason, and
     maxima are the running maxima of descent length over the walked
-    leftovers that descend, both as pairs in increasing n.  This is the
-    one place a leftover is resumed, leaf by leaf: n = 2^depth*h + r of
-    leaf (r, a, e) resumes at 3^a*h + e after its depth halvings, as a
-    jump over a halving word does.  A block at most one period long has
-    at most one member per leaf, met in increasing n, so one running
-    maximum serves; a longer block puts each leaf's maxima, like the
-    failures, back in range order.
+    leftovers that descend, both as pairs in increasing n.  Here depth is
+    the leaves' leaf_depth, and 2^depth the period.  This is the one place
+    a leftover is resumed, leaf by leaf: n = 2^depth*h + r of leaf
+    (r, a, e) resumes at 3^a*h + e after its depth halvings, as a jump
+    over a halving word does.  A block at most one period long has at
+    most one member per leaf, met in increasing n, so one running maximum
+    serves; a longer block puts each leaf's maxima, like the failures,
+    back in range order.
 
     base is the start of the range whose every leftover some block walks
     or counts, and a block's own start when it is checked alone.  At depth
@@ -194,7 +171,7 @@ def _scan_block(
     # overhead: on 2*10^6 numbers from 2 or from 10^12, in 2^16 blocks, a
     # period-by-period kernel took 3-9% longer at depth 5 and 1.3-1.4x as
     # long at depth 1 (Python 3.11, one core of a 2-vCPU Xeon).
-    depth = leaves.depth
+    depth = leaves.leaf_depth
     residues, o_counts, ends = leaves.residues, leaves.o_counts, leaves.ends
     period = 1 << depth
     mask = period - 1
@@ -465,7 +442,7 @@ def _block_results(
 
 
 def _sieve_depth(size: int) -> int:
-    """The sieve depth for a scan or record search of size numbers (the walk's is _walk_depth's)."""
+    """The sieve depth for a scan or record search of size numbers."""
     # A deeper walk leaves fewer numbers to simulate but costs more to build
     # and hands each block more leaves to set up, so the depth that pays
     # grows with the range.  Swept in-process on one worker, best of 3-5
@@ -500,12 +477,12 @@ def sieve_scan(
     it descends.  From that block's start on, the scan folds the rest of
     the range again with the ancestor rule off (base hi + 1), so every
     leftover there is walked and the report is that of a walk of every
-    leftover; a clean scan runs each block once.  The parity tree is
-    walked only to the deepest level up to depth that prunes a class
-    (_walk_depth), which has the same leftovers.  depth = 0 disables the
-    sieve.  Without a depth, one is picked from the range size:
-    bit_length(hi - lo + 1) - 2, between 0 and 22 (16 for 2*10^5
-    numbers, 22 from 2^23 up); the report records it.  For a given depth
+    leftover; a clean scan runs each block once.  The leaves are
+    unresolved_leaves(depth), whose walk may stop a level short with the
+    same leftovers.  depth = 0 disables the sieve.  Without a depth, one
+    is picked from the range size: bit_length(hi - lo + 1) - 2, between 0
+    and 22 (16 for 2*10^5 numbers, 22 from 2^23 up); the report records
+    it.  For a given depth
     the report is deterministic for any worker count and block size.  The
     step cap applies to the leftovers alone, since a skipped number is
     never walked, so a cap below the longest class length makes the
@@ -536,7 +513,7 @@ def sieve_scan(
         raise DepthTooLarge(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
 
     t0 = time.perf_counter()
-    leaves = unresolved_leaves(_walk_depth(depth))
+    leaves = unresolved_leaves(depth)
     t1 = time.perf_counter()
     tally, failed = _fold_until_failure(_block_results(lo, hi, block_size, leaves, step_cap, workers, lo))
     if failed is not None:

@@ -113,7 +113,7 @@ GOLDEN_22 = {
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_classify_command(capsys, fmt):
     # every doubling depth up to 22 (3, 6, 9, 11, 14, 17, 19, 22) is printed
-    # from a walk one level up; the library route walks every depth in full
+    # from a walk one level up
     for depth in [*range(1, 21), 22]:
         code, out, err = run(capsys, "classify", "--depth", str(depth), "--format", fmt)
         assert (code, err) == (0, "")
@@ -125,8 +125,9 @@ def test_classify_walks_only_to_the_last_pruning_level(capsys, monkeypatch):
     walked = []
 
     def recording(depth):
-        walked.append(depth)
-        return unresolved_leaves(depth)
+        leaves = unresolved_leaves(depth)
+        walked.append(leaves.leaf_depth)
+        return leaves
 
     monkeypatch.setattr(scanner, "unresolved_leaves", recording)
     for depth, walks in ((22, [21]), (24, [24]), (3, [2])):

@@ -300,7 +300,10 @@ def test_leaves_match_the_dense_classification():
         assert report.classes == expected.classes, depth
         assert report.resolved_measure == expected.resolved_measure, depth
         assert report.unresolved_residues == expected.unresolved_residues, depth
-        assert tuple(leaves.residues) == expected.unresolved_residues
+        # the leaves are the residues below 2^leaf_depth, one level short at a doubling depth
+        assert leaves.leaf_depth == depth - (depth in DOUBLING_DEPTHS), depth
+        high = 1 << leaves.leaf_depth
+        assert tuple(leaves.residues) == tuple(r for r in expected.unresolved_residues if r < high)
         assert len(leaves.class_x) == len(expected.classes)
         assert len(leaves.o_counts) == len(leaves.ends) == len(leaves.residues)
         assert len(leaves.class_j) == len(leaves.class_i) == len(leaves.class_m) == len(leaves.class_x)
@@ -322,6 +325,38 @@ def test_walk_stores_its_classes_sorted_by_j_then_x():
         assert set(zip(leaves.class_j, leaves.class_i)) == levels, depth
 
 
+# the depths up to 28 at which no class is pruned: no i has bitlen(3^i) = j
+DOUBLING_DEPTHS = (3, 6, 9, 11, 14, 17, 19, 22, 25, 28)
+
+
+def test_a_walk_one_level_up_is_the_walk_to_a_doubling_depth():
+    # a depth that prunes no class holds each open residue r one level up and
+    # r + 2^(depth - 1), so its walk is the one a level up; a depth that
+    # prunes a class, or lies two levels down, has leaves with 3^a < 2^depth
+    for depth in range(1, 21):
+        up = unresolved_leaves(depth - 1)
+        if depth in DOUBLING_DEPTHS:
+            assert up._replace(depth=depth) == unresolved_leaves(depth), depth
+        else:
+            with pytest.raises(AssertionError, match=rf" < 2\^{depth}"):
+                up._replace(depth=depth)
+    leaves = unresolved_leaves(22)
+    assert unresolved_leaves(21)._replace(depth=22) == leaves
+    assert (leaves.leaf_depth, len(leaves.residues), len(leaves.unresolved_residues)) == (21, 46_611, 93_222)
+    for walk, depth in ((20, 22), (23, 24)):
+        with pytest.raises(AssertionError, match=rf" < 2\^{depth}"):
+            unresolved_leaves(walk)._replace(depth=depth)
+
+
+def test_leaves_reject_a_depth_below_their_deepest_class():
+    # the leaves still partition the residues mod 2^21 with the classes, and
+    # each has 3^a >= 2^21 > 2^20: the deepest class alone gives them away
+    with pytest.raises(AssertionError, match=r"^a class with j = 21 lies deeper than depth 20$"):
+        unresolved_leaves(21)._replace(depth=20)
+    with pytest.raises(AssertionError, match=r"^a class with j = 5 lies deeper than depth 3$"):
+        unresolved_leaves(6)._replace(depth=3)
+
+
 def test_depth_zero_leaf_is_trivial():
     leaves = unresolved_leaves(0)
     assert (list(leaves.residues), leaves.o_counts, list(leaves.ends)) == ([0], b"\x00", [0])
@@ -333,18 +368,19 @@ def test_depth_zero_leaf_is_trivial():
 def test_leaf_prefix_stays_above_the_start_and_lands_on_the_affine_image():
     for depth in range(1, 13):
         leaves = unresolved_leaves(depth)
+        w = leaves.leaf_depth
         for r, a, e in zip(leaves.residues, leaves.o_counts, leaves.ends):
             for k in (0, 1, 2**20 + 3):
-                n = r + (k << depth)
+                n = r + (k << w)
                 if n < 2:
                     continue
                 v, halvings = n, 0
-                for _ in range(a + depth):
+                for _ in range(a + w):
                     v, kind = col_step(v)
                     halvings += kind == "E"
                     assert v > n, (n, depth)
-                assert halvings == depth
-                assert v == 3**a * (n >> depth) + e
+                assert halvings == w
+                assert v == 3**a * (n >> w) + e
 
 
 def test_walk_ends_on_the_halving_words():
@@ -353,7 +389,7 @@ def test_walk_ends_on_the_halving_words():
     for t in range(patterns._WORD_K + 1):
         leaves = unresolved_leaves(t)
         for r, a, e in zip(leaves.residues, leaves.o_counts, leaves.ends):
-            assert (3**a, e) == words[t][r][1:3], (t, r)
+            assert (3**a, e) == words[leaves.leaf_depth][r][1:3], (t, r)
         for x, j, i, m in zip(leaves.class_x, leaves.class_j, leaves.class_i, leaves.class_m):
             assert (3**i, (3**i * x + m) >> j) == words[j][x][1:3], (x, j)
 

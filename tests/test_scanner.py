@@ -33,6 +33,7 @@ from collatz_descent import (
 )
 from collatz_descent import scanner
 from collatz_descent.core import col_step, descent_length
+from collatz_descent.patterns import _deepest_pruning_level
 from collatz_descent.reports import scan_report_tables
 from conftest import reaped
 from dense_reference import dense_classification, descent_length_reference
@@ -420,9 +421,9 @@ def test_the_longest_class_is_the_deepest_pruning_level():
     for depth in range(25):
         leaves = unresolved_leaves(depth)
         lengths = [i + j for i, j in zip(leaves.class_i, leaves.class_j)]
-        i, j = scanner._deepest_pruning_level(depth)
+        i, j = _deepest_pruning_level(depth)
         assert i + j == max(lengths, default=0), depth
-        assert j == scanner._walk_depth(depth) == max(leaves.class_j, default=0), depth
+        assert j == leaves.leaf_depth == max(leaves.class_j, default=0), depth
 
 
 def _dense_scan_block(lo, hi, resolved, mask, step_cap, walk):
@@ -528,23 +529,21 @@ def test_a_doubling_depth_scans_as_a_walk_to_that_depth(depth, monkeypatch):
     # a cap of 150 fails 78 leftovers of [2, 3*10^5], 30 of them with a
     # failed ancestor, which the ancestor rule would count through it; from
     # the first failing block on the scan walks every leftover again, on
-    # the residues of the level it walked to, depth - 1
-    walk_depths = [scanner._walk_depth(d) for d in range(depth - 1, depth + 2)]
-    assert walk_depths == [depth - 1, depth - 1, depth + 1]
+    # the residues of the level it walked to, depth - 1.  The dense
+    # reference tables the residues mod 2^depth and walks every leftover
     walked = []
     real = scanner.unresolved_leaves
 
     def recording(d):
-        walked.append(d)
-        return real(d)
+        leaves = real(d)
+        walked.append((d, leaves.leaf_depth))
+        return leaves
 
     monkeypatch.setattr(scanner, "unresolved_leaves", recording)
     scan = sieve_scan(2, 300_000, depth, block_size=10_000, step_cap=150)
-    monkeypatch.setattr(scanner, "_walk_depth", lambda d: d)
-    full = sieve_scan(2, 300_000, depth, block_size=10_000, step_cap=150)
-    assert walked == [depth - 1, depth]
+    assert walked == [(depth, depth - 1)]
     assert scan.depth == depth and len(scan.failures) == 78
-    assert scan.canonical_json() == full.canonical_json()
+    assert scan.canonical_json() == dense_reference_scan(2, 300_000, depth, 150)
 
 
 def trace_oracle(lo, hi, depth):
@@ -1130,7 +1129,8 @@ def test_a_failure_row_carries_its_exceptions_reason(forks):
     # failed ancestor, so the scan walks all 175 in its second pass, from
     # the first block on
     assert (CycleDetected.reason, StepCapExceeded.reason) == ("cycle detected", "step cap exceeded")
-    leaves = unresolved_leaves(scanner._walk_depth(16))
+    leaves = unresolved_leaves(16)
+    assert leaves.leaf_depth == 16
     _, _, block_failures, _ = reduce(scanner._fold, scanner._block_results(2, 10**5, None, leaves, 96, 1, 2))
     assert len(block_failures) == 100
     for workers in (1, 2):
