@@ -17,10 +17,11 @@ fold (_fold) merges adjacent tallies in range order.  A scan and a record
 search both fold the blocks up to the first that holds a failure
 (_fold_until_failure), whose first failure is the range's smallest.  A
 scan then folds the rest of the range again from that block's start, with
-every leftover walked; a record search walks that failure to raise.  A
-record search is an every-n prefix, walked until its running maximum
-passes the longest class, plus that fold over the blocks of the rest.  No
-2^J table is built anywhere.
+every leftover walked, or, where the ancestor rule cannot fire, folds
+every block in one such pass; a record search walks that failure to
+raise.  A record search is an every-n prefix, walked until its running
+maximum passes the longest class, plus that fold over the blocks of the
+rest.  No 2^J table is built anywhere.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def _running_maxima(entries, best: int):
             yield n, steps
 
 
+def _ancestor_floor(base: int) -> int:
+    """The least n whose mod-9 ancestor (8n - 5)/9 is >= base: no leftover
+    below it counts through an ancestor in [base, n) (see _scan_block)."""
+    return (9 * base + 12) >> 3
+
+
 def _scan_block(
     lo: int, hi: int, leaves: UnresolvedLeaves, step_cap: int, base: int
 ) -> tuple[int, int, list[tuple[int, str]], list[tuple[int, int]]]:
@@ -162,9 +169,9 @@ def _scan_block(
     m's 2^(1+b) < 3^(1+a) (resp. 2^(3+b) < 3^(2+a)).  So n descends if m
     does, in fewer steps, and never sets the range's first maximum; if n
     would fail, so would m, which some block at or before n's fails
-    first.  A block below (9*base + 5)/8 has no such member and pays one
-    comparison per member for the test, and a base above hi turns the
-    rule off: every leftover is walked.
+    first.  A block below _ancestor_floor(base) has no such member and
+    pays one comparison per member for the test, and a base above hi
+    turns the rule off: every leftover is walked.
     """
     # Leaf by leaf rather than period by period keeps a shallow sieve,
     # whose 2^depth period is far shorter than a block, free of per-period
@@ -196,7 +203,7 @@ def _scan_block(
     # may be even, no member has one
     from9 = from3 = hi + 1
     if depth:
-        from9, from3 = (9 * base + 12) >> 3, (3 * base + 2) >> 1
+        from9, from3 = _ancestor_floor(base), (3 * base + 2) >> 1
     for i, j in spans:
         for r, a, e in zip(residues[i:j], o_counts[i:j], ends[i:j]):
             if several:
@@ -471,19 +478,21 @@ def sieve_scan(
     counted as skipped (their descent is certified by the class algebra,
     checked while the leaves are built); the rest, the leftovers, are
     verified by a walk of their own or, when their ancestor lies in
-    [lo, n), by that ancestor's (see ScanReport and _scan_block).  The
+    [lo, n), by that ancestor's (see ScanReport and _scan_block).  Where
+    that rule can fire (depth >= 1 and hi >= _ancestor_floor(lo)), the
     block tallies are folded (_fold) in range order up to the first block
     that holds a failure (_fold_until_failure), and every leftover before
-    it descends.  From that block's start on, the scan folds the rest of
-    the range again with the ancestor rule off (base hi + 1), so every
-    leftover there is walked and the report is that of a walk of every
-    leftover; a clean scan runs each block once.  The leaves are
-    unresolved_leaves(depth), whose walk may stop a level short with the
-    same leftovers.  depth = 0 disables the sieve.  Without a depth, one
-    is picked from the range size: bit_length(hi - lo + 1) - 2, between 0
-    and 22 (16 for 2*10^5 numbers, 22 from 2^23 up); the report records
-    it.  For a given depth
-    the report is deterministic for any worker count and block size.  The
+    it descends; from that block's start on, the scan folds the rest of
+    the range again with the rule off (base hi + 1).  Where it cannot,
+    one pass with the rule off folds every block.  Either way every
+    leftover from the first failing block on is walked, the report is
+    that of a walk of every leftover, and a clean scan runs each block
+    once.  The leaves are unresolved_leaves(depth), whose walk may stop a
+    level short with the same leftovers.  depth = 0 disables the sieve.
+    Without a depth, one is picked from the range size: bit_length(hi -
+    lo + 1) - 2, between 0 and 22 (16 for 2*10^5 numbers, 22 from 2^23
+    up); the report records it.  For a given depth the report is
+    deterministic for any worker count and block size.  The
     step cap applies to the leftovers alone, since a skipped number is
     never walked, so a cap below the longest class length makes the
     failures depend on the depth: a cap of 5 on [2, 100] fails 25, 25
@@ -515,11 +524,13 @@ def sieve_scan(
     t0 = time.perf_counter()
     leaves = unresolved_leaves(depth)
     t1 = time.perf_counter()
-    tally, failed = _fold_until_failure(_block_results(lo, hi, block_size, leaves, step_cap, workers, lo))
-    if failed is not None:
-        # every leftover below the failing block descends; from its start on,
-        # walk every leftover, the ancestor rule off
-        start = lo + tally[0] + tally[1]
+    tally, start = (0, 0, [], []), lo
+    if leaves.leaf_depth and hi >= _ancestor_floor(lo):
+        tally, failed = _fold_until_failure(_block_results(lo, hi, block_size, leaves, step_cap, workers, lo))
+        # every leftover below the failing block descends
+        start = hi + 1 if failed is None else lo + tally[0] + tally[1]
+    # from start on, walk every leftover, the ancestor rule off
+    if start <= hi:
         tally = reduce(_fold, _block_results(start, hi, block_size, leaves, step_cap, workers, hi + 1), tally)
     verified, skipped, failures, maxima = tally
     max_n, max_steps = maxima[-1] if maxima else (None, 0)

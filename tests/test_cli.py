@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -291,6 +292,30 @@ def test_start_up_imports_only_what_the_command_uses():
     ).stdout.splitlines()
     assert lines[0] == lines[-1] == "[]"
     assert lines[3].startswith("| E | 1 | 0 | 1 | 2 |")
+
+
+def test_the_process_entry_freezes_the_heap_its_imports_built():
+    # `python -m collatz_descent` runs cli.run(), which moves every object
+    # alive after the imports to the permanent generation before main()
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "runpy.run_module('collatz_descent', run_name='__main__')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "class", "E"], env=env, capture_output=True, text=True, check=True
+    )
+    assert "| E | 1 | 0 | 1 | 2 |" in proc.stdout
+    assert int(proc.stderr) > 0
+
+
+def test_main_in_process_leaves_the_collector_as_it_finds_it(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    code, _, _ = run(capsys, "class", "E")
+    assert code == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_classify_as_csv_imports_neither_fractions_nor_csv():

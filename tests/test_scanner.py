@@ -312,7 +312,8 @@ def test_a_reply_longer_than_a_pipe_buffer_arrives_whole(forks):
     report = sieve_scan(2, 400_000, 0, workers=2, step_cap=5)
     assert len(report.failures) == 100_000
     assert report.canonical_json() == sieve_scan(2, 400_000, 0, step_cap=5).canonical_json()
-    assert len(forks) == 4
+    # depth 0 has no ancestor rule to turn off: one pass, on 2 workers
+    assert len(forks) == 2
 
 
 def test_dead_worker_is_a_domain_error_chained_from_the_pool(forks, monkeypatch):
@@ -872,6 +873,36 @@ def test_blocks_from_the_first_failing_one_on_run_again_with_every_leftover_walk
     rep = sieve_scan(2, 300_000, 16)
     assert rep.failures == ((87_399, "cycle detected"),)
     assert calls == [(*blocks[0], 2), (*blocks[1], 2)] + [(*block, 300_001) for block in blocks[1:]]
+
+
+def test_the_ancestor_floor_is_the_least_n_whose_mod_9_ancestor_reaches_the_base():
+    for base in range(2, 500):
+        floor = scanner._ancestor_floor(base)
+        assert 8 * (floor - 1) - 5 < 9 * base <= 8 * floor - 5, base
+
+
+@pytest.mark.parametrize(
+    "lo, hi, depth, step_cap", [(2, 30_000, 0, 5), (10**12, 10**12 + 100_000, 16, 150)]
+)
+def test_a_failing_scan_the_ancestor_rule_cannot_reach_runs_each_block_once(
+    lo, hi, depth, step_cap, monkeypatch
+):
+    # depth 0 has no rule, and no n of a range below _ancestor_floor(lo)
+    # has an ancestor in it: the one pass walks every leftover, and its
+    # failures send no block through a second pass
+    assert depth == 0 or hi < scanner._ancestor_floor(lo)
+    blocks = []
+    scan_block = scanner._scan_block
+
+    def counted(*args):
+        blocks.append(args[:2])
+        return scan_block(*args)
+
+    monkeypatch.setattr(scanner, "_scan_block", counted)
+    rep = sieve_scan(lo, hi, depth, block_size=4096, step_cap=step_cap)
+    assert rep.failures
+    assert blocks == [(a, min(a + 4095, hi)) for a in range(lo, hi + 1, 4096)]
+    assert rep.canonical_json() == dense_reference_scan(lo, hi, depth, step_cap)
 
 
 def test_record_search_lists_the_glide_records_to_10_6():
