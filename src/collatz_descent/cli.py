@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on domain errors (a scan's dead worker
-process among them), an interrupt (Ctrl-C or SIGTERM, which print
-"interrupted") or a failed write to stdout, 2 on usage errors.  A stdout
-closed by its reader before the tables were written (as `| head` closes
-it) prints nothing; any other write failure (a full disk) prints one
-"error:" line.
-Tables go to stdout a chunk of rows at a time, through a buffered writer
-even under PYTHONUNBUFFERED or -u, diagnostics to stderr.
-COLLATZ_STEP_CAP overrides the per-descent step cap.
+Exit codes: 0 on success; 1 on a domain error (a scan's dead worker
+among them), an interrupt (Ctrl-C or SIGTERM, which print "interrupted")
+or a failed write to stdout; 2 on a usage error.  When the reader of
+stdout has closed it early (as `| head` does), nothing goes to stderr;
+any other failed write (a full disk) prints one "error:" line there and
+no traceback.  Tables go to stdout a chunk of rows at a time, through a
+buffered writer even under PYTHONUNBUFFERED or -u (see main),
+diagnostics to stderr.  COLLATZ_STEP_CAP overrides the per-descent step
+cap.
 """
 
 from __future__ import annotations
@@ -155,7 +155,9 @@ def main(argv: list[str] | None = None) -> int:
         # what is still buffered goes to devnull, or the interpreter's last
         # flush of stdout would raise again.  A reader that has gone needs
         # no word
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -173,15 +175,14 @@ def run() -> int:
     """The process entry (`python -m collatz_descent`, the `collatz-descent`
     script): freeze the heap the imports built, then return main()'s exit code.
 
-    gc.freeze() moves every object alive now, the package's, argparse's and
-    those of the modules site loaded, to the collector's permanent
-    generation, which no later collection walks: not the interpreter's last
-    collections at exit, not a gen-2 collection during the command, and not
-    one in a scan worker forked after it, which so writes to, and copies,
-    fewer of the parent's pages.  Frozen objects are never finalized, so
-    nothing the CLI opens may wait for a collection to be closed.  main()
-    itself leaves the collector as it finds it, for callers that run it
-    in-process.
+    The start-up freeze.  gc.freeze() moves every object alive now (the
+    package's, argparse's, those of the modules site loaded) to the
+    collector's permanent generation, which no later collection walks: not
+    the last ones at exit, not a gen-2 one during the command, and not one
+    in a scan worker forked after it, which so copies fewer of the
+    parent's pages.  Frozen objects are never finalized, so nothing the
+    CLI opens may wait for a collection to be closed.  main() itself leaves
+    the collector as it finds it, for callers that run it in-process.
     """
     gc.freeze()
     return main()

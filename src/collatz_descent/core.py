@@ -93,25 +93,22 @@ def descent_length(
     strictly above n may resume from v, the value after them; with
     steps = 0, v is ignored and the walk starts at n.
 
-    Each loop turn takes one stride whose values all lie above n.  A jump
-    of _WORD_K halvings comes first: the entry of v mod 2^_WORD_K in
-    _JUMPS gives the value after them, the steps they take and the guard
-    g that patterns._halving_words derives as it builds the word, and
-    v >> g > n keeps every value of the jump above n.
-    Otherwise the stride is the run of halvings of v, stripped with one
-    trailing-zero count t (0 for an odd v that a jump or a resume left),
-    and the O-step after it; it is taken when the run's odd end v >> t is
-    still above n, since then every value of the run is.  The turn then
-    adds the stride's steps and checks the cap once: none of the stride's
-    values can be the descent or a return to n, and the cap message names
-    no step index, so one check at its last index equals a check at each.
+    The kernel's strides.  Each loop turn takes one stride whose values
+    all lie above n.  A jump of _WORD_K halvings comes first: the entry of
+    v mod 2^_WORD_K in _JUMPS gives the value after them, their steps and
+    the guard g of patterns._halving_words, and v >> g > n keeps every
+    value of the jump above n.  Otherwise the stride is the run of t
+    halvings of v (t its trailing zero count, 0 for an odd v) and the
+    O-step after it, taken when the run's odd end v >> t is still above
+    n, since then every value of the run is.  The turn adds the stride's
+    steps and checks the cap once: no value of the stride can be the
+    descent or a return to n, and the cap message names no step index.
     When neither stride fits, the walk lands at the first s with
-    v >> s <= n: s is the bit length of v less that of n, plus 1 if
-    v >> s is still above n, since a value of smaller bit length than n
-    is below n.  A resumed `steps` already at the cap needs no check of
-    its own: a stride raises at the turn's cap check, and a landing from
-    v > n has s >= 1, so its cap check, which comes before the cycle
-    check, raises.
+    v >> s <= n: the bit length of v less that of n, plus 1 if v >> s is
+    still above n.  A resumed `steps` already at the cap needs no check
+    of its own: a stride raises at the turn's cap check, and a landing
+    from v > n has s >= 1, so its cap check, before the cycle check,
+    raises.
     """
     if n < 2:
         raise ValueError("descent is defined for n >= 2")

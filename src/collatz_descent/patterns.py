@@ -31,19 +31,17 @@ class _Record:
     """Base of the package's types that are not tuples: fields in __slots__, named in _fields.
 
     Two records are equal when they are of one type with equal fields,
-    and then hash alike.  A record is frozen: __init__ binds its arguments,
-    by position or keyword, to _fields as a function of those parameters
-    would, raising TypeError on a missing, unknown or repeated field, and
-    assigning or deleting a field afterwards raises AttributeError.  A type
-    that checks itself does so after super().__init__.  _replace copies a
-    record with some fields changed, and __reduce__ is how pickle, copy and
-    deepcopy rebuild one, all through __init__, so a type that checks
-    itself checks its copies too.  No package code calls either; they are
-    library API, which tests/test_records.py covers.
-
-    DescentPattern and core.DescentTrace set their fields directly in an
-    __init__ of their own: descent_trace builds one of each per call, and
-    binding through this one made it nearly twice as slow.
+    and then hash alike.  A record is frozen: __init__ binds its
+    arguments, by position or keyword, to _fields as a function of those
+    parameters would, raising TypeError on a missing, unknown or repeated
+    field, and assigning or deleting a field raises AttributeError.
+    _replace (a copy with some fields changed) and __reduce__ (pickle,
+    copy and deepcopy) rebuild a record through __init__, so a type that
+    checks itself after super().__init__ checks its copies too; they are
+    library API, which tests/test_records.py covers.  DescentPattern and
+    core.DescentTrace bind their fields in an __init__ of their own:
+    descent_trace builds one of each per call, and this one made it
+    nearly twice as slow.
     """
 
     __slots__ = ()
@@ -87,13 +85,10 @@ class _Record:
 class DescentPattern(_Record):
     """A validated step word: either the single word "E" or an odd-start word.
 
-    Structural rules (checked by :meth:`parse`):
-
-    * nonempty, characters O/E only;
-    * the word is exactly "E" (even starts descend in one step), or it
-      starts with O;
-    * every O is immediately followed by an E (3n+1 of an odd n is even);
-    * the final step is an E (a descent always ends on a halving).
+    parse checks that the word is nonempty and of O and E alone, that it
+    is "E" (an even start descends in one step) or starts with O, that
+    every O is followed by an E (3n+1 of an odd n is even), and that it
+    ends on an E (a descent ends on a halving).
     """
 
     __slots__ = _fields = ("text", "i", "j")
@@ -174,16 +169,14 @@ def _deepest_pruning_level(depth: int) -> tuple[int, int]:
     """(i, j) of the deepest level up to depth that prunes classes; (0, depth) if none.
 
     A class with i O-steps is pruned at j = bitlen(3^i) halvings alone, so
-    each such level holds one O-count.  i + j grows with j, so the deepest
-    level's i + j is L, the longest class length up to depth: 0 at depth
-    0, which has no class.  Only a depth <= 0 has no level.
+    each such level holds one O-count, and i + j grows with j: the classes
+    sorted by j are sorted by length, and this i + j is L, the longest
+    class length up to depth (0 at depth 0, which alone has no level).
     """
     return max(((i, j) for i in range(depth) if (j := _min_descending_j(i)) <= depth), default=(0, depth))
 
 
-# Lengths up to this bound get every candidate split listed in the
-# feasibility table; beyond it only the splits adjacent to the previous
-# feasible one appear.  Frozen so the emitted table is reproducible.
+# Frozen so the emitted feasibility table is reproducible
 _DENSE_LENGTH_LIMIT = 11
 
 
@@ -294,11 +287,8 @@ _HALVING_WORDS = _halving_words(_WORD_K)
 def replay_class(x: int, j: int, i: int, m: int) -> tuple[str, int, int, int, int, int]:
     """The class 2^j*k + x replayed from x, as (pattern, i, j, m, x, y0).
 
-    The pattern is the parity word of x's own first j halvings: by Terras'
-    bijection x mod 2^j fixes that word for every member.  It is read off
-    _HALVING_WORDS, the j mod 8 leading halvings in one lookup and each
-    further 8 in another.  The replay must take i O-steps and land on the
-    first lower value y0 = (3^i*x + m) / 2^j.
+    UnresolvedLeaves.replay states the replay.  Raises AssertionError when
+    it leaves the class.
     """
     t = j % _WORD_K
     text, p, e, _ = _HALVING_WORDS[t][x & ((1 << t) - 1)]
@@ -325,14 +315,12 @@ def residue_for_pattern(p: DescentPattern | str) -> ResidueClass:
 
     The end value (3^i*x + m) / 2^j must be an integer, so
     x = -m * 3^(-i) (mod 2^j), and by Terras' bijection that residue is
-    the only one whose members trace the pattern.  The class is built by
-    replaying x's first j halvings, which must give back the pattern.
-
-    Raises NotADescent when 2^j <= 3^i (the end value cannot fall below
-    the start for the class's large members) and when the smallest member
-    x >= 2 fails to end below itself.  Note that for patterns containing
-    a proper prefix that already descends, the class describes the
-    parity path of its members rather than their first descent;
+    the only one whose members trace the pattern; replay_class rebuilds
+    the class from x and must give back the pattern (else
+    UnrealizablePattern).  Raises NotADescent when 2^j <= 3^i or when the
+    smallest member x >= 2 does not end below itself.  For a pattern with
+    a proper prefix that already descends, the class describes its
+    members' parity path, not their first descent;
     enumerate_minimal_patterns never emits such patterns.
     """
     pat = _as_pattern(p)
@@ -357,13 +345,12 @@ def iter_minimal_pattern_texts(max_j: int) -> Iterator[str]:
     """Yield every minimal descent pattern with at most max_j E-steps.
 
     Minimal: no proper prefix has 2^(E so far) > 3^(O so far).  A prefix
-    with positive margin already sends every sufficiently large class
-    member below its start, so any extension of it can never be the first
-    descent of a whole residue class (this is what disqualifies the
-    length-6 words starting with the shortest cycle OEE).  Patterns are
-    emitted in depth-first order with E explored before O.  The package
-    generates its classes with the parity-tree walk (unresolved_leaves);
-    this word-by-word route is kept as its independent reference.
+    with positive margin already sends every large enough class member
+    below its start, so no extension of it is the first descent of a
+    whole residue class (this disqualifies the length-6 words that start
+    with the shortest cycle OEE).  Patterns come in depth-first order, E
+    before O.  This word-by-word route is the independent reference of
+    the parity-tree walk (unresolved_leaves).
     """
     if max_j < 1:
         raise ValueError("max_j must be >= 1")
@@ -385,31 +372,22 @@ def iter_minimal_pattern_texts(max_j: int) -> Iterator[str]:
 class UnresolvedLeaves(_Record):
     """The parity tree to `depth` halvings: its open leaves and its pruned classes.
 
-    The leaves stand W = leaf_depth halvings deep: depth, or depth - 1 at
-    a depth that prunes no class (see unresolved_leaves).  Leaf t is the
-    odd residue r = residues[t] with a = o_counts[t] and e = ends[t]: every
-    n = 2^W*h + r takes a O-steps and W E-steps with every value strictly
-    above n, and then stands at 3^a*h + e.  Residues are sorted.  Pruned
-    class t is the minimal descent class 2^class_j[t]*k + class_x[t] with
-    class_i[t] O-steps and the paper's adder class_m[t], sorted by j, then
-    x.  Depth 0 has the single trivial leaf r = 0, a = 0, e = 0 and no
-    class.  depth is an int; residues, ends, class_x and class_m are
-    array('Q'); o_counts, class_j and class_i are bytes.
+    The leaves stand W = leaf_depth halvings deep (unresolved_leaves says
+    where the walk stops).  Leaf t is the odd residue r = residues[t] with
+    a = o_counts[t] and e = ends[t]: every n = 2^W*h + r takes a O-steps
+    and W E-steps with every value strictly above n, and then stands at
+    3^a*h + e.  Residues are sorted.  Pruned class t is the minimal
+    descent class 2^class_j[t]*k + class_x[t] with class_i[t] O-steps and
+    the paper's adder class_m[t], sorted by j, then x.  Depth 0 has the
+    single trivial leaf r = 0, a = 0, e = 0 and no class.  depth is an
+    int; residues, ends, class_x and class_m are array('Q'); o_counts,
+    class_j and class_i are bytes.
 
     Building one checks it, so a copy made by _replace is checked too: no
     class is deeper than depth, every leaf has 2^depth <= 3^a, the
     smallest member x >= 2 of every class ends below x (else NotADescent),
     and the classes and the leaves partition the residues mod 2^W, so
     those mod 2^depth too, each leaf r standing for every r + k*2^W.
-
-    This is also the classification of the naturals to `depth` halvings.
-    replay is the one replay pass: it reads each class's pattern and y0
-    off these arrays and keeps only those two, a str and an array('Q')
-    entry a class.  reports.classify_report renders the class table from
-    them and the class arrays, and classes zips them with the arrays into
-    ResidueClass objects.  classes, resolved_measure and
-    unresolved_residues give the library the same facts as objects, a
-    fraction and a tuple.
     """
 
     __slots__ = _fields = ("depth", "residues", "o_counts", "ends", "class_x", "class_j", "class_i", "class_m")
@@ -437,10 +415,16 @@ class UnresolvedLeaves(_Record):
     def replay(self) -> tuple[list[str], array]:
         """The classes' pattern texts as a list of str, and their first lower values y0 as an array('Q').
 
-        Each class goes through replay_class once per call, in the arrays'
-        order, so a class that fails its check raises before the call
-        returns.  Of each replayed tuple only what the class arrays lack is
-        kept: its text and its y0, which is at most x and so fits 64 bits.
+        The class replay.  A class's pattern is the parity word of x's own
+        first j halvings: by Terras' bijection x mod 2^j fixes that word
+        for every member.  replay_class reads it off _HALVING_WORDS, the
+        j mod 8 leading halvings in one lookup and each further 8 in
+        another, and checks that it takes i O-steps and lands on the first
+        lower value y0 = (3^i*x + m) / 2^j.  This pass replays each class
+        once per call, in the arrays' order, so a class that fails its
+        check raises before the call returns.  Of each replayed tuple only
+        what the class arrays lack is kept: its text and its y0, which is
+        at most x and so fits 64 bits.
         """
         texts, y0s = [], array("Q")
         for c in map(replay_class, self.class_x, self.class_j, self.class_i, self.class_m):
@@ -450,12 +434,10 @@ class UnresolvedLeaves(_Record):
 
     @property
     def classes(self) -> tuple[ResidueClass, ...]:
-        """The pruned classes as ResidueClass objects, sorted by j, then x.
+        """The pruned classes as ResidueClass objects, in the arrays' order.
 
-        That is the arrays' order, and the order of length, then x: a
-        minimal class has j = bitlen(3^i), so each j holds one O-count i,
-        and i + j grows with j.  Each read runs replay once and zips its
-        texts and y0s with the class arrays.
+        That is by j, then x, and so by length, then x
+        (_deepest_pruning_level).  Each read runs replay once.
         """
         texts, y0s = self.replay()
         return tuple(map(_resolved_class, texts, self.class_i, self.class_j, self.class_m, self.class_x, y0s))
@@ -467,11 +449,7 @@ class UnresolvedLeaves(_Record):
 
     @property
     def resolved_measure(self) -> Fraction:
-        """The exact density sum(2^-j) of the classes.
-
-        The classes and the open leaves partition the residues mod 2^W,
-        so the classes cover all but the leaves.
-        """
+        """The exact density sum(2^-j) of the classes: 1 less the leaves' share of the residues mod 2^W."""
         from fractions import Fraction
 
         return 1 - Fraction(len(self.residues), 1 << self.leaf_depth)
@@ -489,29 +467,29 @@ def unresolved_leaves(depth: int) -> UnresolvedLeaves:
     3^a*h + e after their first b halvings, a of them after an O-step.
     Bit b of n fixes the parity of that value, so each node has two
     children one halving deeper: x and x + 2^b go on from w = e and
-    w = e + 3^a, an odd w becomes (3w + 1)/2 and an even w is halved, the
-    rule of _halving_words.  As 3^a is odd, one parity test settles both.
-    The odd child never resolves (2^b <= 3^a gives 2^(b+1) < 3^(a+1)); the
-    even child whose prefix first reaches 2^(b+1) > 3^a is a resolved
-    class, pruned with the adder m = (y0 << (b+1)) - 3^a*x of its smallest
-    member x, which ends at y0 = w/2.  The nodes of the last level are the
-    open leaves.  Each level keeps its x-children ahead of its
-    (x + 2^b)-children, so every level, the leaves included, stays sorted
-    by residue, and so do the classes it prunes: the class arrays come
-    out sorted by j, then x.  This is Terras' parity-vector bijection: the
-    pruned nodes are exactly the minimal classes with j <= depth, the
-    leaves the unresolved residues.  Every node has one open child, and a
-    second where 2^(b+1) <= 3^a, so each level's arrays are allocated once
-    at their final size: the x-children fill them from the front, the
-    (x + 2^b)-children from the back, which is then reversed.
+    w = e + 3^a as a halving word does (_halving_words), and as 3^a is
+    odd, one parity test settles both.  The odd child never resolves
+    (2^b <= 3^a gives 2^(b+1) < 3^(a+1)); the even child whose prefix
+    first reaches 2^(b+1) > 3^a is a resolved class, pruned with the
+    adder m = (y0 << (b+1)) - 3^a*x of its smallest member x, which ends
+    at y0 = w/2.  By Terras' parity-vector bijection the pruned nodes are
+    exactly the minimal classes with j <= depth, and the nodes of the
+    last level, the open leaves, are the unresolved residues.  Each level
+    keeps its x-children ahead of its (x + 2^b)-children, so every level
+    and the classes it prunes stay sorted by residue.  Every node has one
+    open child, and a second where 2^(b+1) <= 3^a, so each level's arrays
+    are allocated once at their final size: the x-children fill them
+    from the front, the (x + 2^b)-children from the back, which is then
+    reversed.
 
-    The last level is W = leaf_depth, the deepest up to depth that prunes
-    a class (_deepest_pruning_level); this is the one place that rule is
-    applied.  A class is pruned at j = bitlen(3^i) alone, so no level 3,
-    6, 9, 11, 14, 17, 19, 22, 25 or 28 prunes one.  At such a depth every
-    leaf one level up has two open children, the leaf's r and r + 2^W, so
-    the walk stops at W = depth - 1 with half the leaves, and
-    UnresolvedLeaves's check 2^depth <= 3^a on every leaf confirms that.
+    Where the walk stops: its last level is W = leaf_depth, the deepest
+    up to depth that prunes a class (_deepest_pruning_level); this is the
+    one place that rule is applied.  No level 3, 6, 9, 11, 14, 17, 19, 22,
+    25 or 28 prunes one.  At such a depth every leaf one level up has two
+    open children, the leaf's r and r + 2^W, so the walk stops at
+    W = depth - 1 with half the leaves, and UnresolvedLeaves's check
+    2^depth <= 3^a on every leaf confirms that.  Raises ValueError below
+    depth 0.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -594,12 +572,10 @@ MAX_ENUMERATE_DEPTH = 29
 def enumerate_minimal_patterns(length: int) -> list[ResidueClass]:
     """All minimal descent classes of exactly the given length, sorted by x.
 
-    A minimal class with i O-steps has the smallest j with 2^j > 3^i, so
-    length = i + bitlen(3^i), which grows with i: at most one i fits.  Its
-    classes are the ones the parity-tree walk prunes at j halvings, which
-    it stores sorted by x.
-    Empty when no i fits (for example lengths 2, 4, 5, 7 and 40); raises
-    DepthTooLarge, before walking, when j > MAX_ENUMERATE_DEPTH.
+    The classes of one length are those that one level j of the walk
+    prunes (_deepest_pruning_level), or none: lengths 2, 4, 5, 7 and 40,
+    for example, give an empty list.  Raises DepthTooLarge, before
+    walking, when j > MAX_ENUMERATE_DEPTH.
     """
     if length < 1:
         raise ValueError("length must be >= 1")

@@ -3,15 +3,30 @@
 Every command's output is a list of Tables whose cells are exact integers
 or plain strings; no floating point ever reaches a numeric cell.  CSV
 output re-parses to the same tables, which the test suite exercises.
-A table's rows are a list or a tuple of rows (lists or tuples of cells),
-or a Rows view, which hands its cells over a chunk at a time in one flat
-tuple: classify_report's class and residue tables are such views.  Every
-format renders one kind of chunk, a row count and the flat cells of at
-most CHUNK_ROWS rows of one width, with one format call, and write()
-hands each chunk's text to the stream in one write, so the output never
-exists whole; render returns it as one string.  A CSV chunk goes to
-csv.writer, and imports csv, only where the two texts could differ: a
-cell to quote, a cell that is not an int or a str, or rows of no cell.
+
+Chunked rendering.  A table's rows are a list or a tuple of rows, or a
+Rows view, which hands over a chunk of rows as one flat tuple of cells,
+as classify_report's class and residue tables do.  Every format renders
+one kind of chunk, a row count and the flat cells of at most CHUNK_ROWS
+rows of one width, with one format call; rows in a list or a tuple are
+cut where their width changes.  write() hands each chunk's text to the
+stream in one write, so the output never exists whole.
+
+The CSV fast path.  csv.writer writes an int or a str cell as its str(),
+and quotes one that holds a comma, a '"' or a line break, or that is a
+row's lone empty cell (other types differ too: None is written as "").
+So when a chunk's rows have a width w >= 1 and every cell is an int or a
+str, the cells' str()s joined by commas are its lines unless they hold a
+'"' or a carriage return (which csv quotes on some Python versions), more
+than w - 1 commas or one line break a row, or, at w = 1, an empty line.
+Only a chunk that fails that test goes to csv.writer and imports csv.
+
+The JSON fast path.  The output is what json.dumps(..., indent=2)
+prints, but json.dumps runs its pure-Python encoder whenever it indents.
+So each chunk's flat cells are encoded in one compact call of the C
+encoder, with a bare newline as the item separator.  No encoded cell
+holds one (non-ASCII and control characters are escaped), so the lines
+are the cells, and one format call sets them in indented rows.
 """
 
 from __future__ import annotations
@@ -42,8 +57,8 @@ class Rows(_Record):
     """A sized, re-iterable view of `size` rows of one width, handed over as flat cells.
 
     size is an int; cells(a, b) returns the cells of rows a to b - 1 as one
-    flat tuple, row after row.  The writer asks for them CHUNK_ROWS rows at
-    a time, and iterating the view yields its rows as tuples, made afresh.
+    flat tuple, row after row.  Iterating the view yields its rows as
+    tuples, made afresh.
     """
 
     __slots__ = _fields = ("size", "cells")
@@ -72,12 +87,7 @@ def _rows(n: int, cells: tuple[Cell, ...]) -> list[tuple[Cell, ...]]:
 
 
 def _chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[tuple[int, tuple[Cell, ...]]]:
-    """The rows as chunks: a row count, and the rows' cells in one flat tuple.
-
-    A chunk holds at most CHUNK_ROWS rows, all of one width: a Rows view
-    hands its cells over a chunk at a time, and rows in a list or a tuple
-    are cut where their width changes.  None for no rows.
-    """
+    """The rows as chunks (see the module docstring): a row count, and the rows' cells in one flat tuple."""
     if isinstance(rows, Rows):
         for a in range(0, rows.size, CHUNK_ROWS):
             b = min(a + CHUNK_ROWS, rows.size)
@@ -89,16 +99,7 @@ def _chunks(rows: Iterable[Sequence[Cell]]) -> Iterator[tuple[int, tuple[Cell, .
 
 
 def _plain_csv(n: int, cells: tuple[Cell, ...]) -> str | None:
-    """The chunk's CSV lines from one format call, or None where csv.writer's could differ.
-
-    csv.writer writes an int or a str cell as its str(), and quotes one
-    that holds a comma, a '"' or a line break, or that is a row's lone
-    empty cell (other types differ too: None is written as "").  So when
-    the chunk's rows have a width w >= 1 and every cell is an int or a
-    str, the cells' str()s joined by commas are its lines unless they hold
-    a '"' or a '\r' (which csv quotes on some Python versions), more than
-    w - 1 commas or one line break a row, or, at w = 1, an empty line.
-    """
+    """The chunk's CSV lines from one format call, or None where csv.writer's could differ (the CSV fast path)."""
     width = len(cells) // n
     if not width or not {int, str}.issuperset(map(type, cells)):
         return None
@@ -149,11 +150,7 @@ def _json(tables: list[Table]) -> Iterator[str]:
     def rows_json(n: int, cells: tuple[Cell, ...]) -> str:
         """json.dumps of the chunk's rows with indent=2, less its brackets, indented to sit in a table.
 
-        json.dumps runs its pure-Python encoder whenever it indents.  The
-        compact encoding of the flat cells here goes through the C encoder
-        instead.  It separates items with a bare newline, which no encoded
-        cell holds (non-ASCII and control characters are escaped), so its
-        lines are the cells, and one format call sets them in their rows.
+        This is the JSON fast path of the module docstring.
         """
         w = len(cells) // n
         row = "        [\n          %s\n        ]" % ",\n          ".join(["%s"] * w) if w else "        []"
@@ -256,16 +253,11 @@ def classes_report(classes: list[ResidueClass]) -> list[Table]:
 def classify_report(report: UnresolvedLeaves) -> list[Table]:
     """Summary, classes and unresolved residues mod 2^report.depth.
 
-    The residues are unresolved_residues: each leaf's r, then, where the
-    walk stopped a level short (see unresolved_leaves), each r + 2^W, W
-    its leaf_depth.  Each class is replayed once, here
-    (UnresolvedLeaves.replay, which checks its pattern against i, j and
-    y0), so a failed check raises before any output.  Only the pattern
-    texts and the y0s are kept.  The classes and residues tables are Rows
-    views over them and the walk's arrays: a chunk's cells are made only
-    as it is written, and no ResidueClass, row or level-depth array is
-    built.  The measure cell is sum(2^-j) as str(resolved_measure) prints
-    it, reduced with math.gcd, which spares the fractions import.
+    The classes are replayed once, before any output (UnresolvedLeaves.replay).
+    The classes and residues tables are Rows views over the replay and the
+    walk's arrays: no ResidueClass, row or array of the printed level is
+    built.  The measure cell is str(resolved_measure), reduced with
+    math.gcd, which spares the fractions import.
     """
     residues, depth, walk, n = report.residues, report.depth, report.leaf_depth, len(report.residues)
     count, size, high = n << (depth - walk), 1 << depth, 1 << walk

@@ -1,27 +1,7 @@
 """Depth classification, sieve-accelerated range verification, record
-search and twin checks.
-
-Classification, the scan and the record search stand on one walk of the
-parity tree toward J halvings (patterns.unresolved_leaves), which
-classify_depth returns as the classification.  Its pruned nodes are the
-minimal descent classes with at most J halving steps; its open leaves are
-what those classes miss, each an odd residue r mod 2^W, W the walk's
-leaf_depth (J, or J - 1 where level J prunes nothing), with the O-count a
-and the end e of its first W halvings.  The scan visits the members of
-those leaves alone, resumes each n = 2^W*h + r at its value 3^a*h + e
-after the W halvings, and counts every other number as skipped.  A member
-whose smaller ancestor in the range passes through it on its first descent
-counts through that ancestor, unwalked.  Each block returns its tally:
-counts, failures and the running maxima of its walked leftovers, and one
-fold (_fold) merges adjacent tallies in range order.  A scan and a record
-search both fold the blocks up to the first that holds a failure
-(_fold_until_failure), whose first failure is the range's smallest.  A
-scan then folds the rest of the range again from that block's start, with
-every leftover walked, or, where the ancestor rule cannot fire, folds
-every block in one such pass; a record search walks that failure to
-raise.  A record search is an every-n prefix, walked until its running
-maximum passes the longest class, plus that fold over the blocks of the
-rest.  No 2^J table is built anywhere.
+search and twin checks, all on one walk of the parity tree
+(patterns.unresolved_leaves); no 2^J table is built.  Each rule of the
+scan is stated once, in the docstring of the function that applies it.
 """
 
 from __future__ import annotations
@@ -57,27 +37,20 @@ _SCAN_FIELDS = (
 class ScanReport(namedtuple("ScanReport", _SCAN_FIELDS)):
     """Outcome of one sieve-accelerated range scan.
 
-    verified_count counts the leftovers, the numbers no class of the depth
-    covers, that descend: each is certified by its own walk or by its
-    ancestor's.  An odd n = 3k + 2 lies 2 steps into the first descent of
-    m = (2n - 1)/3, and an odd n = 9k + 4 5 steps into that of
-    m = (8n - 5)/9, every value before it above m; with m in [lo, n), n is
-    counted through m, up to the first block that holds a failure; from
-    that block's start on every leftover is walked (see sieve_scan).
+    skipped_count counts the numbers a class of the depth covers, and
+    verified_count the leftovers, the others, that descend (_scan_block).
     failures holds (n, reason) rows in increasing n, one per leftover
     whose walk raised CycleDetected or StepCapExceeded, reason that
-    exception's reason.  It is expected to stay empty; a nonempty tuple
-    is a headline result, not an error.  Only leftovers can fail, so a
-    step cap below the longest class length makes the failures depend on
-    the depth.  max_descent_steps ranges over the leftovers that descend,
-    and equals what a walk of each would give: an ancestor-certified n
-    takes fewer steps than its smaller ancestor, so it is never the first
-    maximum.  It depends on the depth where the range's
-    longest descent is a skipped one; skipped numbers have class-certified
-    descents of i + j <= depth + floor(depth*log3(2)) steps, since
-    j <= depth and 3^i < 2^j.  wall_time is the scan phase (blocks, their
-    merge and the workers); setup_time is the sieve build before it.
-    Neither is part of canonical().
+    exception's reason; it is expected to stay empty, and a nonempty
+    tuple is a headline result, not an error.  Only leftovers are walked, so a step cap below the longest
+    class length makes the failures depend on the depth: a cap of 5 on
+    [2, 100] fails 25, 25 and 12 numbers at depths 0, 2 and 5.
+    max_descent_steps and max_descent_n are the first maximum of a walk
+    of every leftover, so they depend on the depth where the longest
+    descent is a skipped one, of i + j <= depth + floor(depth*log3(2))
+    steps (j <= depth, 3^i < 2^j).  wall_time is the scan phase (blocks,
+    their merge and the workers), setup_time the sieve build before it;
+    canonical() leaves both out.
     """
 
     __slots__ = ()
@@ -110,11 +83,9 @@ class TwinRecord(namedtuple("TwinRecord", "n twin pattern i j first_lower twin_f
 def classify_depth(depth: int) -> UnresolvedLeaves:
     """Classify the naturals by descent depth: all classes with j <= depth.
 
-    The walk of the parity tree (patterns.unresolved_leaves) is the
-    classification: its pruned classes, their measure and its open leaves.
-    The classify command prints it with reports.classify_report.  Raises
-    ValueError("depth must be >= 1") below depth 1 and DepthTooLarge above
-    MAX_DEPTH.
+    The walk of the parity tree, patterns.unresolved_leaves(depth), is the
+    classification.  Raises ValueError("depth must be >= 1") below depth 1
+    and DepthTooLarge above MAX_DEPTH.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -146,32 +117,31 @@ def _scan_block(
 ) -> tuple[int, int, list[tuple[int, str]], list[tuple[int, int]]]:
     """Simulate the leftovers of one contiguous block; count the rest as skipped.
 
-    Returns (verified, skipped, failures, maxima): failures are the
-    (n, reason) rows of the walked leftovers whose walk raised
-    CycleDetected or StepCapExceeded, reason that exception's reason, and
-    maxima are the running maxima of descent length over the walked
-    leftovers that descend, both as pairs in increasing n.  Here depth is
-    the leaves' leaf_depth, and 2^depth the period.  This is the one place
-    a leftover is resumed, leaf by leaf: n = 2^depth*h + r of leaf
-    (r, a, e) resumes at 3^a*h + e after its depth halvings, as a jump
-    over a halving word does.  A block at most one period long has at
-    most one member per leaf, met in increasing n, so one running maximum
+    Returns (verified, skipped, failures, maxima): the failure rows of
+    the walked leftovers (as in ScanReport), and the running maxima of
+    descent length over those that descend, both in increasing n.
+
+    The leaf resume.  With depth the leaves' leaf_depth, a member
+    n = 2^depth*h + r of leaf (r, a, e) resumes at 3^a*h + e with
+    a + depth steps counted, as a jump over a halving word does; no other
+    code resumes a leftover.  A block at most one period 2^depth long
+    meets each leaf at most once, in increasing n, so one running maximum
     serves; a longer block puts each leaf's maxima, like the failures,
     back in range order.
 
-    base is the start of the range whose every leftover some block walks
-    or counts, and a block's own start when it is checked alone.  At depth
-    >= 1, a leftover n whose ancestor m lies in [base, n), m = (2n - 1)/3
-    when n % 3 == 2 or m = (8n - 5)/9 when n % 9 == 4, counts as verified
-    unwalked: m's first descent runs through n, 2 (resp. 5) steps in,
-    with every value above m.  m is a leftover too, since its halvings are
-    OE (resp. OEOEE) and then n's, whose prefix margins 2^b <= 3^a give
-    m's 2^(1+b) < 3^(1+a) (resp. 2^(3+b) < 3^(2+a)).  So n descends if m
-    does, in fewer steps, and never sets the range's first maximum; if n
-    would fail, so would m, which some block at or before n's fails
-    first.  A block below _ancestor_floor(base) has no such member and
-    pays one comparison per member for the test, and a base above hi
-    turns the rule off: every leftover is walked.
+    The ancestor rule.  base is the start of the range whose every
+    leftover some block walks or counts (a block's own start when it is
+    checked alone).  At depth >= 1, a leftover n with an ancestor m in
+    [base, n), m = (2n - 1)/3 when n % 3 == 2 or m = (8n - 5)/9 when
+    n % 9 == 4, counts as verified unwalked: m's first descent runs
+    through n, 2 (resp. 5) steps in, every value above m.  m is a
+    leftover too: its halvings are OE (resp. OEOEE) and then n's, whose
+    margins 2^b <= 3^a give m's 2^(1+b) < 3^(1+a) (resp.
+    2^(3+b) < 3^(2+a)).  So n descends if m does, in fewer steps, and
+    never sets the range's first maximum; if n would fail, so would m,
+    which a block at or before n's fails first.  Below
+    _ancestor_floor(base) no member has such an m, and a base above hi
+    turns the rule off.
     """
     # Leaf by leaf rather than period by period keeps a shallow sieve,
     # whose 2^depth period is far shorter than a block, free of per-period
@@ -246,11 +216,11 @@ def _fold(a, b):
     """Merge the tallies a and b of two adjacent runs of blocks, a's first.
 
     A tally is (verified, skipped, failures, maxima), as _scan_block
-    returns for one block.  The merge adds the counts, appends b's
-    failures and those of b's maxima that beat a's last record, so the
-    result is the tally of both runs, and any grouping of a fold over
-    the blocks gives the same.  It extends a's lists in place, so a fold
-    over many blocks stays linear in what they hold.
+    returns for one block.  The fold, the only merge of block results,
+    adds the counts and appends b's failures and those of b's maxima that
+    beat a's last record, so any grouping of a fold over the blocks gives
+    the tally of them all.  It extends a's lists in place, so a fold over
+    many blocks stays linear in what they hold.
     """
     verified, skipped, failures, maxima = a
     failures += b[2]
@@ -263,9 +233,9 @@ def _fold_until_failure(results):
     first that holds a failure: (the tally of the blocks before it, its
     first failure's n), or (the tally of every block, None).
 
-    Every leftover of the blocks before it descends, so their tally is
-    exact, and that n is the smallest failure of the range: a leftover
-    counted through an ancestor fails only after it (see _scan_block).
+    The first-failure rule.  Every leftover of the blocks before it
+    descends, so their tally is exact, and that n is the range's smallest
+    failure: a leftover counted through an ancestor fails only after it.
     """
     tally = (0, 0, [], [])
     for result in results:
@@ -276,20 +246,15 @@ def _fold_until_failure(results):
 
 
 def _scan_worker(tasks: int, results: int, width: int, block) -> None:
-    """A forked worker's life: scan block(k) for each block number k read
-    from tasks and send (k, result) back on results, as a length-prefixed
-    marshal frame, until the task pipe ends.  A block that raises sends
-    (k, None), and the parent runs that block again itself.  Never
-    returns: the worker is a copy of the parent, whose stack must not run
-    on in it.
+    """A forked worker's loop over the task pipe, as _block_results
+    describes it.  Never returns: the worker is a copy of the parent,
+    whose stack must not run on in it.
     """
     import signal
 
     status = 1
     try:
-        # forked with SIGTERM blocked, so the parent's handler (the CLI's
-        # turns a SIGTERM into KeyboardInterrupt) never ran here: restore the
-        # default, then unblock it.  SIGINT stays blocked
+        # the parent's SIGTERM handler must never run here
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         while message := os.read(tasks, width):
@@ -318,28 +283,29 @@ def _block_results(
 ):
     """Yield _scan_block's result for each block of [lo, hi], in range order.
 
-    Each block gets base as the start of the range whose leftovers it may
-    count through an ancestor (see _scan_block): lo, or hi + 1 to walk
-    every leftover.  A block_size of None picks one from the
-    range and the worker count.  Blocks are drawn lazily; an empty range
-    yields nothing.  On more than one worker, and never more workers than
-    blocks, the workers are forked from this process with SIGINT and
-    SIGTERM blocked, then restore SIGTERM's default.  They pull block
-    numbers from one task pipe, of which this process writes at most two
-    per worker ahead of the consumer, and send their results back on a
-    pipe each; this process polls those, reorders the results and yields
-    them in range order, so its memory stays flat in the range size.  It
-    reads each reply whole, its 8-byte length, then its body.  A block
-    that raised in a worker comes back as None and runs again here: the
-    kernel is deterministic, so it raises the same exception, with a
-    traceback into the kernel, and a failure that only the worker met (a
-    MemoryError, say) gives way to this process's result, as on one
-    worker.  A worker that dies (end of file on its pipe, a reply cut
-    short included) raises CollatzDescentError naming its pid and exit
-    status, and a pipe or fork that fails one chained from the OSError.
-    However the generator ends (done, an error, KeyboardInterrupt,
-    close()), it closes the pipes, then SIGTERMs and reaps every worker.
-    Without os.fork (Windows), more than one worker is a ValueError.
+    Every block gets base.  A block_size of None picks one from the range
+    and the worker count.  Blocks are drawn lazily; an empty range yields
+    nothing.  One worker scans them here.  On more than one, and never
+    more workers than blocks, the workers are forked from this process
+    with SIGINT and SIGTERM blocked.  A worker keeps SIGINT blocked, so a
+    Ctrl-C to the process group interrupts this process alone, and
+    restores SIGTERM's default before it unblocks it.  Whenever it is
+    free, a worker pulls the next block number k from one shared task
+    pipe and sends (k, result) back on a pipe of its own, as a
+    length-prefixed marshal frame.  This process writes at most two block
+    numbers per worker ahead of the consumer, reads each reply whole and
+    yields the results in range order, so its memory stays flat in the
+    range size.  A block that raises in a worker comes back as None and
+    runs again here: the kernel is deterministic, so it raises the same
+    exception, with a traceback into the kernel, and a failure that only
+    the worker met (a MemoryError, say) gives way to this process's
+    result.  A worker that dies (end of file on its pipe, mid-reply too)
+    raises CollatzDescentError naming its pid and exit status; a pipe or
+    fork that fails raises one chained from the OSError.  However the
+    generator ends (done, an error, KeyboardInterrupt, close()), it closes
+    the pipes, then SIGTERMs and reaps every worker with both signals
+    blocked.  Without os.fork (Windows), more than one worker is a
+    ValueError.
     """
     if block_size is None:
         # About 8 blocks per worker, so the workers pay few round trips and
@@ -382,8 +348,7 @@ def _block_results(
             for _ in range(workers):
                 read, write = os.pipe()
                 fds.append(read)
-                # a worker keeps the mask: with SIGINT blocked there, a
-                # Ctrl-C to the process group interrupts this process alone
+                # a worker keeps this mask
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, both)
                 try:
                     pid = os.fork()
@@ -449,7 +414,11 @@ def _block_results(
 
 
 def _sieve_depth(size: int) -> int:
-    """The sieve depth for a scan or record search of size numbers."""
+    """The sieve depth for a scan or record search of size numbers.
+
+    It is bit_length(size) - 2, kept between 0 and 22: 16 for 2*10^5
+    numbers, 22 from 2^23 up, and 0, which walks every n, for 1-3 numbers.
+    """
     # A deeper walk leaves fewer numbers to simulate but costs more to build
     # and hands each block more leaves to set up, so the depth that pays
     # grows with the range.  Swept in-process on one worker, best of 3-5
@@ -458,8 +427,7 @@ def _sieve_depth(size: int) -> int:
     # 2^25 numbers from 2 and 2^24 from 10^12 at 22 and 24 alike (20 was
     # 1.2-1.4x slower); records [2, 2*10^5] at 14-16, [2, 10^6] at 18,
     # [2, 10^7] at 20-22.  Depth 24 gained nothing there and its walk
-    # costs 0.4 s and about 11 MB more, so 22 is the cap.  Ranges of 1-3
-    # numbers get depth 0, which walks every n.
+    # costs 0.4 s and about 11 MB more, so 22 is the cap.
     return min(max(size.bit_length() - 2, 0), 22)
 
 
@@ -474,37 +442,23 @@ def sieve_scan(
 ) -> ScanReport:
     """Verify that every n in [lo, hi] descends below itself.
 
-    Numbers whose residue mod 2^depth belongs to a resolved class are
-    counted as skipped (their descent is certified by the class algebra,
-    checked while the leaves are built); the rest, the leftovers, are
-    verified by a walk of their own or, when their ancestor lies in
-    [lo, n), by that ancestor's (see ScanReport and _scan_block).  Where
-    that rule can fire (depth >= 1 and hi >= _ancestor_floor(lo)), the
-    block tallies are folded (_fold) in range order up to the first block
-    that holds a failure (_fold_until_failure), and every leftover before
-    it descends; from that block's start on, the scan folds the rest of
-    the range again with the rule off (base hi + 1).  Where it cannot,
-    one pass with the rule off folds every block.  Either way every
-    leftover from the first failing block on is walked, the report is
-    that of a walk of every leftover, and a clean scan runs each block
-    once.  The leaves are unresolved_leaves(depth), whose walk may stop a
-    level short with the same leftovers.  depth = 0 disables the sieve.
-    Without a depth, one is picked from the range size: bit_length(hi -
-    lo + 1) - 2, between 0 and 22 (16 for 2*10^5 numbers, 22 from 2^23
-    up); the report records it.  For a given depth the report is
-    deterministic for any worker count and block size.  The
-    step cap applies to the leftovers alone, since a skipped number is
-    never walked, so a cap below the longest class length makes the
-    failures depend on the depth: a cap of 5 on [2, 100] fails 25, 25
-    and 12 numbers at depths 0, 2 and 5.  _block_results draws each
-    pass's blocks, sizes them and runs them on the workers, which it
-    forks and reaps once per pass, however the pass ends; the CLI turns a
-    SIGTERM to this process into KeyboardInterrupt, as Ctrl-C is.  Raises
-    ValueError on a bad range, worker count or block size, or more than
-    one worker and block without os.fork, ValueError("depth must be >=
-    0") on a negative depth (from unresolved_leaves), DepthTooLarge past
-    MAX_DEPTH, CollatzDescentError when a worker dies (naming its pid and
-    exit status) or cannot be forked (chained from the OSError), and the
+    The classes of unresolved_leaves(depth) certify the skipped numbers,
+    and _scan_block verifies the leftovers.  The second pass: where the
+    ancestor rule can fire (depth >= 1 and hi >= _ancestor_floor(lo)), a
+    first pass folds the block tallies up to the first block that holds a
+    failure (_fold_until_failure), and a second pass folds the range from
+    that block's start again with the rule off (base hi + 1).  Where the
+    rule cannot fire, one pass with it off folds every block.  Either way
+    every leftover from the first failing block on is walked, the report
+    is that of a walk of every leftover, and a clean scan runs each block
+    once.  Each pass forks and reaps its own workers (_block_results).
+
+    depth = 0 disables the sieve; None lets _sieve_depth pick it, and the
+    report records it.  For a given depth the report is the same for any
+    worker count and block size.  Raises ValueError on a bad range,
+    worker count or block size, on a depth below 0, and on more than one
+    worker and block without os.fork; DepthTooLarge past MAX_DEPTH;
+    CollatzDescentError when a worker dies or cannot be forked; and the
     exception a block raises, as on one worker.
     """
     if lo < 2:
@@ -554,30 +508,24 @@ def sieve_scan(
 def record_search(lo: int, hi: int, step_cap: int = DEFAULT_STEP_CAP) -> list[tuple[int, int]]:
     """Running maxima of descent length over [lo, hi], as (n, steps) pairs.
 
-    A record can only sit in a residue that no class covers.  The search
-    picks the depth a scan of the range picks (16 for 2*10^5 numbers, 22
-    from 2^23 up) and takes L, the longest class length i + j, from the
-    levels that prune classes (26 at depth 16, 0 at depth 0, which has no
-    class).  It walks every n from lo while the running maximum is below
-    L, then folds (_fold) the block tallies of a scan of the rest of the
-    range, from its own start, on one worker, and keeps the fold's records that beat the
-    prefix's maximum.  The records do not depend on the depth.  This is
-    exact:
+    The search takes the depth _sieve_depth picks for the range, and L,
+    the longest class length up to it (_deepest_pruning_level).  It walks
+    every n from lo while the running maximum is below L, then folds the
+    block tallies of a scan of the rest, from its own start, on one
+    worker, and keeps the fold's records that beat the prefix's maximum.
+    The records do not depend on the depth.  This is exact:
     - a member n >= 2 of a pruned class descends in exactly i + j <= L
       steps, at most the running maximum, so it sets no strict record;
     - descent_length returns only lengths <= step_cap, and the running
       maximum is such a length, so a skipped n would neither exceed the
       cap nor, ending below itself, close a cycle;
-    - the scan counts a leftover n through its ancestor m in [s, n), s the
-      scan's start (see _scan_block), which it walks or counts in turn: n
-      descends in fewer steps than m < n, so it sets no strict record,
-      and if n would fail, m fails first;
-    - the range's smallest failure is a leftover its block walked, since
-      a leftover counted through an ancestor fails after it, and every
-      number below it descends, so walking it from its start raises as a
-      walk of every number would.  The fold stops at the first block that
-      holds a failure (_fold_until_failure), whose first failure is that
-      one, so no later block is scanned.
+    - a leftover counted through its ancestor (_scan_block) sets no
+      strict record and fails only after its ancestor;
+    - the fold stops at the first block that holds a failure
+      (_fold_until_failure); that block's first failure is the range's
+      smallest, and every number below it descends, so walking it from
+      its start raises as a walk of every number would, and no later
+      block is scanned.
     """
     if lo < 2:
         raise ValueError("record search starts at 2 or above")
@@ -607,12 +555,10 @@ def twin_walk(n: int, step_cap: int = DEFAULT_STEP_CAP) -> tuple[DescentTrace, t
     """n's first descent and the path of its twin n + 2^j alongside it.
 
     The path is the twin, its value after each step and, last, its first
-    lower value.  The twin must repeat n's pattern exactly.  Only the twin
-    is stepped (by col_step): n's value before each step is read from its
-    trace, whose letters follow n's parities, so the letter col_step
-    returns for the twin must match n's.  The value gap is checked before
-    every step: after a O-steps and b E-steps it must equal 3^a * 2^(j-b),
-    which lands on 3^i once both descents finish, below the twin.
+    lower value.  Only the twin is stepped (by col_step), and each letter
+    it takes must be n's.  Before every step the gap must be
+    3^a * 2^(j-b), after a O-steps and b E-steps, and the twin must land
+    on n's first lower value + 3^i, below its start; else AssertionError.
     """
     tr = descent_trace(n, step_cap=step_cap)
     i, j = tr.pattern.i, tr.pattern.j

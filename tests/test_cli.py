@@ -405,6 +405,25 @@ def test_full_stdout_is_one_error_line(command, unbuffered):
     assert proc.stderr.endswith("\n")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_write_to_stdout_leaves_no_descriptor_open(capsys, monkeypatch):
+    # main() points a stdout that takes no more at devnull, through a
+    # descriptor of its own, which it must close again: else each call
+    # in-process leaves one more open
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        read, write = os.pipe()
+        os.close(read)
+        out = open(write, "w")
+        monkeypatch.setattr(sys, "stdout", out)
+        try:
+            assert main(["feasibility"]) == 1
+        finally:
+            out.close()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("reader_stays", [True, False], ids=["reader-stays", "reader-closes"])
 def test_short_write_to_an_unbuffered_stdout_is_retried(capsys, monkeypatch, reader_stays):
     # under PYTHONUNBUFFERED or -u, sys.stdout's buffer is the raw file.  The
